@@ -87,7 +87,8 @@ def _cmd_detect(args) -> int:
         hit = [
             name
             for name, value in wrec.values.items()
-            if name in thresholds and thresholds[name].exceeded(value)
+            if name in thresholds
+            and thresholds[name].exceeded(value, channel=name, end_t=wrec.end_t)
         ]
         if hit:
             alarms.append({"index": wrec.index, "end_t": wrec.end_t, "channels": hit})

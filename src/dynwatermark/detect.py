@@ -15,7 +15,8 @@ Four statistic kinds cover the tests used across the plant classes:
                      nominal Wishart law.
 
 Calibration is closed-form chi-square for the Gaussian variance kind and
-Monte Carlo elsewhere, always from the scenario's own null model.
+Monte Carlo elsewhere, always from the scenario's own null model; Gaussian
+nulls draw each window's joint (e, r) scatter from its Wishart law.
 """
 
 from __future__ import annotations
@@ -248,6 +249,17 @@ class ResidualNull:
             return self.sigma_e2 * self.gain[:, e_index]
         return np.zeros(self.gain.shape[0])
 
+    def loading(self) -> np.ndarray:
+        """M with z = (e, r) = M xi, xi ~ N(0, I), under Gaussian families."""
+        se, sw = math.sqrt(self.sigma_e2), math.sqrt(self.sigma_w2)
+        if self.mode == "decoupled":
+            nu = math.sqrt(self.innovation_var) * self.gain[:, None]
+            return np.block([[se, 0.0], [np.zeros_like(nu), nu]])
+        G = np.atleast_2d(self.gain)
+        n, m = G.shape
+        top = [se * np.eye(m), np.zeros((m, n))]
+        return np.block([top, [se * G, sw * np.eye(n)]])
+
     def simulate(self, rng: np.random.Generator, n_windows: int, l: int):
         """Draw (e_block, r_block) of null windows; shapes (n_windows, l[, dim])."""
         if self.mode == "scalar":
@@ -264,48 +276,54 @@ class ResidualNull:
         return e, nu[:, :, None] * self.gain
 
 
+def _wishart_scatter(M: np.ndarray, l: int, n_windows: int, rng) -> np.ndarray:
+    """Joint scatters z'z/l of windows of l i.i.d. z = M xi, xi ~ N(0, I_p):
+    Bartlett's lower-triangular A, with A_ii = sqrt(chi2_{l-i}) and N(0, 1)
+    below the diagonal, has A A' ~ Wishart(l, I_p); needs l >= p."""
+    p = M.shape[1]
+    A = np.zeros((n_windows, p, p))
+    rows, cols = np.tril_indices(p, -1)
+    A[:, rows, cols] = rng.standard_normal((n_windows, rows.size))
+    d = np.arange(p)
+    A[:, d, d] = np.sqrt(rng.chisquare(l - d, (n_windows, p)))
+    MA = M @ A
+    return MA @ MA.transpose(0, 2, 1) / l
+
+
+def _joint_scatter(e_block, r_block) -> np.ndarray:
+    """Joint scatters z'z/l of z = (e, r) from raw (windows, l[, dim]) blocks."""
+    z = np.concatenate([np.atleast_3d(b) for b in (e_block, r_block)], axis=2)
+    return np.einsum("wli,wlj->wij", z, z) / z.shape[1]
+
+
 def _batch_values(
-    kind: str,
-    e_block: np.ndarray,
-    r_block: np.ndarray,
-    *,
-    target=None,
-    Sigma0=None,
-    e_index: int = 0,
+    kind: str, Z: np.ndarray, l: int, n_e: int, *, target=None, Sigma0=None, e_index=0
 ) -> np.ndarray:
-    """Vectorized window statistics; formula-identical to the per-window ops
+    """Window statistics from joint scatters ``Z`` of z = (e, r), shape
+    (windows, n_e + n, n_e + n); formula-identical to the per-window ops
     (pinned by test), used for Monte-Carlo calibration throughput."""
-    l = r_block.shape[1]
+    S = Z[:, n_e:, n_e:]
+    n = S.shape[1]
     if kind == "variance":
-        return np.mean(r_block * r_block, axis=1)
+        return S[:, 0, 0]
     if kind == "cross_corr":
-        e_sel = e_block if e_block.ndim == 2 else e_block[:, :, e_index]
-        if r_block.ndim == 2:
-            return np.abs(np.mean(e_sel * r_block, axis=1) - float(target))
-        emp = np.einsum("wl,wln->wn", e_sel, r_block) / l
-        return np.linalg.norm(emp - np.asarray(target, dtype=float)[None, :], axis=1)
-    r3 = r_block if r_block.ndim == 3 else r_block[:, :, None]
-    n = r3.shape[2]
-    S = np.einsum("wli,wlj->wij", r3, r3) / l
+        emp = Z[:, e_index, n_e:]
+        return np.linalg.norm(emp - np.atleast_1d(target)[None, :], axis=1)
     S0 = _as_sigma0(Sigma0, n)
     if kind == "cov_entries":
         return np.max(np.abs(S - S0), axis=(1, 2)) / np.max(np.abs(S0))
+    if kind not in ("cov", "nll"):
+        raise ValueError(f"unknown stat kind {kind!r}")
+    const, logdet0 = _wishart_const(l, n, S0) if kind == "nll" else (0.0, 0.0)
+    ratio = np.linalg.solve(S0, S)
+    sign, logdet = np.linalg.slogdet(ratio)  # logdet(S) - logdet(S0)
+    if np.any(sign <= 0):
+        raise ValueError("singular window scatter in calibration draw")
+    tr = np.trace(ratio, axis1=1, axis2=2)
     if kind == "cov":
-        ratio = np.linalg.solve(S0, S)
-        sign, logdet = np.linalg.slogdet(ratio)
-        if np.any(sign <= 0):
-            raise ValueError("singular window scatter in calibration draw")
-        tr = np.trace(ratio, axis1=1, axis2=2)
         return np.maximum(tr - logdet - n, 0.0)
-    if kind == "nll":
-        const, _ = _wishart_const(l, n, S0)
-        sign, logdet_S = np.linalg.slogdet(S)
-        if np.any(sign <= 0):
-            raise ValueError("singular window scatter in calibration draw")
-        logdet_X = n * math.log(l) + logdet_S
-        tr = np.trace(np.linalg.solve(S0, S), axis1=1, axis2=2)
-        return -(0.5 * (l - n - 1) * logdet_X - 0.5 * l * tr - const)
-    raise ValueError(f"unknown stat kind {kind!r}")
+    logdet_X = n * math.log(l) + logdet + logdet0
+    return -(0.5 * (l - n - 1) * logdet_X - 0.5 * l * tr - const)
 
 
 def simulate_null_stats(
@@ -318,19 +336,25 @@ def simulate_null_stats(
     e_index: int = 0,
     chunk_elems: int = 2**22,
 ) -> np.ndarray:
-    """Monte-Carlo sample of the statistic under the null, in memory chunks."""
+    """Monte-Carlo sample of the statistic under the null, in memory chunks:
+    Wishart window scatters for Gaussian nulls, raw draws otherwise."""
     target = null.cross_target(e_index) if kind == "cross_corr" else None
     Sigma0 = null.sigma0() if kind in ("cov", "cov_entries", "nll") else None
-    per_window = l * max(null.dim, 1)
+    M = null.loading()
+    n_e = M.shape[0] - null.dim
+    exact = null.gaussian and l >= M.shape[1]  # Bartlett needs l >= p
+    per_window = M.shape[0] ** 2 if exact else l * max(null.dim, 1)
     step = max(int(chunk_elems // per_window), 1)
     out = np.empty(n_cal)
     done = 0
     while done < n_cal:
         take = min(step, n_cal - done)
-        e_block, r_block = null.simulate(rng, take, l)
+        if exact:
+            Z = _wishart_scatter(M, l, take, rng)
+        else:
+            Z = _joint_scatter(*null.simulate(rng, take, l))
         out[done : done + take] = _batch_values(
-            kind, np.asarray(e_block), np.asarray(r_block),
-            target=target, Sigma0=Sigma0, e_index=e_index,
+            kind, Z, l, n_e, target=target, Sigma0=Sigma0, e_index=e_index
         )
         done += take
     return out
@@ -347,7 +371,11 @@ class Threshold:
     method: str = "mc"
     n_cal: int | None = None
 
-    def exceeded(self, value: float) -> bool:
+    def exceeded(self, value: float, *, channel: str | None = None, end_t=None) -> bool:
+        """Whether ``value`` alarms; a non-finite value is an error, not a pass."""
+        if not math.isfinite(value):
+            where = f"channel {channel or self.kind}, window ending at t={end_t}"
+            raise ValueError(f"non-finite statistic {value} on {where}")
         if value > self.hi:
             return True
         return self.lo is not None and value < self.lo
@@ -357,6 +385,8 @@ def threshold_from_stats(kind: str, stats: np.ndarray, alpha: float) -> Threshol
     """Empirical-quantile threshold from a sample of null statistics."""
     _check_alpha(alpha)
     stats = np.asarray(stats, dtype=float)
+    if not np.all(np.isfinite(stats)):
+        raise ValueError(f"{kind} null sample holds non-finite statistics")
     if kind == "variance":
         lo, hi = np.quantile(stats, [0.5 * alpha, 1.0 - 0.5 * alpha])
         return Threshold(kind, alpha, float(hi), float(lo), "mc", stats.size)
@@ -438,5 +468,5 @@ def sequential_detect(values, threshold: Threshold, window_ends=None) -> AlarmLo
     ends = list(window_ends)
     if len(ends) != len(vals):
         raise ValueError("window_ends and values must align")
-    alarms = [end for end, v in zip(ends, vals) if threshold.exceeded(v)]
+    alarms = [end for end, v in zip(ends, vals) if threshold.exceeded(v, end_t=end)]
     return AlarmLog(alarm_times=alarms, n_windows=len(vals))

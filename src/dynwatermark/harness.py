@@ -640,7 +640,9 @@ def _detect_pass(
         for spec, samples, e_samples in per_channel:
             val = _window_values(spec, samples, e_samples, lo, hi)
             values[spec.name] = val
-            alarmed[spec.name] = thresholds[spec.name].exceeded(val)
+            alarmed[spec.name] = thresholds[spec.name].exceeded(
+                val, channel=spec.name, end_t=start + hi - 1
+            )
         records.append(
             WindowRecord(index=wdx, end_t=start + hi - 1, values=values, alarmed=alarmed)
         )
@@ -936,7 +938,11 @@ def import_trace(path, config: ScenarioConfig) -> Trace:
                 f"scenario has {config.plant.kind}"
             )
         header = fh.readline().strip().split(",")
-        rows = [line.rstrip("\n").split(",") for line in fh if line.strip()]
+        numbered = [(k, ln.rstrip("\n").split(",")) for k, ln in enumerate(fh, 3) if ln.strip()]
+    for k, row in numbered:
+        if len(row) != len(header):
+            raise ValueError(f"{path} line {k}: expected {len(header)} fields, got {len(row)}")
+    rows = [row for _, row in numbered]
     T = len(rows)
     if T != config.horizon:
         raise ValueError(

@@ -267,6 +267,9 @@ def _parse_policy(d: dict, plant: PlantConfig) -> PolicyConfig:
         raise ScenarioError("policy.f", "linear policy requires a gain f")
     if kind != "linear" and f is not None:
         raise ScenarioError("policy.f", f"gain f is meaningless for the {kind} policy")
+    mn = np.shape(plant.B)[::-1]  # (inputs, states) of a mimo plant
+    if kind == "linear" and plant.kind == "mimo" and np.shape(f) != mn:
+        raise ScenarioError("policy.f", f"expected shape (m, n) = {mn}, got {np.shape(f)}")
     if kind == "arx_deadbeat" and plant.kind != "arx":
         raise ScenarioError("policy.kind", "arx_deadbeat requires an arx plant")
     return PolicyConfig(kind=kind, f=f)

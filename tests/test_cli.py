@@ -212,3 +212,43 @@ def test_detect_rejects_mismatched_scenario(scenario_file, tmp_path, capsys):
     )
     assert code == 1
     assert "error:" in err
+
+
+def test_detect_rejects_truncated_trace_row(scenario_file, tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    run_cli(capsys, "run", "--scenario", str(scenario_file), "--out", str(out_dir))
+    trace = out_dir / "trace.csv"
+    lines = trace.read_text().splitlines()
+    n_fields = len(lines[1].split(","))
+    lines[5] = ",".join(lines[5].split(",")[:3])
+    trace.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(
+        capsys, "detect", "--trace", str(trace), "--scenario", str(scenario_file)
+    )
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [
+        f"error: {trace} line 6: expected {n_fields} fields, got 3"
+    ]
+
+
+def test_detect_rejects_non_finite_statistic(scenario_file, tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    run_cli(capsys, "run", "--scenario", str(scenario_file), "--out", str(out_dir))
+    trace = out_dir / "trace.csv"
+    lines = trace.read_text().splitlines()
+    header = lines[1].split(",")
+    col = header.index("stat_cross_corr")
+    # the statistic is read from the last row of a window
+    row = max(i for i in range(2, len(lines)) if lines[i].split(",")[col])
+    fields = lines[row].split(",")
+    fields[col] = "nan"
+    lines[row] = ",".join(fields)
+    trace.write_text("\n".join(lines) + "\n")
+    code, _, err = run_cli(
+        capsys, "detect", "--trace", str(trace), "--scenario", str(scenario_file)
+    )
+    assert code == 1
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: non-finite statistic nan on channel cross_corr")
+    assert f"t={fields[0]}" in err

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from scipy.stats import chi2, wishart
+from scipy.stats import chi2, ks_2samp, wishart
 
 from dynwatermark.detect import (
     ResidualNull,
     Threshold,
     _batch_values,
+    _joint_scatter,
     calibrate_threshold,
     cov_entries_stat,
     cov_stat,
@@ -202,7 +203,7 @@ def test_null_decoupled_excitation_independent_of_residual():
 
 
 # ---------------------------------------------------------------------------
-# batch evaluation is pinned to the per-window definitions
+# batch evaluation of joint scatters is pinned to the per-window definitions
 # ---------------------------------------------------------------------------
 
 
@@ -229,8 +230,9 @@ def test_batch_values_equal_per_window_stats(kind, shape):
         pytest.skip("rank-deficient target has no density / inverse")
     if kind == "variance" and shape != "scalar":
         pytest.skip("variance is a scalar-residual statistic")
+    Z = _joint_scatter(e_block, r_block)
     batch = _batch_values(
-        kind, e_block, r_block, target=target, Sigma0=Sigma0, e_index=0
+        kind, Z, l, Z.shape[1] - null.dim, target=target, Sigma0=Sigma0, e_index=0
     )
     for i in range(50):
         r = r_block[i]
@@ -246,6 +248,122 @@ def test_batch_values_equal_per_window_stats(kind, shape):
         else:
             ref = nll_window(r, Sigma0).value
         assert batch[i] == pytest.approx(ref, rel=1e-10, abs=1e-12)
+
+
+def test_loading_matrix_reproduces_joint_second_moments():
+    """M M' is the covariance of z = (e, r) for every null mode."""
+    B = np.array([[1.0, 0.0], [0.3, 1.0], [0.2, 0.4]])
+    cases = [
+        ResidualNull(gain=1.5, sigma_e2=0.5, sigma_w2=1.0),
+        ResidualNull(gain=0.0, sigma_e2=0.0, sigma_w2=1.0),
+        ResidualNull(gain=B, sigma_e2=0.5, sigma_w2=2.0),
+        ResidualNull(gain=np.array([0.5, 0.2]), sigma_e2=1.0, innovation_var=2.0),
+    ]
+    for null in cases:
+        M = null.loading()
+        cov = M @ M.T
+        n_e = M.shape[0] - null.dim
+        np.testing.assert_allclose(cov[n_e:, n_e:], null.sigma0(), atol=1e-15)
+        np.testing.assert_allclose(np.diag(cov)[:n_e], null.sigma_e2, atol=1e-15)
+        for i in range(n_e):
+            np.testing.assert_allclose(
+                cov[i, n_e:], np.atleast_1d(null.cross_target(i)), atol=1e-15
+            )
+
+
+def _brute_stats(kind, null, n_windows, l, rng, e_index=0):
+    """Statistics of raw null windows through the per-window definitions."""
+    e_block, r_block = null.simulate(rng, n_windows, l)
+    out = np.empty(n_windows)
+    for i in range(n_windows):
+        r = r_block[i]
+        if kind == "variance":
+            out[i] = variance_stat(r, null.variance_target()).value
+        elif kind == "cross_corr":
+            e = e_block[i] if e_block.ndim == 2 else e_block[i, :, e_index]
+            out[i] = cross_corr_stat(e, r, null.cross_target(e_index)).value
+        elif kind == "cov":
+            out[i] = cov_stat(r, null.sigma0()).value
+        elif kind == "cov_entries":
+            out[i] = cov_entries_stat(r, null.sigma0()).value
+        else:
+            out[i] = nll_window(r, null.sigma0()).value
+    return out
+
+
+_KS_NULLS = {
+    "scalar": ResidualNull(gain=1.5, sigma_e2=0.5, sigma_w2=1.0),
+    "unexcited": ResidualNull(gain=0.0, sigma_e2=0.0, sigma_w2=1.0),
+    "matrix": ResidualNull(
+        gain=np.array([[1.0, 0.0], [0.3, 1.0]]), sigma_e2=0.5, sigma_w2=1.0
+    ),
+    "decoupled": ResidualNull(
+        gain=np.array([0.5, 0.2]), sigma_e2=1.0, innovation_var=2.0
+    ),
+    "laplace": ResidualNull(gain=1.0, sigma_e2=0.25, sigma_w2=1.0, w_family="laplace"),
+}
+
+
+@pytest.mark.parametrize(
+    "mode,kind,e_index",
+    [
+        ("scalar", "variance", 0),
+        ("scalar", "cross_corr", 0),
+        ("scalar", "cov", 0),
+        ("scalar", "cov_entries", 0),
+        ("scalar", "nll", 0),
+        ("unexcited", "nll", 0),
+        ("matrix", "cross_corr", 0),
+        ("matrix", "cross_corr", 1),
+        ("matrix", "cov", 0),
+        ("matrix", "cov_entries", 0),
+        ("matrix", "nll", 0),
+        ("decoupled", "cross_corr", 0),
+        ("decoupled", "cov_entries", 0),
+        ("laplace", "variance", 0),
+    ],
+)
+def test_null_sampler_matches_brute_force_in_distribution(mode, kind, e_index):
+    """Two-sample KS: the calibration sampler (Wishart scatter for Gaussian
+    nulls, raw draws otherwise) against per-window stats of raw windows."""
+    null, l, n = _KS_NULLS[mode], 30, 4000
+    fast = simulate_null_stats(
+        kind, l, null, n, np.random.default_rng(80), e_index=e_index
+    )
+    brute = _brute_stats(kind, null, n, l, np.random.default_rng(81), e_index)
+    assert ks_2samp(fast, brute).pvalue > 1e-3
+
+
+@pytest.mark.parametrize(
+    "mode,kind,e_index",
+    [
+        ("scalar", "cross_corr", 0),
+        ("unexcited", "nll", 0),
+        ("matrix", "cov", 0),
+        ("matrix", "cross_corr", 1),
+        ("decoupled", "cov_entries", 0),
+    ],
+)
+def test_wishart_calibration_holds_on_raw_null_windows(mode, kind, e_index):
+    """Thresholds from the Wishart sampler give the design false-alarm rate
+    on fresh raw residual windows, within the 4-sigma binomial band."""
+    null, l, alpha, n_fresh = _KS_NULLS[mode], 30, 0.05, 4000
+    assert null.gaussian
+    th = calibrate_threshold(
+        kind, l, alpha, null, 50_000, np.random.default_rng(90), e_index=e_index
+    )
+    fresh = _brute_stats(kind, null, n_fresh, l, np.random.default_rng(91), e_index)
+    rate = float(np.mean([th.exceeded(v) for v in fresh]))
+    assert abs(rate - alpha) < 4.0 * np.sqrt(alpha * (1 - alpha) / n_fresh)
+
+
+def test_short_windows_fall_back_to_raw_draws():
+    """Windows shorter than the Wishart dimension still calibrate."""
+    null = _KS_NULLS["matrix"]  # z has 4 coordinates
+    stats = simulate_null_stats("cross_corr", 3, null, 2000, np.random.default_rng(5))
+    brute = _brute_stats("cross_corr", null, 2000, 3, np.random.default_rng(6))
+    assert np.all(np.isfinite(stats))
+    assert ks_2samp(stats, brute).pvalue > 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +482,25 @@ def test_threshold_exceeded_semantics():
     assert not th.exceeded(1.0)
     one_sided = Threshold("cross_corr", 0.01, hi=2.0)
     assert not one_sided.exceeded(0.0)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_window_value_is_an_error(bad):
+    th = Threshold("cross_corr", 0.01, hi=2.0)
+    with pytest.raises(ValueError, match="channel cross_corr_1.*t=1999"):
+        th.exceeded(bad, channel="cross_corr_1", end_t=1999)
+    with pytest.raises(ValueError, match="non-finite.*t=1000"):
+        sequential_detect([0.2, bad], th, window_ends=[500, 1000])
+
+
+def test_threshold_from_stats_rejects_non_finite_null_sample():
+    stats = np.arange(1.0, 101.0)
+    stats[17] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        threshold_from_stats("cov", stats, 0.1)
+    stats[17] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        threshold_from_stats("variance", stats, 0.1)
 
 
 def test_sequential_detect_alarm_times():

@@ -236,6 +236,23 @@ def test_build_policy_matrix_gain():
     np.testing.assert_allclose(out, [-0.1, -0.2])
 
 
+def test_mimo_linear_gain_shape_is_checked_at_load():
+    mimo = {"kind": "mimo", "A": [[0.5, 0.1], [0.0, 0.4]],
+            "B": [[1.0, 0.0], [0.2, 1.0]], "sigma_w2": 1.0}
+    for f in ([1.0], 1.0, [[-0.1, 0.0]], [[-0.1], [0.0]]):
+        err = expect_error("policy.f", plant=mimo, policy={"kind": "linear", "f": f})
+        assert "expected shape (m, n) = (2, 2)" in str(err)
+    wide = dict(mimo, B=[[1.0, 0.0, 0.5], [0.2, 1.0, 0.0]])
+    err = expect_error(
+        "policy.f", plant=wide, policy={"kind": "linear", "f": [[0.1, 0.2, 0.3]] * 2}
+    )
+    assert "(3, 2)" in str(err)
+    cfg = scenario_from_dict(
+        base_dict(plant=wide, policy={"kind": "linear", "f": [[0.1, 0.0]] * 3})
+    )
+    assert np.shape(cfg.policy.f) == (3, 2)
+
+
 def test_build_attack_kinds():
     from dynwatermark.adversary import HonestSensor, ReplayAttack
 
