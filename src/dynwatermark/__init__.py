@@ -5,11 +5,14 @@ statistical tests on the reported measurements then decide whether the
 sensor stream is consistent with the physics plus that excitation, and
 bound the distortion any consistent attacker can still add.
 
-Layers: ``linsys`` (plants and policies), ``watermark`` (excitation and
-shapers), ``adversary`` (sensor attack strategies), ``residual``
-(watermark-aware residual generators), ``detect`` (window statistics,
-calibration, thresholds), ``scenario``/``harness`` (config files, closed
-loops, trace export), ``cli`` (command-line front end).
+Layers: ``linsys`` (the five plant classes, their two canonical kernels --
+lag polynomial and state space -- and policies), ``watermark`` (excitation
+and the shaping filter), ``adversary`` (sensor attack strategies, one path
+per kernel), ``residual`` (prediction-error and Kalman-innovation filters
+run on recorded data), ``detect`` (window statistics, calibration,
+thresholds), ``scenario``/``harness`` (config files, one closed-loop
+simulator per kernel, oracle metrics, trace export), ``cli`` (command-line
+front end).
 """
 
 from .adversary import (
@@ -57,24 +60,20 @@ from .linsys import (
     ArxDeadbeat,
     CallablePolicy,
     ControlPolicy,
+    LagForm,
     LinearFeedback,
     MimoPlant,
     PartialPlant,
     ScalarPlant,
+    StateSpaceForm,
     ZeroPolicy,
     check_min_phase,
 )
 from .residual import (
-    ArmaxFilterState,
     KalmanDesign,
-    KalmanState,
-    ResidualPair,
-    armax_filter_step,
-    arx_residual,
+    innovations,
     kalman_design,
-    kalman_step,
-    mimo_residual,
-    scalar_residual,
+    prediction_errors,
 )
 from .scenario import (
     SCHEMA_VERSION,
@@ -91,12 +90,10 @@ from .scenario import (
 from .watermark import (
     FAMILIES,
     WatermarkSpec,
-    armax_shape,
     draw_excitation,
     draw_iid,
-    make_shaper_state,
     match_distribution,
-    pre_equalize,
+    shape,
 )
 
 __version__ = "0.1.0"

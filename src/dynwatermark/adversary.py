@@ -11,12 +11,12 @@ noise are structurally absent — there are no such fields.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .linsys import ArmaxPlant, ArxPlant, MimoPlant, PartialPlant, ScalarPlant
+from .linsys import LagForm
 from .watermark import draw_iid
 
 __all__ = [
@@ -131,89 +131,68 @@ class NoiseSimAttack(AttackStrategy):
         self._x_sim: np.ndarray | None = None
 
     def _attack(self, view: SensorView):
-        plant = view.plant
+        form = view.plant.kernel
         t = view.t
         rng = self._rng
         z, u_g = view.z, view.u_g
-
-        def past_z(i):
-            return z[i] if i >= 0 else (z[0] * 0.0 if t > 0 else 0.0)
-
-        def past_ug(i):
-            return u_g[i] if i >= 0 else (u_g[0] * 0.0 if t > 0 else 0.0)
-
-        if isinstance(plant, ScalarPlant):
-            w = float(draw_iid(view.w_family, plant.sigma_w2, rng))
-            return plant.a * float(past_z(t - 1)) + plant.b * float(past_ug(t - 1)) + w
-        if isinstance(plant, ArxPlant):
-            w = float(draw_iid(view.w_family, plant.sigma_w2, rng))
-            acc = w
-            for m, am in enumerate(plant.a_coeffs):
-                acc -= am * float(past_z(t - 1 - m))
-            for r, br in enumerate(plant.b_coeffs):
-                acc += br * float(past_ug(t - 1 - r))
-            return acc
-        if isinstance(plant, ArmaxPlant):
-            w = float(draw_iid(view.w_family, plant.sigma_w2, rng))
-            # Own colored-noise memory; pre-onset w' values are taken as zero.
-            self._w_hist.insert(0, w)
+        if isinstance(form, LagForm):
+            # Own noise memory for C(q^-1) w'; pre-onset w' values are zero.
+            self._w_hist.insert(0, float(draw_iid(view.w_family, form.sigma_w2, rng)))
+            del self._w_hist[len(form.c) :]
             acc = 0.0
-            for k, ak in enumerate(plant.a_coeffs):
-                acc -= ak * float(past_z(t - 1 - k))
-            for k, bk in enumerate(plant.b_coeffs):
-                acc += bk * float(past_ug(t - plant.delay - k))
-            for k, ck in enumerate(plant.c_coeffs):
-                if k < len(self._w_hist):
-                    acc += ck * self._w_hist[k]
-            del self._w_hist[len(plant.c_coeffs):]
+            for k, ak in enumerate(form.a):
+                acc -= ak * _past(z, t - 1 - k)
+            for k, bk in enumerate(form.b):
+                acc += bk * _past(u_g, t - form.delay - k)
+            for ck, wk in zip(form.c, self._w_hist):
+                acc += ck * wk
             return acc
-        if isinstance(plant, PartialPlant):
-            p = plant.dim
-            if self._x_sim is None:
-                self._x_sim = np.zeros(p)
-            w = draw_iid(view.w_family, plant.sigma_w2, rng, p)
-            self._x_sim = plant.A @ self._x_sim + plant.B * float(past_ug(t - 1)) + w
-            n = float(draw_iid("gaussian", plant.sigma_n2, rng))
-            return float(plant.C @ self._x_sim + n)
-        if isinstance(plant, MimoPlant):
-            n_dim = plant.dim
-            w = draw_iid(view.w_family, plant.sigma_w2, rng, n_dim)
-            zp = np.asarray(past_z(t - 1), dtype=float)
-            ug = np.asarray(past_ug(t - 1), dtype=float)
-            return plant.A @ zp + plant.B @ ug + w
-        raise TypeError(f"unsupported plant type {type(plant).__name__}")
+        # A measured state restarts from the last report; a hidden one runs
+        # on the attacker's own copy.
+        w = draw_iid(view.w_family, form.sigma_w2, rng, form.A.shape[0])
+        if form.C is None:
+            x = np.asarray(z[t - 1], dtype=float)
+        elif self._x_sim is None:
+            x = np.zeros(form.A.shape[0])
+        else:
+            x = self._x_sim
+        x = form.A @ x + form.B @ np.atleast_1d(np.asarray(u_g[t - 1], dtype=float)) + w
+        if form.C is None:
+            return x
+        self._x_sim = x
+        n = float(draw_iid("gaussian", form.sigma_n2, rng))
+        return float(form.C @ x + n)
 
 
-def estimate_noise_arx(view: SensorView, plant: ArxPlant | ScalarPlant) -> float:
+def _past(seq, i: int) -> float:
+    """seq[i] of a scalar signal at rest (zero) before t = 0."""
+    return float(seq[i]) if i >= 0 else 0.0
+
+
+def _is_equation_error(form) -> bool:
+    """Scalar and ARX kernels: the residual is the plain equation error, so
+    white noise enters one step after the input (ARMAX starts at t = 0)."""
+    return isinstance(form, LagForm) and form.start == 1
+
+
+def estimate_noise_arx(view: SensorView, plant) -> float:
     """Conditional-mean estimate of w[t] from the public-information innovation.
 
-    The innovation s[t] = y[t] (+ AR terms) - (nominal-input terms) equals
-    b0*e[t-1] + w[t]; with both white and independent, E[w|s] = beta*s where
-    beta = sigma_w2 / (b0^2 sigma_e2 + sigma_w2).
+    The innovation s[t] = A(q^-1) y[t] - B(q^-1) u_g[t-1] equals
+    gain*e[t-1] + w[t]; with both white and independent, E[w|s] = beta*s
+    where beta = sigma_w2 / (gain^2 sigma_e2 + sigma_w2).
     """
-    t = view.t
-    y, u_g = view.y, view.u_g
-
-    def past_y(i):
-        return float(y[i]) if i >= 0 else 0.0
-
-    def past_ug(i):
-        return float(u_g[i]) if i >= 0 else 0.0
-
-    if isinstance(plant, ScalarPlant):
-        b0 = plant.b
-        s = float(y[t]) - plant.a * past_y(t - 1) - plant.b * past_ug(t - 1)
-    elif isinstance(plant, ArxPlant):
-        b0 = plant.b_coeffs[0]
-        s = float(y[t])
-        for m, am in enumerate(plant.a_coeffs):
-            s += am * past_y(t - 1 - m)
-        for r, br in enumerate(plant.b_coeffs):
-            s -= br * past_ug(t - 1 - r)
-    else:
+    form = plant.kernel
+    if not _is_equation_error(form):
         raise TypeError("estimate_noise_arx needs a scalar or ARX plant")
-    beta = plant.sigma_w2 / (b0 * b0 * view.sigma_e2 + plant.sigma_w2)
-    return beta * s
+    t = view.t
+    s = float(view.y[t])
+    for k, ak in enumerate(form.a):
+        s += ak * _past(view.y, t - 1 - k)
+    for k, bk in enumerate(form.b):
+        s -= bk * _past(view.u_g, t - 1 - k)
+    g, sw2 = form.gain, form.sigma_w2
+    return sw2 / (g * g * view.sigma_e2 + sw2) * s
 
 
 def additive_attack_step(view: SensorView, n_t) -> tuple[Any, Any]:
@@ -222,29 +201,23 @@ def additive_attack_step(view: SensorView, n_t) -> tuple[Any, Any]:
     v[t] = n[t] - w_hat[t]; the sensor adds fresh fake noise and subtracts its
     best estimate of the real noise, aiming z at the attack-free output law.
     """
-    plant = view.plant
-    if isinstance(plant, (ScalarPlant, ArxPlant)):
-        w_hat = estimate_noise_arx(view, plant)
-        v = float(n_t) - w_hat
+    form = view.plant.kernel
+    if _is_equation_error(form):
+        v = float(n_t) - estimate_noise_arx(view, view.plant)
         return v, float(view.y[view.t]) + v
-    if isinstance(plant, MimoPlant):
-        t = view.t
-        y_prev = (
-            np.asarray(view.y[t - 1], dtype=float) if t >= 1 else np.zeros(plant.dim)
+    if isinstance(form, LagForm) or form.C is not None:
+        raise TypeError(
+            "additive_estimated attack is defined for scalar, ARX and MIMO plants only"
         )
-        ug_prev = (
-            np.asarray(view.u_g[t - 1], dtype=float)
-            if t >= 1
-            else np.zeros(plant.n_inputs)
-        )
-        s = np.asarray(view.y[t], dtype=float) - plant.A @ y_prev - plant.B @ ug_prev
-        gram = view.sigma_e2 * (plant.B @ plant.B.T) + plant.sigma_w2 * np.eye(plant.dim)
-        w_hat = plant.sigma_w2 * np.linalg.solve(gram, s)
-        v = np.asarray(n_t, dtype=float) - w_hat
-        return v, np.asarray(view.y[t], dtype=float) + v
-    raise TypeError(
-        "additive_estimated attack is defined for scalar, ARX and MIMO plants only"
-    )
+    t = view.t
+    A, B = form.A, form.B
+    y_prev = np.asarray(view.y[t - 1], dtype=float) if t >= 1 else np.zeros(len(A))
+    ug_prev = np.asarray(view.u_g[t - 1], dtype=float) if t >= 1 else np.zeros(B.shape[1])
+    s = np.asarray(view.y[t], dtype=float) - A @ y_prev - B @ ug_prev
+    gram = view.sigma_e2 * (B @ B.T) + form.sigma_w2 * np.eye(len(A))
+    w_hat = form.sigma_w2 * np.linalg.solve(gram, s)
+    v = np.asarray(n_t, dtype=float) - w_hat
+    return v, np.asarray(view.y[t], dtype=float) + v
 
 
 class AdditiveEstimatedAttack(AttackStrategy):
@@ -262,11 +235,9 @@ class AdditiveEstimatedAttack(AttackStrategy):
         self._rng = rng
 
     def _attack(self, view: SensorView):
-        plant = view.plant
-        if isinstance(plant, MimoPlant):
-            n_t = draw_iid(view.w_family, plant.sigma_w2, self._rng, plant.dim)
-        else:
-            n_t = float(draw_iid(view.w_family, plant.sigma_w2, self._rng))
+        form = view.plant.kernel
+        size = None if isinstance(form, LagForm) else form.A.shape[0]
+        n_t = draw_iid(view.w_family, form.sigma_w2, self._rng, size)
         _, z_t = additive_attack_step(view, n_t)
         return z_t
 

@@ -9,43 +9,33 @@ Step order at each t: the plant produces the measurement y[t]; the sensor
 reports z[t]; the controller computes u_g[t] from the reports and applies
 u[t] = u_g[t] + (shaped excitation); the state advances with w[t+1].
 Ground-truth noise streams are drawn here, per named substream of the master
-seed, and passed into the pure plant maps — identical inputs give
-bit-identical traces.
+seed, and drive one simulator per plant kernel (lag polynomial or state
+space) — identical inputs give bit-identical traces.  Residuals and oracle
+metrics are LTI filters of the recorded data (see :mod:`.residual`).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import partial
 from typing import Any
 
 import numpy as np
 
 from . import detect as _detect
-from .adversary import HonestSensor, SensorView
+from .adversary import SensorView
 from .detect import ResidualNull, Threshold
-from .linsys import (
-    ArmaxPlant,
-    ArxPlant,
-    MimoPlant,
-    PartialPlant,
-    ScalarPlant,
-)
-from .residual import (
-    ArmaxFilterState,
-    KalmanState,
-    armax_filter_step,
-    kalman_design,
-)
+from .linsys import LagForm
+from .residual import innovations, kalman_design, lag_filter, prediction_errors
 from .scenario import (
     ScenarioConfig,
-    ScenarioError,
     build_attack,
     build_policy,
     default_tests,
     resolve_watermark,
 )
-from .watermark import draw_iid, make_shaper_state, pre_equalize, armax_shape
+from .watermark import draw_iid, shape
 
 __all__ = [
     "Trace",
@@ -65,9 +55,7 @@ __all__ = [
 TRACE_SCHEMA_VERSION = 1
 REPORT_SCHEMA_VERSION = 1
 
-# Residual samples dropped before windowing, per plant class (the partially
-# observed filter needs its transient to die; the others cancel exactly).
-PARTIAL_BURN_IN = 50
+_META_KEYS = {"schema_version", "seed", "plant", "residual_start", "burn_in"}
 
 
 # ---------------------------------------------------------------------------
@@ -141,24 +129,8 @@ class RunReport:
     schema_version: int = REPORT_SCHEMA_VERSION
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "name": self.name,
-            "seed": self.seed,
-            "horizon": self.horizon,
-            "plant_kind": self.plant_kind,
-            "attack_kind": self.attack_kind,
-            "onset": self.onset,
-            "mean_square_state": self.mean_square_state,
-            "mean_square_report": self.mean_square_report,
-            "distortion_power": self.distortion_power,
-            "distortion_msq": self.distortion_msq,
-            "n_windows": self.n_windows,
-            "n_alarms": self.n_alarms,
-            "false_alarms_pre_onset": self.false_alarms_pre_onset,
-            "first_alarm": self.first_alarm,
-            "detection_delay": self.detection_delay,
-        }
+        d = asdict(self)
+        return {"schema_version": d.pop("schema_version"), **d}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
@@ -200,215 +172,103 @@ class _Streams:
 
 
 # ---------------------------------------------------------------------------
-# per-class simulation loops
+# closed-loop simulators, one per kernel
 # ---------------------------------------------------------------------------
 
 
-def _sim_scalar(plant: ScalarPlant, policy, attack, wm, w_family, streams, T):
-    w_arr = np.asarray(draw_iid(w_family, plant.sigma_w2, streams.process, T))
-    w_arr[0] = 0.0
-    e_arr = np.asarray(draw_iid(wm.family, wm.sigma_e2, streams.excitation[0], T))
-    w_l = w_arr.tolist()
-    e_l = e_arr.tolist()
+def _simulate_lag(form: LagForm, plant, policy, attack, wm, w_family, streams, T):
+    """Closed loop of a lag-polynomial plant.
+
+    At each t the output sums the AR terms, then the delayed input terms,
+    then C(q^-1) w[t]; the sensor reports it, the policy answers, and the
+    shaped excitation is added to the nominal input.
+    """
+    w = np.asarray(draw_iid(w_family, form.sigma_w2, streams.process, T))
+    w[: form.start] = 0.0
+    e = np.asarray(draw_iid(wm.family, wm.sigma_e2, streams.excitation[0], T))
+    s = e if wm.shaper == "none" else shape(e, form.b, form.c, form.gain)
+    cw = lag_filter(form.c, w).tolist()
+    s_l = s.tolist()
+    ar = [(ak, 1 + k) for k, ak in enumerate(form.a)]
+    br = [(bk, form.delay + k) for k, bk in enumerate(form.b)]
+    pad = max(lag for _, lag in ar + br)
+    y_pad = [0.0] * (pad + T)
+    u_pad = [0.0] * (pad + T)
     y_l = [0.0] * T
     z_l = [0.0] * T
     ug_l = [0.0] * T
-    u_l = [0.0] * T
     view = SensorView(0, y_l, z_l, ug_l, plant, wm.sigma_e2, wm.family, w_family)
     report = attack.report
     step = policy.step
-    a, b = plant.a, plant.b
-    x = 0.0
-    last = T - 1
     for t in range(T):
-        y_l[t] = x
+        i = pad + t
+        acc = 0.0
+        for ak, lag in ar:
+            acc -= ak * y_pad[i - lag]
+        for bk, lag in br:
+            acc += bk * u_pad[i - lag]
+        acc += cw[t]
+        y_pad[i] = y_l[t] = acc
         view.t = t
         z = report(view)
         z_l[t] = z
         g = step(z)
         ug_l[t] = g
-        u = g + e_l[t]
-        u_l[t] = u
-        if t < last:
-            x = a * x + b * u + w_l[t + 1]
+        u_pad[i] = g + s_l[t]
     y = np.asarray(y_l)
-    e = np.asarray(e_l)
     return dict(
-        x=y, y=y, z=np.asarray(z_l), u_g=np.asarray(ug_l), u=np.asarray(u_l),
-        e_raw=e, e_shaped=e, w=w_arr, n=None,
+        x=y, y=y, z=np.asarray(z_l), u_g=np.asarray(ug_l), u=np.asarray(u_pad[pad:]),
+        e_raw=e, e_shaped=s, w=w, n=None,
     )
 
 
-def _sim_arx(plant: ArxPlant, policy, attack, wm, w_family, streams, T, shaping):
-    a, b = plant.a_coeffs, plant.b_coeffs
-    w_arr = np.asarray(draw_iid(w_family, plant.sigma_w2, streams.process, T))
-    w_arr[0] = 0.0
-    e_arr = np.asarray(draw_iid(wm.family, wm.sigma_e2, streams.excitation[0], T))
-    w_l = w_arr.tolist()
-    e_l = e_arr.tolist()
-    y_l = [0.0] * T
-    z_l = [0.0] * T
-    ug_l = [0.0] * T
-    u_l = [0.0] * T
-    es_l = [0.0] * T
-    view = SensorView(0, y_l, z_l, ug_l, plant, wm.sigma_e2, wm.family, w_family)
-    sh_state = make_shaper_state(b)
-    y_next = 0.0
-    last = T - 1
-    for t in range(T):
-        y_l[t] = y_next
-        view.t = t
-        z = attack.report(view)
-        z_l[t] = z
-        g = policy.step(z)
-        ug_l[t] = g
-        e_s = pre_equalize(sh_state, b, e_l[t]) if shaping else e_l[t]
-        es_l[t] = e_s
-        u = g + e_s
-        u_l[t] = u
-        if t < last:
-            acc = w_l[t + 1]
-            for m, am in enumerate(a):
-                if t - m >= 0:
-                    acc -= am * y_l[t - m]
-            for r, br in enumerate(b):
-                if t - r >= 0:
-                    acc += br * u_l[t - r]
-            y_next = acc
-    y = np.asarray(y_l)
-    return dict(
-        x=y, y=y, z=np.asarray(z_l), u_g=np.asarray(ug_l), u=np.asarray(u_l),
-        e_raw=e_arr, e_shaped=np.asarray(es_l), w=w_arr, n=None,
+def _simulate_ss(form, plant, policy, attack, wm, w_family, streams, T):
+    """Closed loop of a state-space plant.
+
+    A measured state is reported as a vector and the inputs are m-vectors;
+    a noisy scalar output y = C x + n and its single input are floats.
+    """
+    A, B, C = form.A, form.B, form.C
+    p = A.shape[0]
+    w = np.asarray(draw_iid(w_family, form.sigma_w2, streams.process, (T, p)))
+    w[0] = 0.0
+    e = np.column_stack(
+        [draw_iid(wm.family, wm.sigma_e2, rng, T) for rng in streams.excitation]
     )
-
-
-def _sim_armax(plant: ArmaxPlant, policy, attack, wm, w_family, streams, T, shaping):
-    a, b, c, delay = plant.a_coeffs, plant.b_coeffs, plant.c_coeffs, plant.delay
-    w_arr = np.asarray(draw_iid(w_family, plant.sigma_w2, streams.process, T))
-    e_arr = np.asarray(draw_iid(wm.family, wm.sigma_e2, streams.excitation[0], T))
-    w_l = w_arr.tolist()
-    e_l = e_arr.tolist()
-    y_l = [0.0] * T
-    z_l = [0.0] * T
-    ug_l = [0.0] * T
-    u_l = [0.0] * T
-    es_l = [0.0] * T
-    view = SensorView(0, y_l, z_l, ug_l, plant, wm.sigma_e2, wm.family, w_family)
-    sh_state = make_shaper_state(b, c)
-    for t in range(T):
-        acc = 0.0
-        for k, ak in enumerate(a):
-            if t - 1 - k >= 0:
-                acc -= ak * y_l[t - 1 - k]
-        for k, bk in enumerate(b):
-            idx = t - delay - k
-            if idx >= 0:
-                acc += bk * u_l[idx]
-        for k, ck in enumerate(c):
-            if t - k >= 0:
-                acc += ck * w_l[t - k]
-        y_l[t] = acc
-        view.t = t
-        z = attack.report(view)
-        z_l[t] = z
-        g = policy.step(z)
-        ug_l[t] = g
-        e_s = armax_shape(sh_state, b, c, e_l[t]) if shaping else e_l[t]
-        es_l[t] = e_s
-        u_l[t] = g + e_s
-    y = np.asarray(y_l)
-    return dict(
-        x=y, y=y, z=np.asarray(z_l), u_g=np.asarray(ug_l), u=np.asarray(u_l),
-        e_raw=e_arr, e_shaped=np.asarray(es_l), w=w_arr, n=None,
-    )
-
-
-def _sim_partial(plant: PartialPlant, policy, attack, wm, w_family, streams, T):
-    p = plant.dim
-    w_arr = np.asarray(draw_iid(w_family, plant.sigma_w2, streams.process, (T, p)))
-    w_arr[0] = 0.0
-    n_arr = np.asarray(draw_iid("gaussian", plant.sigma_n2, streams.measurement, T))
-    e_arr = np.asarray(draw_iid(wm.family, wm.sigma_e2, streams.excitation[0], T))
+    if C is None:
+        n = None
+        cast = partial(np.asarray, dtype=float)
+        e_l = list(e)
+    else:
+        n = np.asarray(draw_iid("gaussian", form.sigma_n2, streams.measurement, T))
+        n_l = n.tolist()
+        cast = float
+        e = e[:, 0]
+        e_l = e.tolist()
     x_hist = np.zeros((T, p))
-    y_l = [0.0] * T
-    z_l = [0.0] * T
-    ug_l = [0.0] * T
-    u_l = [0.0] * T
-    view = SensorView(0, y_l, z_l, ug_l, plant, wm.sigma_e2, wm.family, w_family)
-    A, B, C = plant.A, plant.B, plant.C
-    x = np.zeros(p)
-    e_l = e_arr.tolist()
-    n_l = n_arr.tolist()
-    last = T - 1
-    for t in range(T):
-        x_hist[t] = x
-        y = float(C @ x) + n_l[t]
-        y_l[t] = y
-        view.t = t
-        z = attack.report(view)
-        z_l[t] = float(z)
-        g = policy.step(z)
-        ug_l[t] = float(g)
-        u = ug_l[t] + e_l[t]
-        u_l[t] = u
-        if t < last:
-            x = A @ x + B * u + w_arr[t + 1]
-    e = np.asarray(e_arr)
-    return dict(
-        x=x_hist, y=np.asarray(y_l), z=np.asarray(z_l), u_g=np.asarray(ug_l),
-        u=np.asarray(u_l), e_raw=e, e_shaped=e, w=w_arr, n=n_arr,
-    )
-
-
-def _sim_mimo(plant: MimoPlant, policy, attack, wm, w_family, streams, T):
-    n_dim, m = plant.dim, plant.n_inputs
-    w_arr = np.asarray(draw_iid(w_family, plant.sigma_w2, streams.process, (T, n_dim)))
-    w_arr[0] = 0.0
-    e_arr = np.empty((T, m))
-    for i in range(m):
-        e_arr[:, i] = draw_iid(wm.family, wm.sigma_e2, streams.excitation[i], T)
-    x_hist = np.zeros((T, n_dim))
-    z_hist = np.zeros((T, n_dim))
-    ug_hist = np.zeros((T, m))
-    u_hist = np.zeros((T, m))
     y_l: list = [None] * T
     z_l: list = [None] * T
     ug_l: list = [None] * T
+    u_l: list = [None] * T
     view = SensorView(0, y_l, z_l, ug_l, plant, wm.sigma_e2, wm.family, w_family)
-    A, B = plant.A, plant.B
-    x = np.zeros(n_dim)
+    report = attack.report
+    step = policy.step
+    x = np.zeros(p)
     last = T - 1
     for t in range(T):
         x_hist[t] = x
-        y_l[t] = x
+        y_l[t] = x if C is None else float(C @ x) + n_l[t]
         view.t = t
-        z = np.asarray(attack.report(view), dtype=float)
-        z_hist[t] = z
-        z_l[t] = z
-        g = np.asarray(policy.step(z), dtype=float)
-        ug_hist[t] = g
-        ug_l[t] = g
-        u = g + e_arr[t]
-        u_hist[t] = u
+        z = z_l[t] = cast(report(view))
+        g = ug_l[t] = cast(step(z))
+        u = u_l[t] = g + e_l[t]
         if t < last:
-            x = A @ x + B @ u + w_arr[t + 1]
+            x = A @ x + B @ np.atleast_1d(u) + w[t + 1]
+    y = x_hist if C is None else np.asarray(y_l)
     return dict(
-        x=x_hist, y=x_hist, z=z_hist, u_g=ug_hist, u=u_hist,
-        e_raw=e_arr, e_shaped=e_arr, w=w_arr, n=None,
+        x=x_hist, y=y, z=np.asarray(z_l), u_g=np.asarray(ug_l), u=np.asarray(u_l),
+        e_raw=e, e_shaped=e, w=w, n=n,
     )
-
-
-def _shaping_enabled(config: ScenarioConfig) -> bool:
-    mode = config.watermark.shaper
-    if mode == "none":
-        return False
-    if mode == "auto":
-        return config.plant.kind in ("arx", "armax")
-    if mode == "arx" and config.plant.kind not in ("arx", "armax"):
-        raise ScenarioError("watermark.shaper", "arx shaper needs b_coeffs")
-    if mode == "armax" and config.plant.kind != "armax":
-        raise ScenarioError("watermark.shaper", "armax shaper needs an armax plant")
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -416,160 +276,75 @@ def _shaping_enabled(config: ScenarioConfig) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _lagged_sum(coeffs, series: np.ndarray, length: int) -> np.ndarray:
-    """sum_k coeffs[k] * series[i - k] for i = 0..length-1, zero-padded."""
-    pad = len(coeffs)
-    sp = np.concatenate([np.zeros(pad), series])
-    acc = np.zeros(length)
-    for k, ck in enumerate(coeffs):
-        if ck != 0.0:
-            acc += ck * sp[pad - k : pad - k + length]
-    return acc
-
-
 def _residual_streams(config: ScenarioConfig, plant, arrays) -> dict:
-    """Aligned residual/excitation streams plus class burn-in."""
-    kind = config.plant.kind
-    z, ug = arrays["z"], arrays["u_g"]
-    e_raw = arrays["e_raw"]
-    T = z.shape[0]
-    burn0 = config.detector.burn_in or 0
-    if kind == "scalar":
-        r_raw = z[1:] - plant.a * z[:-1] - plant.b * ug[:-1]
-        r_wm = r_raw - plant.b * e_raw[:-1]
-        return dict(start=1, burn=burn0, r_raw=r_raw, r_wm=r_wm, e=e_raw[:-1])
-    if kind == "arx":
-        a, b = plant.a_coeffs, plant.b_coeffs
-        r_raw = z[1:] + _lagged_sum(a, z, T - 1) - _lagged_sum(b, ug, T - 1)
-        r_wm = r_raw - b[0] * e_raw[: T - 1]
-        return dict(start=1, burn=burn0, r_raw=r_raw, r_wm=r_wm, e=e_raw[: T - 1])
-    if kind == "armax":
-        state = ArmaxFilterState(plant)
-        h, delay = plant.order_b, plant.delay
-        ug_l = ug.tolist()
-        gpad = [0.0] * (delay + h) + ug_l
-        e_l = e_raw.tolist()
-        zt = np.empty(T)
-        wm_part = np.empty(T)
-        e_lag = np.empty(T)
-        for t in range(T):
-            g_hist = gpad[t : t + h + 1][::-1]
-            lag = e_l[t - delay] if t >= delay else 0.0
-            val, pair = armax_filter_step(state, z[t], g_hist, lag)
-            zt[t] = val
-            wm_part[t] = pair.r_wm
-            e_lag[t] = lag
-        burn = config.detector.burn_in
-        if burn is None:
-            burn = state.burn_in
-        return dict(start=0, burn=burn, r_raw=zt, r_wm=wm_part, e=e_lag)
-    if kind == "partial":
-        design = kalman_design(plant)
-        state = KalmanState.at_rest(plant)
-        A, B, C, K = plant.A, plant.B, plant.C, design.K
-        q = np.empty((T - 1, plant.dim))
-        xhat = state.xhat
-        for k in range(T - 1):
-            x_pred = A @ xhat + B * (ug[k] + e_raw[k])
-            nu = z[k + 1] - float(C @ x_pred)
-            corr = K * nu
-            q[k] = corr
-            xhat = x_pred + corr
-        burn = config.detector.burn_in
-        if burn is None:
-            burn = PARTIAL_BURN_IN
-        return dict(start=1, burn=burn, q=q, e=e_raw[: T - 1], design=design)
-    if kind == "mimo":
-        r = z[1:] - z[:-1] @ plant.A.T - ug[:-1] @ plant.B.T
-        return dict(start=1, burn=burn0, r=r, e=e_raw[:-1])
-    raise ScenarioError("plant.kind", f"unknown kind {kind!r}")
+    """Aligned residual/excitation streams, their first step and burn-in."""
+    form = plant.kernel
+    z, ug, e = arrays["z"], arrays["u_g"], arrays["e_raw"]
+    burn = config.detector.burn_in
+    if burn is None:
+        burn = form.burn_in
+    start = form.start
+    if isinstance(form, LagForm):
+        r_raw = prediction_errors(form, z, ug)[start:]
+        e_lag = lag_filter((1.0,), e, form.delay)[start:]
+        return dict(
+            start=start, burn=burn, r_raw=r_raw, r_wm=r_raw - form.gain * e_lag, e=e_lag
+        )
+    # A measured state keeps the watermark in its residual, B e + w; the
+    # Kalman corrections of a noisy output predict from the applied input.
+    q = innovations(form, z, ug if form.C is None else arrays["u"])
+    return dict(start=start, burn=burn, q=q, e=e[:-1])
 
 
 def channel_specs(config: ScenarioConfig) -> list[ChannelSpec]:
     """Statistic channels the scenario's detector runs, with null models."""
-    kind = config.plant.kind
-    plant = config.plant.build()
+    form = config.plant.build().kernel
     wm = resolve_watermark(config)
-    tests = config.detector.tests or default_tests(kind)
-    ef, wf = wm.family, config.plant.w_family
-    se2 = wm.sigma_e2
+    tests = config.detector.tests or default_tests(config.plant.kind)
+    ef, wf, se2 = wm.family, config.plant.w_family, wm.sigma_e2
+    if isinstance(form, LagForm):
+        # r_wm = w[t]; r_raw = gain * e[t-delay] + w[t]
+        null_wm = ResidualNull(0.0, 0.0, form.sigma_w2, ef, wf)
+        null = ResidualNull(form.gain, se2, form.sigma_w2, ef, wf)
+        cross = ["cross_corr"]
+    elif form.C is None:
+        # r = B e + w, one cross-correlation channel per actuator
+        null_wm = null = ResidualNull(form.B, se2, form.sigma_w2, ef, wf)
+        cross = [f"cross_corr_{i}" for i in range(form.n_inputs)]
+    else:
+        # q = K nu, independent of the excitation
+        design = kalman_design(form)
+        null_wm = null = ResidualNull(
+            design.K, se2, 0.0, ef, wf, innovation_var=design.sigma_R2
+        )
+        cross = ["cross_corr"]
     specs: list[ChannelSpec] = []
-    if kind in ("scalar", "arx", "armax"):
-        if kind == "scalar":
-            gain = plant.b
-        elif kind == "arx":
-            gain = plant.b_coeffs[0]
+    for name in tests:
+        if name == "variance_wm":
+            specs.append(ChannelSpec(name, "variance", null_wm.variance_target(), null=null_wm))
+        elif name == "variance_raw":
+            specs.append(ChannelSpec(name, "variance", null.variance_target(), null=null))
+        elif name == "cross_corr":
+            for i, label in enumerate(cross):
+                specs.append(
+                    ChannelSpec(label, name, null.cross_target(i), null=null, e_index=i)
+                )
         else:
-            gain = 1.0  # the prediction-error filter recovers e[t-delay] + w[t]
-        sw2 = plant.sigma_w2
-        null_wm = ResidualNull(0.0, 0.0, sw2, ef, wf)
-        null_raw = ResidualNull(gain, se2, sw2, ef, wf)
-        for name in tests:
-            if name == "variance_wm":
-                specs.append(ChannelSpec(name, "variance", target=sw2, null=null_wm))
-            elif name == "variance_raw":
-                specs.append(
-                    ChannelSpec(
-                        name, "variance",
-                        target=gain * gain * se2 + sw2, null=null_raw,
-                    )
-                )
-            elif name == "cross_corr":
-                specs.append(
-                    ChannelSpec(name, "cross_corr", target=gain * se2, null=null_raw)
-                )
-            elif name == "nll":
-                specs.append(
-                    ChannelSpec(
-                        name, "nll", Sigma0=np.array([[sw2]]), null=null_wm
-                    )
-                )
-    elif kind == "partial":
-        design = kalman_design(plant)
-        K, sR2 = design.K, design.sigma_R2
-        null = ResidualNull(K, se2, 0.0, ef, wf, innovation_var=sR2)
-        Sigma0 = sR2 * np.outer(K, K)
-        for name in tests:
-            if name == "cross_corr":
-                specs.append(
-                    ChannelSpec(name, "cross_corr", target=np.zeros(plant.dim), null=null)
-                )
-            elif name == "cov_entries":
-                specs.append(ChannelSpec(name, "cov_entries", Sigma0=Sigma0, null=null))
-            elif name in ("cov", "nll"):
-                specs.append(ChannelSpec(name, name, Sigma0=Sigma0, null=null))
-    elif kind == "mimo":
-        B = plant.B
-        sw2 = plant.sigma_w2
-        null = ResidualNull(B, se2, sw2, ef, wf)
-        Sigma0 = se2 * (B @ B.T) + sw2 * np.eye(plant.dim)
-        for name in tests:
-            if name == "cross_corr":
-                for i in range(plant.n_inputs):
-                    specs.append(
-                        ChannelSpec(
-                            f"cross_corr_{i}", "cross_corr",
-                            target=se2 * B[:, i], null=null, e_index=i,
-                        )
-                    )
-            elif name in ("cov", "nll", "cov_entries"):
-                specs.append(ChannelSpec(name, name, Sigma0=Sigma0, null=null))
+            specs.append(ChannelSpec(name, name, Sigma0=null_wm.sigma0(), null=null_wm))
     return specs
 
 
 def _channel_samples(spec: ChannelSpec, streams: dict):
     """(samples, e_samples) for one channel from the residual streams."""
     if "q" in streams:
-        return streams["q"], streams["e"]
-    if spec.kind == "cross_corr" or spec.name.startswith("cross_corr"):
-        if "r" in streams:
-            return streams["r"], streams["e"]
-        return streams["r_raw"], streams["e"]
-    if "r" in streams:
-        return streams["r"], streams["e"]
-    if spec.name == "variance_raw":
-        return streams["r_raw"], None
-    return streams["r_wm"], None  # variance_wm and nll run on the wm-removed residual
+        r, e = streams["q"], streams["e"]
+    elif spec.kind == "cross_corr":
+        r, e = streams["r_raw"], streams["e"]
+    else:  # variance_wm and nll run on the wm-removed residual
+        r, e = streams["r_raw" if spec.name == "variance_raw" else "r_wm"], None
+    if spec.kind == "cross_corr" and e.ndim == 2:
+        e = e[:, spec.e_index]
+    return r, e
 
 
 def calibrate_detector(
@@ -600,22 +375,13 @@ def calibrate_detector(
     return out
 
 
-def _window_values(spec: ChannelSpec, samples, e_samples, lo: int, hi: int) -> float:
-    r = samples[lo:hi]
-    if spec.kind == "variance":
-        return _detect.variance_stat(r, spec.target).value
-    if spec.kind == "cross_corr":
-        e = e_samples[lo:hi]
-        if e.ndim == 2:
-            e = e[:, spec.e_index]
-        return _detect.cross_corr_stat(e, r, spec.target).value
-    if spec.kind == "cov":
-        return _detect.cov_stat(r, spec.Sigma0).value
-    if spec.kind == "cov_entries":
-        return _detect.cov_entries_stat(r, spec.Sigma0).value
-    if spec.kind == "nll":
-        return _detect.nll_window(r, spec.Sigma0).value
-    raise ValueError(f"unknown stat kind {spec.kind!r}")
+_WINDOW_STATS = {
+    "variance": lambda spec, r, e: _detect.variance_stat(r, spec.target),
+    "cross_corr": lambda spec, r, e: _detect.cross_corr_stat(e, r, spec.target),
+    "cov": lambda spec, r, e: _detect.cov_stat(r, spec.Sigma0),
+    "cov_entries": lambda spec, r, e: _detect.cov_entries_stat(r, spec.Sigma0),
+    "nll": lambda spec, r, e: _detect.nll_window(r, spec.Sigma0),
+}
 
 
 def _detect_pass(
@@ -623,7 +389,7 @@ def _detect_pass(
     streams: dict,
     specs: list[ChannelSpec],
     thresholds: dict[str, Threshold],
-) -> tuple[list[WindowRecord], int, int]:
+) -> list[WindowRecord]:
     l = config.detector.window_len
     start, burn = streams["start"], streams["burn"]
     n_samples = len(streams["e"])
@@ -638,7 +404,8 @@ def _detect_pass(
         values: dict[str, float] = {}
         alarmed: dict[str, bool] = {}
         for spec, samples, e_samples in per_channel:
-            val = _window_values(spec, samples, e_samples, lo, hi)
+            e = None if e_samples is None else e_samples[lo:hi]
+            val = _WINDOW_STATS[spec.kind](spec, samples[lo:hi], e).value
             values[spec.name] = val
             alarmed[spec.name] = thresholds[spec.name].exceeded(
                 val, channel=spec.name, end_t=start + hi - 1
@@ -646,14 +413,7 @@ def _detect_pass(
         records.append(
             WindowRecord(index=wdx, end_t=start + hi - 1, values=values, alarmed=alarmed)
         )
-    return records, start, burn
-
-
-_SIMULATORS = {
-    "scalar": _sim_scalar,
-    "partial": _sim_partial,
-    "mimo": _sim_mimo,
-}
+    return records
 
 
 def run_scenario(
@@ -669,23 +429,17 @@ def run_scenario(
     if seed is None:
         seed = config.seed
     plant = config.plant.build()
+    form = plant.kernel
     wm = resolve_watermark(config)
-    n_act = plant.n_inputs if isinstance(plant, MimoPlant) else 1
-    streams_rng = _Streams(seed, n_act)
+    streams_rng = _Streams(seed, form.n_inputs)
     policy = build_policy(config, plant)
     policy.reset()
     attack = build_attack(config, streams_rng.attack)
     attack.reset()
-    w_family = config.plant.w_family
-    T = config.horizon
-    kind = config.plant.kind
-    if kind in ("arx", "armax"):
-        shaping = _shaping_enabled(config)
-        sim = _sim_arx if kind == "arx" else _sim_armax
-        arrays = sim(plant, policy, attack, wm, w_family, streams_rng, T, shaping)
-    else:
-        _shaping_enabled(config)  # surface shaper/plant mismatches
-        arrays = _SIMULATORS[kind](plant, policy, attack, wm, w_family, streams_rng, T)
+    simulate = _simulate_lag if isinstance(form, LagForm) else _simulate_ss
+    arrays = simulate(
+        form, plant, policy, attack, wm, config.plant.w_family, streams_rng, config.horizon
+    )
     res = _residual_streams(config, plant, arrays)
     specs = channel_specs(config)
     if thresholds is None:
@@ -694,16 +448,10 @@ def run_scenario(
         missing = {s.name for s in specs} - set(thresholds)
         if missing:
             raise ValueError(f"thresholds missing channels {sorted(missing)}")
-    windows, start, burn = _detect_pass(config, res, specs, thresholds)
     return Trace(
-        config=config,
-        seed=seed,
-        x=arrays["x"], y=arrays["y"], z=arrays["z"],
-        u_g=arrays["u_g"], u=arrays["u"],
-        e_raw=arrays["e_raw"], e_shaped=arrays["e_shaped"],
-        w=arrays["w"], n=arrays["n"],
-        windows=windows, thresholds=thresholds,
-        residual_start=start, burn_in=burn,
+        config=config, seed=seed, **arrays, thresholds=thresholds,
+        windows=_detect_pass(config, res, specs, thresholds),
+        residual_start=res["start"], burn_in=res["burn"],
     )
 
 
@@ -713,58 +461,23 @@ def run_scenario(
 
 
 def _oracle_distortion(config: ScenarioConfig, plant, trace: Trace) -> np.ndarray:
-    """Per-step measurement distortion v, from the class's exact decomposition.
+    """Per-step distortion v: the report error d = z - y through the plant's
+    output-error filter.
 
-    Honest runs give an exactly zero stream; attacks surface here as the
-    additive term the reports inject into the closed loop.
+    For a lag-polynomial plant v = A(q^-1) d, the term the reports add to the
+    plant equation; for a state-space plant it is the correction d forces on
+    the state prediction.  Honest runs give an exactly zero stream.
     """
-    kind = config.plant.kind
-    z, ug, e, w = trace.z, trace.u_g, trace.e_raw, trace.w
-    T = z.shape[0]
-    if kind == "scalar":
-        return z[1:] - plant.a * z[:-1] - plant.b * ug[:-1] - plant.b * e[:-1] - w[1:]
-    if kind == "arx":
-        r = z[1:] + _lagged_sum(plant.a_coeffs, z, T - 1) - _lagged_sum(
-            plant.b_coeffs, ug, T - 1
-        )
-        return r - plant.b_coeffs[0] * e[: T - 1] - w[1:]
-    if kind == "armax":
-        delay = plant.delay
-        lam = w.copy()
-        lam[delay:] += e[: T - delay]
-        a_full = (1.0,) + plant.a_coeffs
-        az = _lagged_sum(a_full, z, T)
-        ug_delayed = np.concatenate([np.zeros(delay), ug[: T - delay]])
-        bu = _lagged_sum(plant.b_coeffs, ug_delayed, T)
-        cl = _lagged_sum(plant.c_coeffs, lam, T)
-        return az - bu - cl
-    if kind == "partial":
-        design = kalman_design(plant)
-        A, B, C, K = plant.A, plant.B, plant.C, design.K
-        xF = np.zeros(plant.dim)
-        xR = np.zeros(plant.dim)
-        v = np.empty((T - 1, plant.dim))
-        y = trace.y
-        for k in range(T - 1):
-            drive = B * (ug[k] + e[k])
-            xF_pred = A @ xF + drive
-            xR_pred = A @ xR + drive
-            nu_F = z[k + 1] - float(C @ xF_pred)
-            nu_R = y[k + 1] - float(C @ xR_pred)
-            v[k] = K * (nu_F - nu_R)
-            xF = xF_pred + K * nu_F
-            xR = xR_pred + K * nu_R
-        return v
-    if kind == "mimo":
-        u = trace.u
-        return z[1:] - z[:-1] @ plant.A.T - u[:-1] @ plant.B.T - w[1:]
-    raise ScenarioError("plant.kind", f"unknown kind {kind!r}")
+    form = plant.kernel
+    d = trace.z - trace.y
+    if isinstance(form, LagForm):
+        return lag_filter((1.0,) + form.a, d)[form.start :]
+    return innovations(form, d, None)
 
 
 def _mean_square(arr: np.ndarray) -> float:
-    if arr.ndim == 1:
-        return float(np.mean(arr * arr))
-    return float(np.mean(np.sum(arr * arr, axis=1)))
+    sq = arr * arr
+    return float(np.mean(sq if sq.ndim == 1 else np.sum(sq, axis=1)))
 
 
 def oracle_metrics(trace: Trace) -> RunReport:
@@ -772,10 +485,7 @@ def oracle_metrics(trace: Trace) -> RunReport:
     config = trace.config
     plant = config.plant.build()
     v = _oracle_distortion(config, plant, trace)
-    if config.plant.kind == "partial":
-        d = trace.z - trace.y
-    else:
-        d = trace.z - trace.x
+    d = trace.z - trace.y
     onset = config.attack.onset
     alarms = [wrec.end_t for wrec in trace.windows if wrec.any_alarm]
     if onset is None:
@@ -823,42 +533,22 @@ def stat_series(trace: Trace, channel: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _trace_columns(trace: Trace) -> list[tuple[str, np.ndarray]]:
-    kind = trace.config.plant.kind
+    # A measured output is written once: as y when it is the scalar output of
+    # a lag-polynomial plant, as x when it is the state vector.
+    if trace.x.ndim == 1:
+        names = ["y"]
+    else:
+        names = ["x"] if trace.n is None else ["x", "y"]
+    names += ["z", "u_g", "u", "e_raw", "e_shaped", "w"]
+    if trace.n is not None:
+        names.append("n")
     cols: list[tuple[str, np.ndarray]] = []
-
-    def expand(name: str, arr: np.ndarray) -> None:
+    for name in names:
+        arr = getattr(trace, name)
         if arr.ndim == 1:
             cols.append((name, arr))
         else:
-            for j in range(arr.shape[1]):
-                cols.append((f"{name}_{j}", arr[:, j]))
-
-    if kind in ("scalar", "arx", "armax"):
-        expand("y", trace.y)
-        expand("z", trace.z)
-        expand("u_g", trace.u_g)
-        expand("u", trace.u)
-        expand("e_raw", trace.e_raw)
-        expand("e_shaped", trace.e_shaped)
-        expand("w", trace.w)
-    elif kind == "partial":
-        expand("x", trace.x)
-        expand("y", trace.y)
-        expand("z", trace.z)
-        expand("u_g", trace.u_g)
-        expand("u", trace.u)
-        expand("e_raw", trace.e_raw)
-        expand("e_shaped", trace.e_shaped)
-        expand("w", trace.w)
-        expand("n", trace.n)
-    else:
-        expand("x", trace.x)
-        expand("z", trace.z)
-        expand("u_g", trace.u_g)
-        expand("u", trace.u)
-        expand("e_raw", trace.e_raw)
-        expand("e_shaped", trace.e_shaped)
-        expand("w", trace.w)
+            cols.extend((f"{name}_{j}", arr[:, j]) for j in range(arr.shape[1]))
     return cols
 
 
@@ -874,20 +564,16 @@ def export_trace(trace: Trace, path) -> None:
     cols = _trace_columns(trace)
     channels = trace.channel_names
     l = trace.config.detector.window_len
-    window_id = np.full(T, -1, dtype=int)
-    stat_text = {ch: [""] * T for ch in channels}
+    window_id = ["-1"] * T
+    stat_text = [[""] * T for _ in channels]
     alarm_text = [""] * T
     for wrec in trace.windows:
-        lo_t = wrec.end_t - l + 1
-        window_id[lo_t : wrec.end_t + 1] = wrec.index
-        for ch in channels:
-            val = repr(wrec.values[ch])
-            for t in range(lo_t, wrec.end_t + 1):
-                stat_text[ch][t] = val
-        flag = "1" if wrec.any_alarm else "0"
-        for t in range(lo_t, wrec.end_t + 1):
-            alarm_text[t] = flag
-    header = ",".join(
+        span = slice(wrec.end_t - l + 1, wrec.end_t + 1)
+        window_id[span] = [str(wrec.index)] * l
+        for text, ch in zip(stat_text, channels):
+            text[span] = [repr(wrec.values[ch])] * l
+        alarm_text[span] = ["1" if wrec.any_alarm else "0"] * l
+    header = (
         ["t"] + [name for name, _ in cols]
         + ["window_id"] + [f"stat_{ch}" for ch in channels] + ["alarm"]
     )
@@ -897,21 +583,14 @@ def export_trace(trace: Trace, path) -> None:
         f"plant={trace.config.plant.kind} residual_start={trace.residual_start} "
         f"burn_in={trace.burn_in}"
     )
-    col_text = [[repr(float(v)) for v in arr.tolist()] for _, arr in cols]
+    columns = (
+        [[str(t) for t in range(T)]]
+        + [[repr(float(v)) for v in arr.tolist()] for _, arr in cols]
+        + [window_id, *stat_text, alarm_text]
+    )
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(meta + "\n")
-        fh.write(header + "\n")
-        wid = window_id.tolist()
-        stats_by_ch = [stat_text[ch] for ch in channels]
-        for t in range(T):
-            row = [str(t)]
-            for col in col_text:
-                row.append(col[t])
-            row.append(str(wid[t]))
-            for st in stats_by_ch:
-                row.append(st[t])
-            row.append(alarm_text[t])
-            fh.write(",".join(row) + "\n")
+        fh.write(meta + "\n" + ",".join(header) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*columns))
 
 
 def import_trace(path, config: ScenarioConfig) -> Trace:
@@ -925,46 +604,43 @@ def import_trace(path, config: ScenarioConfig) -> Trace:
         meta_line = fh.readline().strip()
         if not meta_line.startswith("# dynwatermark-trace "):
             raise ValueError(f"{path} is not a trace export")
-        meta = dict(
-            item.split("=", 1) for item in meta_line[2:].split()[1:]
-        )
-        if int(meta["schema_version"]) != TRACE_SCHEMA_VERSION:
-            raise ValueError(
-                f"unsupported trace schema_version {meta['schema_version']}"
-            )
-        if meta["plant"] != config.plant.kind:
-            raise ValueError(
-                f"trace was recorded for a {meta['plant']} plant, "
-                f"scenario has {config.plant.kind}"
-            )
         header = fh.readline().strip().split(",")
         numbered = [(k, ln.rstrip("\n").split(",")) for k, ln in enumerate(fh, 3) if ln.strip()]
+    meta = dict(item.split("=", 1) for item in meta_line[2:].split()[1:] if "=" in item)
+    absent = sorted(_META_KEYS - set(meta))
+    if absent:
+        raise ValueError(f"{path}: trace metadata line lacks {absent}")
+    if int(meta["schema_version"]) != TRACE_SCHEMA_VERSION:
+        raise ValueError(f"unsupported trace schema_version {meta['schema_version']}")
+    if meta["plant"] != config.plant.kind:
+        raise ValueError(
+            f"trace was recorded for a {meta['plant']} plant, "
+            f"scenario has {config.plant.kind}"
+        )
     for k, row in numbered:
         if len(row) != len(header):
             raise ValueError(f"{path} line {k}: expected {len(header)} fields, got {len(row)}")
-    rows = [row for _, row in numbered]
-    T = len(rows)
-    if T != config.horizon:
+    if len(numbered) != config.horizon:
         raise ValueError(
-            f"trace has {T} steps, scenario horizon is {config.horizon}"
+            f"trace has {len(numbered)} steps, scenario horizon is {config.horizon}"
         )
-    by_name: dict[str, list[str]] = {
-        name: [row[i] for row in rows] for i, name in enumerate(header)
-    }
+    by_name = dict(zip(header, zip(*(row for _, row in numbered))))
 
     def gather(name: str) -> np.ndarray | None:
         if name in by_name:
             return np.array([float(v) for v in by_name[name]])
         parts = []
-        j = 0
-        while f"{name}_{j}" in by_name:
-            parts.append([float(v) for v in by_name[f"{name}_{j}"]])
-            j += 1
-        if not parts:
-            return None
-        return np.array(parts).T
+        while f"{name}_{len(parts)}" in by_name:
+            parts.append([float(v) for v in by_name[f"{name}_{len(parts)}"]])
+        return np.array(parts).T if parts else None
 
     data = {key: gather(key) for key in ("x", "y", "z", "u_g", "u", "e_raw", "e_shaped", "w", "n")}
+    absent = [key for key in ("z", "u_g", "u", "e_raw", "e_shaped", "w") if data[key] is None]
+    absent += [key for key in ("window_id", "alarm") if key not in by_name]
+    if data["x"] is None and data["y"] is None:
+        absent.insert(0, "y")
+    if absent:
+        raise ValueError(f"{path}: trace lacks columns {absent}")
     if data["x"] is None:
         data["x"] = data["y"]
     if data["y"] is None:
@@ -985,15 +661,8 @@ def import_trace(path, config: ScenarioConfig) -> Trace:
             WindowRecord(index=wid, end_t=end_t, values=values, alarmed={"any": alarm})
         )
     trace = Trace(
-        config=config,
-        seed=int(meta["seed"]),
-        x=data["x"], y=data["y"], z=data["z"],
-        u_g=data["u_g"], u=data["u"],
-        e_raw=data["e_raw"], e_shaped=data["e_shaped"],
-        w=data["w"], n=data["n"],
-        windows=windows, thresholds={},
-        residual_start=int(meta["residual_start"]),
-        burn_in=int(meta["burn_in"]),
+        config=config, seed=int(meta["seed"]), **data, windows=windows, thresholds={},
+        residual_start=int(meta["residual_start"]), burn_in=int(meta["burn_in"]),
     )
     _self_check(trace)
     return trace
@@ -1001,62 +670,29 @@ def import_trace(path, config: ScenarioConfig) -> Trace:
 
 def _self_check(trace: Trace) -> None:
     """Verify the plant recursion holds exactly on the stored step data."""
-    config = trace.config
-    plant = config.plant.build()
-    kind = config.plant.kind
-    if kind == "scalar":
-        lhs = trace.x[1:]
-        rhs = plant.a * trace.x[:-1] + plant.b * trace.u[:-1] + trace.w[1:]
-    elif kind == "arx":
-        T = trace.y.shape[0]
-        lhs = trace.y[1:]
-        rhs = (
-            -_lagged_sum(plant.a_coeffs, trace.y, T - 1)
-            + _lagged_sum(plant.b_coeffs, trace.u, T - 1)
-            + trace.w[1:]
-        )
-    elif kind == "armax":
-        T = trace.y.shape[0]
-        a_full = (1.0,) + plant.a_coeffs
-        u_delayed = np.concatenate(
-            [np.zeros(plant.delay), trace.u[: T - plant.delay]]
-        )
-        lhs = _lagged_sum(a_full, trace.y, T)
-        rhs = _lagged_sum(plant.b_coeffs, u_delayed, T) + _lagged_sum(
-            plant.c_coeffs, trace.w, T
-        )
-    elif kind == "partial":
-        lhs = trace.x[1:]
-        rhs = (
-            trace.x[:-1] @ plant.A.T
-            + np.outer(trace.u[:-1], plant.B)
-            + trace.w[1:]
+    form = trace.config.plant.build().kernel
+    if isinstance(form, LagForm):
+        residual = (
+            lag_filter((1.0,) + form.a, trace.y)
+            - lag_filter(form.b, trace.u, form.delay)
+            - lag_filter(form.c, trace.w)
         )
     else:
-        lhs = trace.x[1:]
-        rhs = trace.x[:-1] @ plant.A.T + trace.u[:-1] @ plant.B.T + trace.w[1:]
-    err = float(np.max(np.abs(lhs - rhs))) if lhs.size else 0.0
+        T = trace.x.shape[0]
+        u = trace.u.reshape(T, -1)
+        residual = trace.x[1:] - trace.x[:-1] @ form.A.T - u[:-1] @ form.B.T - trace.w[1:]
+    err = float(np.max(np.abs(residual))) if residual.size else 0.0
     if not err <= 1e-9:
         raise ValueError(f"trace fails the plant recursion self-check (err={err:.3g})")
 
 
 def trace_equal(t1: Trace, t2: Trace) -> bool:
     """Bit-exact equality of the serialized content of two traces."""
-    for name in ("x", "y", "z", "u_g", "u", "e_raw", "e_shaped", "w"):
+    for name in ("x", "y", "z", "u_g", "u", "e_raw", "e_shaped", "w", "n"):
         a, b = getattr(t1, name), getattr(t2, name)
-        if a.shape != b.shape or not np.array_equal(a, b):
+        if (a is None) != (b is None):
             return False
-    if (t1.n is None) != (t2.n is None):
-        return False
-    if t1.n is not None and not np.array_equal(t1.n, t2.n):
-        return False
-    if len(t1.windows) != len(t2.windows):
-        return False
-    for w1, w2 in zip(t1.windows, t2.windows):
-        if w1.index != w2.index or w1.end_t != w2.end_t:
+        if a is not None and (a.shape != b.shape or not np.array_equal(a, b)):
             return False
-        if w1.values != w2.values:
-            return False
-        if w1.any_alarm != w2.any_alarm:
-            return False
-    return True
+    w1, w2 = ([(w.index, w.end_t, w.values, w.any_alarm) for w in t.windows] for t in (t1, t2))
+    return w1 == w2

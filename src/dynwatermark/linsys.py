@@ -1,11 +1,16 @@
-"""Linear stochastic plant models and their one-step transition maps.
+"""Linear stochastic plant models and the two kernels they map onto.
+
+The five plant classes are the public, validated parameterisations.  Each
+one exposes ``kernel``, its canonical form: a :class:`LagForm` (scalar, ARX,
+ARMAX) or a :class:`StateSpaceForm` (partial, MIMO).  Simulation, residuals,
+oracle metrics and attacks are written once per kernel.
 
 Conventions shared across the package:
 
 * histories are passed most-recent-first (``hist[0]`` is the latest sample,
   ``hist[k]`` is ``k`` steps back); anything before t=0 is implicitly zero;
-* plants are pure: process/measurement noise is drawn by the caller and passed
-  in, so the same plant object can be driven by recorded or simulated noise;
+* plants are pure: process/measurement noise is drawn by the caller, so the
+  same plant object can be driven by recorded or simulated noise;
 * polynomial coefficient tuples are ordered by increasing lag.
 """
 
@@ -13,7 +18,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -24,12 +30,9 @@ __all__ = [
     "ArmaxPlant",
     "PartialPlant",
     "MimoPlant",
+    "LagForm",
+    "StateSpaceForm",
     "check_min_phase",
-    "step_scalar",
-    "step_arx",
-    "step_armax",
-    "step_statespace",
-    "observe_partial",
     "ControlPolicy",
     "ZeroPolicy",
     "LinearFeedback",
@@ -39,6 +42,13 @@ __all__ = [
 
 # Roots this close to the unit circle are treated as on it.
 MIN_PHASE_TOL = 1e-9
+
+# Longest lag-polynomial feedback loop whose stability is checked.
+MAX_LOOP_ORDER = 1000
+
+# Residual samples the partially observed filter drops before windowing, so
+# that its start-up transient has died.
+PARTIAL_BURN_IN = 50
 
 
 def _roots_in_lag_operator(coeffs: Sequence[float]) -> np.ndarray:
@@ -98,6 +108,10 @@ class ScalarPlant:
         if not self.sigma_w2 > 0.0:
             raise ValueError(f"sigma_w2 must be positive, got {self.sigma_w2}")
 
+    @cached_property
+    def kernel(self) -> "LagForm":
+        return LagForm((-self.a,), (self.b,), (1.0,), 1, self.b, self.sigma_w2, 1, 0)
+
 
 @dataclass(frozen=True)
 class ArxPlant:
@@ -128,6 +142,11 @@ class ArxPlant:
     @property
     def order_b(self) -> int:
         return len(self.b_coeffs) - 1
+
+    @cached_property
+    def kernel(self) -> "LagForm":
+        a, b = self.a_coeffs, self.b_coeffs
+        return LagForm(a, b, (1.0,), 1, b[0], self.sigma_w2, 1, 0)
 
 
 @dataclass(frozen=True)
@@ -175,6 +194,14 @@ class ArmaxPlant:
     def order_c(self) -> int:
         return len(self.c_coeffs) - 1
 
+    @cached_property
+    def kernel(self) -> "LagForm":
+        burn_in = max(self.order_ar, self.order_b + self.delay, self.order_c)
+        return LagForm(
+            self.a_coeffs, self.b_coeffs, self.c_coeffs, self.delay, 1.0,
+            self.sigma_w2, 0, burn_in,
+        )
+
 
 @dataclass(frozen=True, eq=False)
 class PartialPlant:
@@ -215,6 +242,12 @@ class PartialPlant:
     def dim(self) -> int:
         return self.A.shape[0]
 
+    @cached_property
+    def kernel(self) -> "StateSpaceForm":
+        return StateSpaceForm(
+            self.A, self.B[:, None], self.C, self.sigma_w2, self.sigma_n2, PARTIAL_BURN_IN
+        )
+
 
 @dataclass(frozen=True, eq=False)
 class MimoPlant:
@@ -230,8 +263,8 @@ class MimoPlant:
         n = A.shape[0]
         if A.shape != (n, n):
             raise ValueError(f"A must be square, got shape {A.shape}")
-        if B.shape[0] != n:
-            raise ValueError(f"B must have {n} rows, got shape {B.shape}")
+        if B.shape[0] != n or B.shape[1] == 0:
+            raise ValueError(f"B must have {n} rows and an input column, got shape {B.shape}")
         if np.linalg.matrix_rank(B) < n:
             warnings.warn(
                 "rank(B) < state dimension: the attack-detectability guarantee "
@@ -251,86 +284,87 @@ class MimoPlant:
     def n_inputs(self) -> int:
         return self.B.shape[1]
 
+    @cached_property
+    def kernel(self) -> "StateSpaceForm":
+        return StateSpaceForm(self.A, self.B, None, self.sigma_w2, None, 0)
+
 
 # ---------------------------------------------------------------------------
-# one-step transition maps
+# canonical kernels
 # ---------------------------------------------------------------------------
 
 
-def step_scalar(plant: ScalarPlant, x: float, u: float, w: float) -> float:
-    """x[t+1] from x[t], applied input u[t] and process noise w[t+1]."""
-    if not (math.isfinite(x) and math.isfinite(u) and math.isfinite(w)):
-        raise ValueError(f"non-finite step input: x={x}, u={u}, w={w}")
-    return plant.a * x + plant.b * u + w
+@dataclass(frozen=True)
+class LagForm:
+    """Lag-polynomial kernel of the scalar, ARX and ARMAX classes:
 
+    y[t] = -sum_k a[k]*y[t-1-k] + sum_k b[k]*u[t-delay-k] + sum_k c[k]*w[t-k]
 
-def step_arx(
-    plant: ArxPlant,
-    y_hist: Sequence[float],
-    u_hist: Sequence[float],
-    w: float,
-) -> float:
-    """y[t+1] from most-recent-first output/input histories and noise w[t+1]."""
-    a, b = plant.a_coeffs, plant.b_coeffs
-    if len(y_hist) < len(a) or len(u_hist) < len(b):
-        raise ValueError(
-            f"history too short: need {len(a)} outputs and {len(b)} inputs, "
-            f"got {len(y_hist)} and {len(u_hist)}"
-        )
-    acc = w
-    for m, am in enumerate(a):
-        acc -= am * y_hist[m]
-    for r, br in enumerate(b):
-        acc += br * u_hist[r]
-    return acc
-
-
-def step_armax(
-    plant: ArmaxPlant,
-    y_hist: Sequence[float],
-    u_hist: Sequence[float],
-    w_hist: Sequence[float],
-) -> float:
-    """y[t] from histories; ``w_hist`` starts at the *current* noise w[t].
-
-    ``y_hist[0]`` is y[t-1]; ``u_hist[0]`` is u[t-1] so the delayed taps are
-    ``u_hist[delay-1+k]``; ``w_hist[0]`` is w[t].
+    The watermark shaper solves B(q^-1) s = gain * C(q^-1) e, so an honest
+    report leaves gain * e[t-delay] in the prediction error.  ``start`` is
+    the first step that carries process noise and residuals: 1 for the
+    classes that start at rest (w[0] = y[0] = 0), 0 for ARMAX.  ``burn_in``
+    is the default number of residuals dropped before windowing.
     """
-    a, b, c, l = plant.a_coeffs, plant.b_coeffs, plant.c_coeffs, plant.delay
-    if len(y_hist) < len(a) or len(u_hist) < l + len(b) - 1 or len(w_hist) < len(c):
-        raise ValueError("history too short for plant orders")
-    acc = 0.0
-    for k, ak in enumerate(a):
-        acc -= ak * y_hist[k]
-    for k, bk in enumerate(b):
-        acc += bk * u_hist[l - 1 + k]
-    for k, ck in enumerate(c):
-        acc += ck * w_hist[k]
-    return acc
+
+    a: tuple[float, ...]
+    b: tuple[float, ...]
+    c: tuple[float, ...]
+    delay: int
+    gain: float
+    sigma_w2: float
+    start: int
+    burn_in: int
+
+    n_inputs = 1
+
+    def closed_loop_radius(self, f: float = 0.0) -> float:
+        """Spectral radius of the loop closed by u[t] = f*y[t].
+
+        The characteristic polynomial is A(q^-1) - f q^-delay B(q^-1).
+        Feedback through more than MAX_LOOP_ORDER lags is not checked (the
+        root finder is cubic in the order) and raises ``ValueError``."""
+        a, b, d = self.a, self.b, self.delay
+        if f != 0.0 and d + len(b) - 1 > MAX_LOOP_ORDER:
+            raise ValueError(
+                f"closed loop of order {d + len(b) - 1} is too long to check for "
+                f"stability (at most {MAX_LOOP_ORDER})"
+            )
+        poly = np.zeros(max(len(a) + 1, d + len(b)))
+        poly[0] = 1.0
+        poly[1 : len(a) + 1] = a
+        poly[d : d + len(b)] -= f * np.asarray(b)
+        return float(np.max(np.abs(np.roots(poly)), initial=0.0))
 
 
-def step_statespace(
-    plant: PartialPlant | MimoPlant,
-    x: np.ndarray,
-    u: float | np.ndarray,
-    w: np.ndarray,
-) -> np.ndarray:
-    """x[t+1] = A x[t] + B u[t] + w[t+1] for either state-space plant class."""
-    x = np.asarray(x, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if plant.B.ndim == 1:
-        drive = plant.B * float(u)
-    else:
-        drive = plant.B @ np.asarray(u, dtype=float)
-    out = plant.A @ x + drive + w
-    if not np.isfinite(out).all():
-        raise ValueError("non-finite state after step")
-    return out
+@dataclass(frozen=True, eq=False)
+class StateSpaceForm:
+    """State-space kernel of the partial and MIMO classes:
 
+    x[t+1] = A x[t] + B u[t] + w[t+1] with B a (p, m) matrix.  With ``C``
+    given the sensor reads one noisy output y[t] = C x[t] + n[t],
+    n ~ (0, sigma_n2); with ``C`` None it reads the state, y[t] = x[t].
+    Process noise and residuals start at t = 1.
+    """
 
-def observe_partial(plant: PartialPlant, x: np.ndarray, n: float) -> float:
-    """Scalar measurement y[t] = C x[t] + n[t]."""
-    return float(plant.C @ np.asarray(x, dtype=float) + n)
+    A: np.ndarray
+    B: np.ndarray
+    C: np.ndarray | None
+    sigma_w2: float
+    sigma_n2: float | None
+    burn_in: int
+
+    start = 1
+
+    @property
+    def n_inputs(self) -> int:
+        return self.B.shape[1]
+
+    def closed_loop_radius(self, f=0.0) -> float:
+        """Spectral radius of A + B F C_y, the loop closed by u[t] = F y[t]."""
+        C_y = np.eye(len(self.A)) if self.C is None else self.C[None, :]
+        F = np.broadcast_to(np.asarray(f, dtype=float), (self.n_inputs, len(C_y)))
+        return float(np.max(np.abs(np.linalg.eigvals(self.A + self.B @ F @ C_y))))
 
 
 # ---------------------------------------------------------------------------

@@ -1,131 +1,58 @@
-"""Watermark-aware residual construction.
+"""Watermark-aware residuals, computed as LTI filters of recorded data.
 
-Each plant class gets a pair of one-step residuals computed from reported
-outputs, nominal inputs and the private excitation:
+The detector never steps a filter in the closed loop: residuals are rebuilt
+from the reported outputs, the nominal inputs and the private excitation
+once a run is over.
 
-* ``r_wm``  — watermark-removed: under honest reporting it equals the process
-  noise (or the filter innovation) alone;
-* ``r_raw`` — nominal-input-only: the watermark contribution is left in, so
-  its honest variance is inflated by the (public) excitation power.
-
-For the partially observed class the role of the residual is played by the
-steady-state Kalman innovation.
+* Lag-polynomial plants (scalar, ARX, ARMAX): the prediction error ztilde
+  solving C(q^-1) ztilde = A(q^-1) z - q^-delay B(q^-1) u_g.  It is
+  ``r_raw``; the watermark-removed ``r_wm`` subtracts gain * e[t-delay],
+  which leaves the process noise alone under honest reporting.
+* State-space plants (partial, MIMO): the correction the reports force on
+  the one-step state prediction.  For a measured state it is
+  z[t] - A z[t-1] - B u[t-1]; for a noisy scalar output it is K nu[t], the
+  gain times the innovation of the steady-state Kalman filter.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .linsys import ArmaxPlant, ArxPlant, MimoPlant, PartialPlant, ScalarPlant
+from .linsys import LagForm, PartialPlant, StateSpaceForm
 
 __all__ = [
-    "ResidualPair",
-    "scalar_residual",
-    "arx_residual",
-    "ArmaxFilterState",
-    "armax_filter_step",
     "KalmanDesign",
     "kalman_design",
-    "KalmanState",
-    "kalman_step",
-    "mimo_residual",
+    "lag_filter",
+    "prediction_errors",
+    "innovations",
 ]
 
 
-@dataclass(frozen=True)
-class ResidualPair:
-    r_wm: float
-    r_raw: float
+def lag_filter(coeffs, x: np.ndarray, delay: int = 0) -> np.ndarray:
+    """sum_k coeffs[k] * x[t-delay-k] for every t, with x at rest before t=0."""
+    T = len(x)
+    pad = delay + len(coeffs)
+    xp = np.concatenate([np.zeros((pad,) + x.shape[1:]), x])
+    acc = np.zeros(x.shape)
+    for k, ck in enumerate(coeffs):
+        if ck != 0.0:
+            acc += ck * xp[pad - delay - k : pad - delay - k + T]
+    return acc
 
 
-def scalar_residual(
-    plant: ScalarPlant, z_prev: float, z_next: float, g_val: float, e_val: float
-) -> ResidualPair:
-    """Residual pair for x[k+1] = a x[k] + b u[k] + w[k+1] from reports."""
-    r_raw = z_next - plant.a * z_prev - plant.b * g_val
-    return ResidualPair(r_raw - plant.b * e_val, r_raw)
+def prediction_errors(form: LagForm, z: np.ndarray, u_g: np.ndarray) -> np.ndarray:
+    """ztilde with C(q^-1) ztilde = A(q^-1) z - q^-delay B(q^-1) u_g, at rest.
 
-
-def arx_residual(
-    plant: ArxPlant, z_hist, g_hist, e_val: float
-) -> ResidualPair:
-    """Residual pair for the ARX recursion.
-
-    ``z_hist`` = (z[k+1], z[k], ..., z[k-p]) most-recent-first; ``g_hist`` =
-    (g[k], ..., g[k-h]).  The nominal inputs are the policy outputs; the
-    watermark reaches the output as b0*e[k] thanks to the pre-equalizer.
+    With honest reports and a shaped watermark this is exactly
+    gain * e[t-delay] + w[t] (Astrom 1970, innovations form).
     """
-    a, b = plant.a_coeffs, plant.b_coeffs
-    if len(z_hist) < len(a) + 1 or len(g_hist) < len(b):
-        raise ValueError("history too short for plant orders")
-    r_raw = float(z_hist[0])
-    for m, am in enumerate(a):
-        r_raw += am * float(z_hist[1 + m])
-    for r, br in enumerate(b):
-        r_raw -= br * float(g_hist[r])
-    return ResidualPair(r_raw - b[0] * e_val, r_raw)
+    from scipy.signal import lfilter
 
-
-@dataclass
-class ArmaxFilterState:
-    """State of the one-step prediction-error filter for an ARMAX plant.
-
-    The filter reconstructs lambda[t] = e[t-delay] + w[t] from reports: the
-    prediction feeds back its own past errors through the C polynomial, so
-    with honest reports and at-rest initial conditions the error is exact.
-    """
-
-    plant: ArmaxPlant
-    z_hist: list = field(default_factory=list)
-    ztilde_hist: list = field(default_factory=list)
-    t: int = 0
-
-    def __post_init__(self) -> None:
-        if not self.z_hist:
-            self.z_hist = [0.0] * len(self.plant.a_coeffs)
-        if not self.ztilde_hist:
-            self.ztilde_hist = [0.0] * max(self.plant.order_c, 1)
-
-    @property
-    def burn_in(self) -> int:
-        p = self.plant
-        return max(p.order_ar, p.order_b + p.delay, p.order_c)
-
-
-def armax_filter_step(
-    state: ArmaxFilterState, z_t: float, g_hist, e_lag: float
-) -> tuple[float, ResidualPair]:
-    """Advance the filter one report.
-
-    ``g_hist`` = (u_g[t-delay], u_g[t-delay-1], ..., u_g[t-delay-h])
-    most-recent-first; ``e_lag`` = e[t-delay] (zero before the watermark
-    starts).  Returns the prediction error ztilde[t] and the residual pair
-    (ztilde - e_lag, ztilde).
-    """
-    plant = state.plant
-    a, b, c = plant.a_coeffs, plant.b_coeffs, plant.c_coeffs
-    if len(g_hist) < len(b):
-        raise ValueError("g_hist shorter than the b polynomial")
-    pred = 0.0
-    for k, ak in enumerate(a):
-        pred -= ak * state.z_hist[k]
-    for k, bk in enumerate(b):
-        pred += bk * float(g_hist[k])
-    for k in range(1, len(c)):
-        pred += c[k] * state.ztilde_hist[k - 1]
-    ztilde = float(z_t) - pred
-    _push(state.z_hist, float(z_t))
-    _push(state.ztilde_hist, ztilde)
-    state.t += 1
-    return ztilde, ResidualPair(ztilde - float(e_lag), ztilde)
-
-
-def _push(hist: list, value: float) -> None:
-    if hist:
-        hist.insert(0, value)
-        hist.pop()
+    drive = lag_filter((1.0,) + form.a, z) - lag_filter(form.b, u_g, form.delay)
+    return lfilter((1.0,), form.c, drive)
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +62,7 @@ def _push(hist: list, value: float) -> None:
 
 @dataclass(frozen=True, eq=False)
 class KalmanDesign:
-    """Steady-state filter quantities for a :class:`PartialPlant`.
+    """Steady-state filter quantities for a partially observed plant.
 
     ``P`` is the a-priori error covariance (fixed point of the predictor
     Riccati map), ``K`` the filter-form gain applied to the innovation in the
@@ -143,7 +70,7 @@ class KalmanDesign:
     variance.  The predictor-form gain is ``K_pred`` = A K.
     """
 
-    plant: PartialPlant
+    plant: PartialPlant | StateSpaceForm
     P: np.ndarray
     K: np.ndarray
     sigma_R2: float
@@ -155,7 +82,7 @@ class KalmanDesign:
 
 
 def kalman_design(
-    plant: PartialPlant, tol: float = 1e-12, max_iter: int = 10**6
+    plant: PartialPlant | StateSpaceForm, tol: float = 1e-12, max_iter: int = 10**6
 ) -> KalmanDesign:
     """Solve the predictor Riccati equation by fixed-point iteration from 0.
 
@@ -164,7 +91,7 @@ def kalman_design(
     from P=0 the iterates increase in the PSD order toward the fixed point.
     """
     A, C = plant.A, plant.C
-    p = plant.dim
+    p = A.shape[0]
     P = np.zeros((p, p))
     for it in range(1, max_iter + 1):
         PCt = P @ C
@@ -184,44 +111,28 @@ def kalman_design(
     return KalmanDesign(plant=plant, P=P, K=K, sigma_R2=sigma_R2, iterations=it)
 
 
-@dataclass
-class KalmanState:
-    """Current filtered estimate x_hat(k|k)."""
+def innovations(form: StateSpaceForm, z: np.ndarray, u: np.ndarray | None) -> np.ndarray:
+    """Corrections the reports z[1:] force on the one-step state prediction.
 
-    xhat: np.ndarray
-
-    @classmethod
-    def at_rest(cls, plant: PartialPlant) -> "KalmanState":
-        return cls(xhat=np.zeros(plant.dim))
-
-
-def kalman_step(
-    state: KalmanState,
-    design: KalmanDesign,
-    z_next: float,
-    g_val: float,
-    e_val: float,
-) -> tuple[float, np.ndarray]:
-    """Measurement update on report z[k+1]; returns (nu_F, q).
-
-    nu_F is the innovation and q = K nu_F = x_hat(k+1|k+1) - (model
-    prediction) is the correction the report forced on the estimate — the
-    vector the correlation and covariance tests operate on.
+    Measured state (``C`` None): z[t] - A z[t-1] - B u[t-1].  Noisy output:
+    K nu[t] of the steady-state Kalman filter started at rest, x_hat(0|0) = 0,
+    run as LTI filters of (z, u).  ``u`` None filters z alone, which is how
+    the oracle maps a report distortion onto the residual.
     """
-    plant = design.plant
-    x_pred = plant.A @ state.xhat + plant.B * (float(g_val) + float(e_val))
-    nu = float(z_next) - float(plant.C @ x_pred)
-    q = design.K * nu
-    state.xhat = x_pred + q
-    return nu, q
+    if form.C is None:
+        r = z[1:] - z[:-1] @ form.A.T
+        return r if u is None else r - u[:-1] @ form.B.T
+    from scipy.signal import lfilter, ss2tf
 
-
-def mimo_residual(
-    plant: MimoPlant, z_prev: np.ndarray, z_next: np.ndarray, g_vec: np.ndarray
-) -> np.ndarray:
-    """r[k+1] = z[k+1] - A z[k] - B g[k]: watermark plus noise when honest."""
-    return (
-        np.asarray(z_next, dtype=float)
-        - plant.A @ np.asarray(z_prev, dtype=float)
-        - plant.B @ np.asarray(g_vec, dtype=float)
-    )
+    A, b, C = form.A, form.B[:, 0], form.C
+    K = kalman_design(form).K
+    M = np.eye(len(A)) - np.outer(K, C)
+    # state x_hat(t-1|t-1), inputs (z[t], u[t-1]), output nu[t]
+    system = (M @ A, np.column_stack([K, M @ b]), -(C @ A)[None, :],
+              np.array([[1.0, -float(C @ b)]]))
+    num, den = ss2tf(*system, input=0)
+    nu = lfilter(num[0], den, z[1:])
+    if u is not None:
+        num, den = ss2tf(*system, input=1)
+        nu = nu + lfilter(num[0], den, u[:-1])
+    return np.outer(nu, K)

@@ -8,8 +8,9 @@ carry the offending field path and render as a single line.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 import yaml
@@ -68,7 +69,19 @@ def _as_int(value, field_path: str) -> int:
 def _as_float(value, field_path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(field_path, f"expected a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ScenarioError(field_path, f"expected a finite number, got {value!r}")
     return float(value)
+
+
+def _check_numbers(value, field_path: str) -> None:
+    """Require a number or (nested) lists of finite numbers; shapes are the
+    plant builders' business."""
+    if isinstance(value, (list, tuple)):
+        for item in value:
+            _check_numbers(item, field_path)
+    else:
+        _as_float(value, field_path)
 
 
 @dataclass(frozen=True)
@@ -115,15 +128,6 @@ class PlantConfig:
         except (TypeError, ValueError) as exc:
             raise ScenarioError("plant", str(exc)) from exc
         raise ScenarioError("plant.kind", f"unknown kind {self.kind!r}")
-
-    @property
-    def b0(self) -> float:
-        """Leading input gain, for classes where the watermark is scalar."""
-        if self.kind == "scalar":
-            return float(self.b)
-        if self.kind in ("arx", "armax"):
-            return float(self.b[0])
-        raise ScenarioError("plant", f"{self.kind} plant has no scalar input gain")
 
 
 @dataclass(frozen=True)
@@ -247,8 +251,10 @@ def _parse_plant(d: dict) -> PlantConfig:
         val = _require(d, key, "plant")
         if key == "delay":
             val = _as_int(val, "plant.delay")
-        elif key in ("sigma_n2",):
-            val = _as_float(val, f"plant.{key}")
+        elif key == "sigma_n2":
+            val = _as_float(val, "plant.sigma_n2")
+        else:
+            _check_numbers(val, f"plant.{key}")
         kwargs[key] = val
     cfg = PlantConfig(**kwargs)
     cfg.build()  # surface parameter errors (min-phase, observability, ...) now
@@ -267,12 +273,36 @@ def _parse_policy(d: dict, plant: PlantConfig) -> PolicyConfig:
         raise ScenarioError("policy.f", "linear policy requires a gain f")
     if kind != "linear" and f is not None:
         raise ScenarioError("policy.f", f"gain f is meaningless for the {kind} policy")
-    mn = np.shape(plant.B)[::-1]  # (inputs, states) of a mimo plant
-    if kind == "linear" and plant.kind == "mimo" and np.shape(f) != mn:
-        raise ScenarioError("policy.f", f"expected shape (m, n) = {mn}, got {np.shape(f)}")
-    if kind == "arx_deadbeat" and plant.kind != "arx":
-        raise ScenarioError("policy.kind", "arx_deadbeat requires an arx plant")
+    if kind == "arx_deadbeat":
+        # stable by construction: B is strictly minimum phase
+        if plant.kind != "arx":
+            raise ScenarioError("policy.kind", "arx_deadbeat requires an arx plant")
+        return PolicyConfig(kind=kind)
+    gain = 0.0 if f is None else _parse_gain(f, plant)
+    try:
+        radius = plant.build().kernel.closed_loop_radius(gain)
+    except ValueError as exc:
+        raise ScenarioError("policy", str(exc)) from exc
+    if not radius <= 1.0:
+        raise ScenarioError(
+            "policy", f"closed loop is unstable: spectral radius {radius:.6g} > 1"
+        )
     return PolicyConfig(kind=kind, f=f)
+
+
+def _parse_gain(f, plant: PlantConfig):
+    """Linear feedback gain: an (m, n) matrix for a mimo plant, else a number."""
+    if plant.kind != "mimo":
+        return _as_float(f, "policy.f")
+    _check_numbers(f, "policy.f")
+    mn = np.shape(plant.B)[::-1]  # (inputs, states)
+    try:
+        F = np.asarray(f, dtype=float)
+    except ValueError as exc:
+        raise ScenarioError("policy.f", f"expected an (m, n) = {mn} matrix, got {f!r}") from exc
+    if F.shape != mn:
+        raise ScenarioError("policy.f", f"expected shape (m, n) = {mn}, got {F.shape}")
+    return F
 
 
 def _parse_watermark(d: dict, plant: PlantConfig) -> WatermarkSpec:
@@ -285,12 +315,18 @@ def _parse_watermark(d: dict, plant: PlantConfig) -> WatermarkSpec:
             family=d.get("family", "gaussian"),
             shaper=d.get("shaper", "auto"),
         )
+    except ScenarioError:
+        raise
     except ValueError as exc:
         raise ScenarioError("watermark", str(exc)) from exc
     if spec.family == "matched" and plant.kind not in ("scalar", "arx", "armax"):
         raise ScenarioError(
             "watermark.family", "matched excitation needs a scalar input gain"
         )
+    if spec.shaper == "arx" and plant.kind not in ("arx", "armax"):
+        raise ScenarioError("watermark.shaper", "arx shaper needs b_coeffs")
+    if spec.shaper == "armax" and plant.kind != "armax":
+        raise ScenarioError("watermark.shaper", "armax shaper needs an armax plant")
     return spec
 
 
@@ -300,7 +336,7 @@ def _parse_attack(d: dict, plant: PlantConfig, horizon: int) -> AttackConfig:
     _no_extras(d, {"kind", "onset", "record_len", "params"}, "attack")
     kind = d.get("kind", "honest")
     known = set(adversary.BUILTIN_ATTACKS) | set(adversary._REGISTRY)
-    if kind not in known:
+    if not isinstance(kind, str) or kind not in known:
         raise ScenarioError("attack.kind", f"unknown attack {kind!r}; known: {sorted(known)}")
     onset = d.get("onset")
     record_len = d.get("record_len")
@@ -379,8 +415,12 @@ def _parse_detector(d: dict, plant: PlantConfig, horizon: int) -> DetectorConfig
     dim = getattr(built, "dim", 1)
     tests = d.get("tests")
     if tests is not None:
-        if not isinstance(tests, (list, tuple)) or not tests:
-            raise ScenarioError("detector.tests", "expected a non-empty list")
+        if (
+            not isinstance(tests, (list, tuple))
+            or not tests
+            or not all(isinstance(t, str) for t in tests)
+        ):
+            raise ScenarioError("detector.tests", "expected a non-empty list of names")
         bad = set(tests) - allowed_tests(plant.kind, dim)
         if bad:
             raise ScenarioError(
@@ -493,8 +533,9 @@ def resolve_watermark(config: ScenarioConfig) -> WatermarkSpec:
     wm = config.watermark
     if wm.family != "matched":
         return wm
+    # the loader admits 'matched' for lag-polynomial plants only: b0 is B(q^-1)'s lead
     family, variance = match_distribution(
-        (config.plant.w_family, config.plant.sigma_w2), config.plant.b0
+        (config.plant.w_family, config.plant.sigma_w2), config.plant.build().kernel.b[0]
     )
     # sigma_e2 is implied by matching; 0 means "compute for me", anything else
     # must agree with the implied value (a conflict is a config mistake).

@@ -3,14 +3,14 @@
 The actuator superimposes an i.i.d. secret sequence e[t] on the nominal input.
 Its distribution is public, the realization is private.  For plants whose
 input enters through a lag polynomial B(q^-1), the raw sequence is passed
-through a shaping recursion first so that the watermark's contribution to the
+through a shaping filter first so that the watermark's contribution to the
 output stays white.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,10 +20,7 @@ __all__ = [
     "draw_iid",
     "draw_excitation",
     "match_distribution",
-    "ShaperState",
-    "make_shaper_state",
-    "pre_equalize",
-    "armax_shape",
+    "shape",
 ]
 
 FAMILIES = ("gaussian", "laplace", "uniform")
@@ -90,63 +87,22 @@ def match_distribution(target: tuple[str, float], b: float) -> tuple[str, float]
 
 
 # ---------------------------------------------------------------------------
-# shaping recursions
+# shaping filter
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ShaperState:
-    """Most-recent-first memories of a shaping recursion (zero-initialized)."""
+def shape(e, b_coeffs, c_coeffs=(1.0,), gain=None) -> np.ndarray:
+    """Shaped excitation s solving B(q^-1) s = gain * C(q^-1) e, at rest.
 
-    shaped_hist: list = field(default_factory=list)
-    e_hist: list = field(default_factory=list)
-
-
-def make_shaper_state(b_coeffs, c_coeffs=None) -> ShaperState:
-    """Fresh at-rest state sized for the given lag polynomials."""
-    n_s = max(len(b_coeffs) - 1, 0)
-    n_e = len(c_coeffs) if c_coeffs is not None else 0
-    return ShaperState(shaped_hist=[0.0] * n_s, e_hist=[0.0] * n_e)
-
-
-def _push(hist: list, value: float) -> None:
-    if hist:
-        hist.insert(0, value)
-        hist.pop()
-
-
-def pre_equalize(state: ShaperState, b_coeffs, e_new: float) -> float:
-    """One step of the inverse-B pre-equalizer.
-
-    e'[t] = e[t] - (b1 e'[t-1] + ... + bh e'[t-h]) / b0, which guarantees
-    B(q^-1) e'[t] = b0 * e[t]: the watermark reaches the output as white
-    b0*e even though the input channel is a filter.
+    ``gain`` defaults to b0, which makes C = (1,) the inverse-B
+    pre-equalizer: the watermark then reaches the output as white b0*e even
+    though the input channel is a filter.  The ARMAX shaper uses gain 1 and
+    the plant's noise polynomial C.  B must be strictly minimum phase, so the
+    filter is stable.  It depends on e alone, so it runs on the whole
+    sequence at once.
     """
-    if len(state.shaped_hist) < len(b_coeffs) - 1:
-        raise ValueError("shaper state does not match b_coeffs order")
-    hist = state.shaped_hist
-    acc = 0.0
-    for k in range(1, len(b_coeffs)):
-        acc += b_coeffs[k] * hist[k - 1]
-    out = float(e_new) - acc / b_coeffs[0]
-    _push(hist, out)
-    return out
+    from scipy.signal import lfilter
 
-
-def armax_shape(state: ShaperState, b_coeffs, c_coeffs, e_new: float) -> float:
-    """One step of the ARMAX watermark shaper: s solving B(q^-1) s = C(q^-1) e.
-
-    s[t] = (c0 e[t] + ... + cr e[t-r] - b1 s[t-1] - ... - bh s[t-h]) / b0.
-    With C = (1,) this reduces to the pre-equalizer.
-    """
-    if len(state.shaped_hist) < len(b_coeffs) - 1 or len(state.e_hist) < len(c_coeffs):
-        raise ValueError("shaper state does not match coefficient orders")
-    _push(state.e_hist, float(e_new))
-    acc = 0.0
-    for k, ck in enumerate(c_coeffs):
-        acc += ck * state.e_hist[k]
-    for k in range(1, len(b_coeffs)):
-        acc -= b_coeffs[k] * state.shaped_hist[k - 1]
-    out = acc / b_coeffs[0]
-    _push(state.shaped_hist, out)
-    return out
+    if gain is None:
+        gain = b_coeffs[0]
+    return lfilter(gain * np.asarray(c_coeffs, dtype=float), b_coeffs, e)

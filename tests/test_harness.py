@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from dynwatermark.harness import (
-    PARTIAL_BURN_IN,
     Trace,
     _oracle_distortion,
     _residual_streams,
@@ -17,6 +16,7 @@ from dynwatermark.harness import (
     stat_series,
     trace_equal,
 )
+from dynwatermark.linsys import PARTIAL_BURN_IN
 from dynwatermark.scenario import scenario_from_dict
 
 from conftest import make_scenario
@@ -46,6 +46,47 @@ def golden_config():
         detector={"window_len": 100, "alpha": 0.05, "n_cal": 200,
                   "tests": ["variance_wm", "cross_corr"]},
     )
+
+
+def reference_configs():
+    """One short attacked scenario per non-scalar class, behind the
+    tests/data/reference_<kind>_trace.csv files written by
+    scripts/make_golden_trace.py."""
+    det = {"window_len": 100, "alpha": 0.01, "n_cal": 1000}
+    return {
+        "arx": make_scenario(
+            name="reference-arx", seed=3, horizon=401, detector=det,
+            plant={"kind": "arx", "a": [0.7, 0.2], "b": [1.0, 0.5], "sigma_w2": 1.0},
+            policy={"kind": "arx_deadbeat"},
+            watermark={"sigma_e2": 1.0},
+            attack={"kind": "additive_estimated", "onset": 200},
+        ),
+        "armax": make_scenario(
+            name="reference-armax", seed=4, horizon=401, detector=det,
+            plant={"kind": "armax", "a": [0.5, -0.1], "b": [1.0, 0.5],
+                   "c": [1.0, 0.3], "delay": 2, "sigma_w2": 1.0},
+            policy={"kind": "linear", "f": -0.2},
+            watermark={"sigma_e2": 1.0},
+            attack={"kind": "noise_sim", "onset": 200},
+        ),
+        "partial": make_scenario(
+            name="reference-partial", seed=5, horizon=401,
+            plant={"kind": "partial", "A": [[0.9, 0.1], [0.0, 0.5]], "B": [1.0, 0.5],
+                   "C": [1.0, 0.0], "sigma_w2": 1.0, "sigma_n2": 0.5},
+            policy={"kind": "linear", "f": -0.3},
+            watermark={"sigma_e2": 1.0},
+            attack={"kind": "noise_sim", "onset": 200},
+            detector={"window_len": 100, "alpha": 0.01, "n_cal": 1000, "burn_in": 20},
+        ),
+        "mimo": make_scenario(
+            name="reference-mimo", seed=6, horizon=401, detector=det,
+            plant={"kind": "mimo", "A": [[0.5, 0.1], [0.0, 0.4]],
+                   "B": [[1.0, 0.0], [0.2, 1.0]], "sigma_w2": 1.0},
+            policy={"kind": "linear", "f": [[-0.2, 0.0], [0.0, -0.1]]},
+            watermark={"sigma_e2": 0.5},
+            attack={"kind": "additive_estimated", "onset": 200},
+        ),
+    }
 
 
 def all_class_configs(horizon=400):
@@ -126,6 +167,27 @@ def test_honest_distortion_is_numerically_zero(kind):
     trace = run_scenario(cfg)
     v = _oracle_distortion(cfg, cfg.plant.build(), trace)
     assert float(np.max(np.abs(v))) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "plant",
+    [
+        {"kind": "arx", "a": [0.7, 0.2], "b": [1.0, 0.5], "sigma_w2": 1.0},
+        {"kind": "armax", "a": [0.5], "b": [1.0, 0.5], "c": [1.0, 0.3],
+         "delay": 2, "sigma_w2": 1.0},
+    ],
+    ids=["arx", "armax"],
+)
+def test_honest_unshaped_run_reports_zero_distortion(plant):
+    # without the shaper the plant receives B(q) e, not gain * C(q) e; the
+    # distortion is still a filter of z - y, which an honest sensor keeps at 0
+    cfg = make_scenario(
+        horizon=1001, plant=plant, policy={"kind": "zero"},
+        watermark={"sigma_e2": 1.0, "shaper": "none"},
+    )
+    rep = oracle_metrics(run_scenario(cfg))
+    assert rep.distortion_msq == 0.0
+    assert rep.distortion_power == 0.0
 
 
 def test_attacked_distortion_is_nonzero_and_post_onset_only():
@@ -348,6 +410,37 @@ def test_export_against_golden_file(tmp_path):
     path = tmp_path / "trace.csv"
     export_trace(trace, path)
     assert path.read_bytes() == golden.read_bytes()
+
+
+def _read_trace_text(path):
+    lines = path.read_text().splitlines()
+    header = lines[1].split(",")
+    rows = [ln.split(",") for ln in lines[2:]]
+    return lines[0], header, {name: [r[i] for r in rows] for i, name in enumerate(header)}
+
+
+@pytest.mark.parametrize("kind", ["arx", "armax", "partial", "mimo"])
+def test_matches_reference_trace(kind, tmp_path):
+    """Each class reproduces its stored attacked run: step columns within
+    1e-12 of the column's largest magnitude, statistics within 1e-12 of the
+    channel's threshold, window ids and alarm flags exactly."""
+    cfg = reference_configs()[kind]
+    path = tmp_path / "trace.csv"
+    export_trace(run_scenario(cfg), path)
+    meta, header, got = _read_trace_text(path)
+    ref_meta, ref_header, ref = _read_trace_text(DATA / f"reference_{kind}_trace.csv")
+    assert (meta, header) == (ref_meta, ref_header)
+    assert got["window_id"] == ref["window_id"] and got["alarm"] == ref["alarm"]
+    his = {name: th.hi for name, th in calibrate_detector(cfg).items()}
+    for name in header[1:]:
+        if name in ("window_id", "alarm"):
+            continue
+        filled = [i for i, v in enumerate(ref[name]) if v != ""]
+        assert [i for i, v in enumerate(got[name]) if v != ""] == filled, name
+        a = np.array([float(got[name][i]) for i in filled])
+        b = np.array([float(ref[name][i]) for i in filled])
+        scale = his[name[len("stat_"):]] if name.startswith("stat_") else np.max(np.abs(b))
+        assert np.max(np.abs(a - b), initial=0.0) <= 1e-12 * scale, name
 
 
 def test_import_golden_file():

@@ -5,52 +5,65 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dynwatermark.harness import _self_check, run_scenario
 from dynwatermark.linsys import (
     ArmaxPlant,
     ArxDeadbeat,
     ArxPlant,
     CallablePolicy,
+    LagForm,
     LinearFeedback,
     MimoPlant,
     PartialPlant,
     ScalarPlant,
+    StateSpaceForm,
     ZeroPolicy,
     check_min_phase,
-    observe_partial,
-    step_armax,
-    step_arx,
-    step_scalar,
-    step_statespace,
 )
+from dynwatermark.residual import innovations, lag_filter
+
+from conftest import make_scenario
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
 
+def next_output(form, y, u, w):
+    """y[T] of the lag kernel A(q^-1) y = q^-delay B(q^-1) u + C(q^-1) w,
+    from y[:T], u[:T] and w[:T+1] given oldest first, at rest before t=0."""
+    y = np.append(np.asarray(y, dtype=float), 0.0)
+    u = np.append(np.asarray(u, dtype=float), 0.0)
+    w = np.asarray(w, dtype=float)
+    ay = lag_filter((1.0,) + form.a, y)
+    return float(lag_filter(form.b, u, form.delay)[-1] + lag_filter(form.c, w)[-1] - ay[-1])
+
+
 # ---------------------------------------------------------------------------
-# step maps: frozen hand-computed values
+# canonical kernels: frozen hand-computed values
 # ---------------------------------------------------------------------------
 
 
 def test_step_scalar_hand_value():
-    plant = ScalarPlant(a=0.5, b=1.0, sigma_w2=1.0)
+    form = ScalarPlant(a=0.5, b=1.0, sigma_w2=1.0).kernel
+    assert form == LagForm((-0.5,), (1.0,), (1.0,), 1, 1.0, 1.0, 1, 0)
     # 0.5*1.0 + 1.0*(-1.5) + 0.3
-    assert step_scalar(plant, x=1.0, u=-1.5, w=0.3) == pytest.approx(-0.7, abs=1e-15)
+    assert next_output(form, [1.0], [-1.5], [0.0, 0.3]) == pytest.approx(-0.7, abs=1e-15)
 
 
 def test_step_arx_hand_value():
-    plant = ArxPlant(a_coeffs=(0.5,), b_coeffs=(1.0, 0.5), sigma_w2=1.0)
-    # -0.5*1.0 + 1.0*2.0 + 0.5*0.2 + 0.0
-    y_next = step_arx(plant, y_hist=(1.0,), u_hist=(2.0, 0.2), w=0.0)
-    assert y_next == pytest.approx(1.6, abs=1e-15)
+    form = ArxPlant(a_coeffs=(0.5,), b_coeffs=(1.0, 0.5), sigma_w2=1.0).kernel
+    assert (form.c, form.delay, form.gain, form.start) == ((1.0,), 1, 1.0, 1)
+    # -0.5*1.0 + 1.0*2.0 + 0.5*0.2 + 0.0 (u oldest first: u[t-2] = 0.2, u[t-1] = 2.0)
+    assert next_output(form, [1.0], [0.2, 2.0], [0.0, 0.0]) == pytest.approx(1.6, abs=1e-15)
 
 
 def test_step_armax_hand_value():
-    plant = ArmaxPlant(
+    form = ArmaxPlant(
         a_coeffs=(0.5,), b_coeffs=(1.0, 0.5), c_coeffs=(1.0, 0.3),
         delay=1, sigma_w2=1.0,
-    )
+    ).kernel
+    assert (form.gain, form.start) == (1.0, 0)
     # -0.5*1.0 + (1.0*2.0 + 0.5*0.2) + (1.0*0.4 + 0.3*1.0)
-    y_t = step_armax(plant, y_hist=(1.0,), u_hist=(2.0, 0.2), w_hist=(0.4, 1.0))
+    y_t = next_output(form, [1.0], [0.2, 2.0], [1.0, 0.4])
     assert y_t == pytest.approx(2.3, abs=1e-15)
 
 
@@ -62,10 +75,10 @@ def test_step_statespace_hand_value():
     )
     x = np.array([2.0, 1.0])
     u = np.array([1.0, 1.5])
-    w = np.array([0.1, -0.1])
-    out = step_statespace(plant, x, u, w)
-    # A x = (1.0, 0.6); B u = (1.0, 3.0); + w
-    np.testing.assert_allclose(out, [2.1, 3.5], atol=1e-15)
+    # A x = (1.0, 0.6); B u = (1.0, 3.0); + w = (0.1, -0.1)
+    x_next = np.array([2.1, 3.5])
+    r = innovations(plant.kernel, np.array([x, x_next]), np.array([u, u]))
+    np.testing.assert_allclose(r[0], [0.1, -0.1], atol=1e-15)
 
 
 def test_observe_partial_hand_value():
@@ -73,19 +86,18 @@ def test_observe_partial_hand_value():
         A=np.array([[0.9]]), B=np.array([1.0]), C=np.array([2.0]),
         sigma_w2=1.0, sigma_n2=1.0,
     )
-    assert observe_partial(plant, np.array([1.5]), n=0.25) == pytest.approx(3.25)
+    form = plant.kernel
+    assert isinstance(form, StateSpaceForm) and form.B.shape == (1, 1)
+    assert (form.sigma_n2, form.n_inputs, form.start) == (1.0, 1, 1)
+    assert float(form.C @ np.array([1.5])) + 0.25 == pytest.approx(3.25)
 
 
 def test_step_scalar_rejects_nonfinite():
-    plant = ScalarPlant(a=0.5, b=1.0, sigma_w2=1.0)
-    with pytest.raises(ValueError, match="non-finite"):
-        step_scalar(plant, float("nan"), 0.0, 0.0)
-
-
-def test_step_arx_rejects_short_history():
-    plant = ArxPlant(a_coeffs=(0.5, 0.1), b_coeffs=(1.0,), sigma_w2=1.0)
-    with pytest.raises(ValueError, match="history too short"):
-        step_arx(plant, y_hist=(1.0,), u_hist=(1.0,), w=0.0)
+    """A non-finite step value fails the kernel recursion check on import."""
+    trace = run_scenario(make_scenario(horizon=50))
+    trace.y[10] = float("nan")
+    with pytest.raises(ValueError, match="self-check"):
+        _self_check(trace)
 
 
 # ---------------------------------------------------------------------------
@@ -96,9 +108,9 @@ def test_step_arx_rejects_short_history():
 @given(x1=finite, x2=finite, u1=finite, u2=finite, w1=finite, w2=finite)
 @settings(max_examples=50)
 def test_step_scalar_superposition(x1, x2, u1, u2, w1, w2):
-    plant = ScalarPlant(a=0.7, b=-1.3, sigma_w2=1.0)
-    lhs = step_scalar(plant, x1 + x2, u1 + u2, w1 + w2)
-    rhs = step_scalar(plant, x1, u1, w1) + step_scalar(plant, x2, u2, w2)
+    form = ScalarPlant(a=0.7, b=-1.3, sigma_w2=1.0).kernel
+    lhs = next_output(form, [x1 + x2], [u1 + u2], [0.0, w1 + w2])
+    rhs = next_output(form, [x1], [u1], [0.0, w1]) + next_output(form, [x2], [u2], [0.0, w2])
     assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-6)
 
 
@@ -109,9 +121,9 @@ def test_step_scalar_superposition(x1, x2, u1, u2, w1, w2):
 )
 @settings(max_examples=50)
 def test_step_arx_homogeneity(y, u, scale):
-    plant = ArxPlant(a_coeffs=(0.4, 0.2), b_coeffs=(1.0, 0.5), sigma_w2=1.0)
-    scaled = step_arx(plant, [scale * v for v in y], [scale * v for v in u], 0.0)
-    base = step_arx(plant, y, u, 0.0)
+    form = ArxPlant(a_coeffs=(0.4, 0.2), b_coeffs=(1.0, 0.5), sigma_w2=1.0).kernel
+    scaled = next_output(form, [scale * v for v in y], [scale * v for v in u], [0.0] * 3)
+    base = next_output(form, y, u, [0.0] * 3)
     assert scaled == pytest.approx(scale * base, rel=1e-9, abs=1e-6)
 
 
@@ -122,15 +134,13 @@ def test_step_arx_homogeneity(y, u, scale):
 )
 @settings(max_examples=50)
 def test_armax_with_white_c_reduces_to_arx(y, u, w):
-    """c = (1,) and delay 1 make the ARMAX step the ARX step exactly."""
+    """c = (1,) and delay 1 make the ARMAX recursion the ARX one exactly."""
     armax = ArmaxPlant(
         a_coeffs=(0.5,), b_coeffs=(1.0, 0.5), c_coeffs=(1.0,), delay=1, sigma_w2=1.0
-    )
-    arx = ArxPlant(a_coeffs=(0.5,), b_coeffs=(1.0, 0.5), sigma_w2=1.0)
-    # same math, different accumulation order -> equal to the last few ulps
-    assert step_armax(armax, y, u, (w,)) == pytest.approx(
-        step_arx(arx, y, u, w), rel=1e-12, abs=1e-9
-    )
+    ).kernel
+    arx = ArxPlant(a_coeffs=(0.5,), b_coeffs=(1.0, 0.5), sigma_w2=1.0).kernel
+    assert (armax.a, armax.b, armax.c, armax.delay) == (arx.a, arx.b, arx.c, arx.delay)
+    assert next_output(armax, y, u, [0.0, w]) == next_output(arx, y, u, [0.0, w])
 
 
 # ---------------------------------------------------------------------------

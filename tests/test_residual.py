@@ -10,19 +10,14 @@ from dynwatermark.linsys import (
     MimoPlant,
     PartialPlant,
     ScalarPlant,
-    step_arx,
 )
 from dynwatermark.residual import (
-    ArmaxFilterState,
-    KalmanState,
-    armax_filter_step,
-    arx_residual,
+    innovations,
     kalman_design,
-    kalman_step,
-    mimo_residual,
-    scalar_residual,
+    lag_filter,
+    prediction_errors,
 )
-from dynwatermark.watermark import armax_shape, make_shaper_state, pre_equalize
+from dynwatermark.watermark import shape
 
 
 # ---------------------------------------------------------------------------
@@ -31,15 +26,15 @@ from dynwatermark.watermark import armax_shape, make_shaper_state, pre_equalize
 
 
 def test_scalar_residual_hand_value():
-    plant = ScalarPlant(a=0.5, b=1.0, sigma_w2=1.0)
-    pair = scalar_residual(plant, z_prev=1.0, z_next=2.0, g_val=1.0, e_val=0.5)
-    assert pair.r_raw == pytest.approx(0.5)   # 2 - 0.5 - 1
-    assert pair.r_wm == pytest.approx(0.0)    # 0.5 - 1*0.5
+    form = ScalarPlant(a=0.5, b=1.0, sigma_w2=1.0).kernel
+    r_raw = prediction_errors(form, np.array([1.0, 2.0]), np.array([1.0, 0.0]))[1]
+    assert r_raw == pytest.approx(0.5)                   # 2 - 0.5 - 1
+    assert r_raw - form.gain * 0.5 == pytest.approx(0.0)  # 0.5 - 1*0.5
 
 
 def test_arx_residual_recovers_watermark_plus_noise():
-    """Simulate with the plant step (one route), recover b0 e + w with the
-    residual (independent route)."""
+    """Simulate with an explicit recursion (one route), recover b0 e + w with
+    the prediction-error filter (independent route)."""
     plant = ArxPlant(a_coeffs=(0.7, 0.2), b_coeffs=(1.0, 0.5), sigma_w2=1.0)
     rng = np.random.default_rng(5)
     p, h = 2, 1
@@ -47,26 +42,19 @@ def test_arx_residual_recovers_watermark_plus_noise():
     e = rng.normal(size=T)
     w = rng.normal(size=T)
     g = rng.normal(size=T)  # arbitrary nominal inputs
-    sh = make_shaper_state(plant.b_coeffs)
-    y = [0.0] * (T + 1)
-    u = [0.0] * T
+    u = g + shape(e, plant.b_coeffs)
+    y = np.zeros(T + 1)
     for t in range(T):
-        u[t] = g[t] + pre_equalize(sh, plant.b_coeffs, e[t])
-        y_hist = [y[t - m] if t - m >= 0 else 0.0 for m in range(p)]
-        u_hist = [u[t - r] if t - r >= 0 else 0.0 for r in range(h + 1)]
-        y[t + 1] = step_arx(plant, y_hist, u_hist, w[t])
-    for k in range(p, T - 1):
-        z_hist = [y[k + 1 - j] for j in range(p + 2)]
-        g_hist = [g[k - r] for r in range(h + 1)]
-        pair = arx_residual(plant, z_hist, g_hist, e[k])
-        assert pair.r_raw == pytest.approx(plant.b_coeffs[0] * e[k] + w[k], abs=1e-9)
-        assert pair.r_wm == pytest.approx(w[k], abs=1e-9)
-
-
-def test_arx_residual_rejects_short_history():
-    plant = ArxPlant(a_coeffs=(0.7, 0.2), b_coeffs=(1.0, 0.5), sigma_w2=1.0)
-    with pytest.raises(ValueError, match="history"):
-        arx_residual(plant, (1.0, 2.0), (0.0, 0.0), 0.0)
+        acc = w[t]
+        for m in range(p):
+            acc -= plant.a_coeffs[m] * (y[t - m] if t - m >= 0 else 0.0)
+        for r in range(h + 1):
+            acc += plant.b_coeffs[r] * (u[t - r] if t - r >= 0 else 0.0)
+        y[t + 1] = acc
+    r_raw = prediction_errors(plant.kernel, y, np.append(g, 0.0))
+    # r_raw[k+1] = b0 e[k] + w[k]
+    np.testing.assert_allclose(r_raw[1:], plant.b_coeffs[0] * e + w, atol=1e-9)
+    np.testing.assert_allclose(r_raw[1:] - plant.kernel.gain * e, w, atol=1e-9)
 
 
 def test_mimo_residual_recovers_watermark_plus_noise():
@@ -81,8 +69,8 @@ def test_mimo_residual_recovers_watermark_plus_noise():
     e = rng.normal(size=2)
     w = rng.normal(size=2)
     x_next = plant.A @ x + plant.B @ (g + e) + w
-    r = mimo_residual(plant, x, x_next, g)
-    np.testing.assert_allclose(r, plant.B @ e + w, atol=1e-12)
+    r = innovations(plant.kernel, np.array([x, x_next]), np.array([g, g]))
+    np.testing.assert_allclose(r[0], plant.B @ e + w, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -123,12 +111,7 @@ def test_armax_filter_matches_reference_recursion():
     def g_hist(t):
         return [ug[t - l - k] if t - l - k >= 0 else 0.0 for k in range(h + 1)]
 
-    state = ArmaxFilterState(plant)
-    got = []
-    for t in range(T):
-        val, pair = armax_filter_step(state, z[t], g_hist(t), e_lag=0.0)
-        assert pair.r_raw == val
-        got.append(val)
+    got = prediction_errors(plant.kernel, z, ug)
     expect = reference_armax_filter(plant, z, [g_hist(t) for t in range(T)], None)
     np.testing.assert_allclose(got, expect, atol=1e-12)
 
@@ -145,9 +128,8 @@ def test_armax_filter_exact_on_honest_plant():
     e = rng.normal(size=T)
     w = rng.normal(size=T)
     a, b, c, l = plant.a_coeffs, plant.b_coeffs, plant.c_coeffs, plant.delay
-    sh = make_shaper_state(b, c)
+    u = shape(e, b, c, 1.0)  # zero nominal input
     y = np.zeros(T)
-    u = np.zeros(T)
     for t in range(T):
         acc = 0.0
         for k, ak in enumerate(a):
@@ -160,17 +142,12 @@ def test_armax_filter_exact_on_honest_plant():
             if t - k >= 0:
                 acc += ck * w[t - k]
         y[t] = acc
-        u[t] = armax_shape(sh, b, c, e[t])  # zero nominal input
-    state = ArmaxFilterState(plant)
-    errs = []
-    for t in range(T):
-        e_lag = e[t - l] if t - l >= 0 else 0.0
-        val, pair = armax_filter_step(state, y[t], [0.0] * (len(b)), e_lag)
-        lam = w[t] + (e[t - l] if t - l >= 0 else 0.0)
-        errs.append(abs(val - lam))
-        # the wm-removed residual is then exactly the process noise
-        assert pair.r_wm == pytest.approx(w[t], abs=1e-9)
-    assert max(errs[plant.order_b + l :]) < 1e-9
+    form = plant.kernel
+    zt = prediction_errors(form, y, np.zeros(T))
+    e_lag = lag_filter((1.0,), e, l)
+    np.testing.assert_allclose(zt, w + e_lag, atol=1e-9)
+    # the wm-removed residual is then exactly the process noise
+    np.testing.assert_allclose(zt - form.gain * e_lag, w, atol=1e-9)
 
 
 def test_armax_filter_burn_in():
@@ -178,7 +155,7 @@ def test_armax_filter_burn_in():
         a_coeffs=(0.5, 0.1), b_coeffs=(1.0, 0.5), c_coeffs=(1.0, 0.3),
         delay=3, sigma_w2=1.0,
     )
-    assert ArmaxFilterState(plant).burn_in == max(2, 1 + 3, 1)
+    assert plant.kernel.burn_in == max(2, 1 + 3, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -262,15 +239,33 @@ def test_kalman_step_hand_value():
     """A = 0 design: x_pred = B(g+e), innovation = z - C x_pred, q = K nu."""
     plant = make_siso(0.0, [1.0], [1.0])
     design = kalman_design(plant)
-    state = KalmanState.at_rest(plant)
-    nu, q = kalman_step(state, design, z_next=2.0, g_val=0.0, e_val=0.0)
-    assert nu == pytest.approx(2.0, abs=1e-12)
-    assert float(q[0]) == pytest.approx(1.0, abs=1e-12)
-    assert float(state.xhat[0]) == pytest.approx(1.0, abs=1e-12)
+    q = innovations(plant.kernel, np.array([0.0, 2.0]), np.array([0.0, 0.0]))
+    assert float(q[0, 0]) == pytest.approx(design.K[0] * 2.0, abs=1e-12)
+    assert float(q[0, 0]) == pytest.approx(1.0, abs=1e-12)
     # watermark enters the prediction: same report, excited input
-    state2 = KalmanState.at_rest(plant)
-    nu2, _ = kalman_step(state2, design, z_next=2.0, g_val=0.0, e_val=0.5)
-    assert nu2 == pytest.approx(1.5, abs=1e-12)
+    q2 = innovations(plant.kernel, np.array([0.0, 2.0]), np.array([0.5, 0.0]))
+    assert float(q2[0, 0]) / design.K[0] == pytest.approx(1.5, abs=1e-12)
+
+
+def reference_kalman(plant, design, z, u):
+    """Per-step filter written independently (oracle route): returns nu."""
+    xhat = np.zeros(plant.dim)
+    nus = np.empty(len(z) - 1)
+    for k in range(len(z) - 1):
+        x_pred = plant.A @ xhat + plant.B * u[k]
+        nus[k] = z[k + 1] - float(plant.C @ x_pred)
+        xhat = x_pred + design.K * nus[k]
+    return nus
+
+
+def test_kalman_innovations_match_reference_filter():
+    plant = make_siso([[0.9, 1.0], [0.0, 0.8]], [1.0, 0.5], [1.0, 0.0])
+    design = kalman_design(plant)
+    rng = np.random.default_rng(13)
+    z, u = rng.normal(size=300), rng.normal(size=300)
+    q = innovations(plant.kernel, z, u)
+    np.testing.assert_allclose(q, np.outer(reference_kalman(plant, design, z, u), design.K),
+                               rtol=0, atol=1e-12)
 
 
 def test_kalman_innovations_variance_on_honest_run():
@@ -279,15 +274,13 @@ def test_kalman_innovations_variance_on_honest_run():
     design = kalman_design(plant)
     rng = np.random.default_rng(12)
     T = 60_000
-    x = np.zeros(1)
-    state = KalmanState.at_rest(plant)
-    nus = np.empty(T)
-    for t in range(T):
-        u = float(rng.normal(scale=0.5))
-        x_next = plant.A @ x + plant.B * u + rng.normal(size=1)
-        y_next = float(plant.C @ x_next) + float(rng.normal())
-        nus[t], _ = kalman_step(state, design, y_next, u, 0.0)
-        x = x_next
+    u = rng.normal(scale=0.5, size=T)
+    w = rng.normal(size=T)
+    x = lag_filter((1.0,), u + w, 1)  # x[t] = 0.9 x[t-1] + u[t-1] + w[t-1]
+    for t in range(1, T):
+        x[t] += 0.9 * x[t - 1]
+    y = x + rng.normal(size=T)
+    nus = innovations(plant.kernel, y, u)[:, 0] / design.K[0]
     assert float(np.mean(nus[100:] ** 2)) == pytest.approx(design.sigma_R2, rel=0.03)
 
 

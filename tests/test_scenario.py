@@ -1,3 +1,5 @@
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -251,6 +253,73 @@ def test_mimo_linear_gain_shape_is_checked_at_load():
         base_dict(plant=wide, policy={"kind": "linear", "f": [[0.1, 0.0]] * 3})
     )
     assert np.shape(cfg.policy.f) == (3, 2)
+
+
+def test_ragged_mimo_gain_names_its_field():
+    mimo = {"kind": "mimo", "A": [[0.5, 0.1], [0.0, 0.4]],
+            "B": [[1.0, 0.0], [0.2, 1.0]], "sigma_w2": 1.0}
+    err = expect_error("policy.f", plant=mimo,
+                       policy={"kind": "linear", "f": [[1.0, 2.0], [3.0]]})
+    assert "(2, 2)" in str(err)
+    expect_error("policy.f", plant=mimo,
+                 policy={"kind": "linear", "f": [[0.1, "x"], [0.0, 0.1]]})
+    expect_error("policy.f", plant=mimo,
+                 policy={"kind": "linear", "f": [[0.1, float("nan")], [0.0, 0.1]]})
+
+
+def test_unstable_closed_loop_rejected_at_load():
+    # open loop a = 1.5 under the zero policy
+    err = expect_error("policy", plant={"kind": "scalar", "a": 1.5, "b": 1.0,
+                                        "sigma_w2": 1.0}, policy={"kind": "zero"})
+    assert "spectral radius 1.5 > 1" in str(err)
+    # ... which the right feedback gain stabilizes (radius |1.5 - 1.0| = 0.5)
+    scenario_from_dict(base_dict(plant={"kind": "scalar", "a": 1.5, "b": 1.0,
+                                        "sigma_w2": 1.0},
+                                 policy={"kind": "linear", "f": -1.0}))
+    expect_error("policy", policy={"kind": "linear", "f": 2.0})  # 0.5 + 2.0
+    # a MIMO gain that destabilizes a stable plant: eig(A + B F) includes 1.5
+    mimo = {"kind": "mimo", "A": [[0.5, 0.1], [0.0, 0.4]],
+            "B": [[1.0, 0.0], [0.0, 1.0]], "sigma_w2": 1.0}
+    err = expect_error("policy", plant=mimo,
+                       policy={"kind": "linear", "f": [[1.0, 0.0], [0.0, 0.0]]})
+    assert "unstable" in str(err)
+    # partial: A + f B C^T
+    partial = {"kind": "partial", "A": [[0.9]], "B": [1.0], "C": [1.0],
+               "sigma_w2": 1.0, "sigma_n2": 1.0}
+    detector = {"window_len": 100, "alpha": 0.01, "n_cal": 1000,
+                "tests": ["cross_corr"]}
+    expect_error("policy", plant=partial, detector=detector,
+                 policy={"kind": "linear", "f": 0.2})
+    scenario_from_dict(base_dict(plant=partial, detector=detector,
+                                 policy={"kind": "linear", "f": -1.5}))
+    # ARMAX: A(q) - f q^-delay B(q)
+    armax = {"kind": "armax", "a": [-1.2], "b": [1.0], "c": [1.0], "delay": 1,
+             "sigma_w2": 1.0}
+    expect_error("policy", plant=armax, policy={"kind": "zero"})
+    scenario_from_dict(base_dict(plant=armax, policy={"kind": "linear", "f": -0.8}))
+
+
+def test_linear_gain_of_a_siso_plant_is_a_number():
+    expect_error("policy.f", policy={"kind": "linear", "f": [-0.3]})
+    expect_error("policy.f", policy={"kind": "linear", "f": float("inf")})
+
+
+def test_shaper_must_fit_the_plant_at_load():
+    expect_error("watermark.shaper", watermark={"sigma_e2": 1.0, "shaper": "arx"})
+    expect_error(
+        "watermark.shaper",
+        plant={"kind": "arx", "a": [0.5], "b": [1.0, 0.5], "sigma_w2": 1.0},
+        watermark={"sigma_e2": 1.0, "shaper": "armax"},
+    )
+
+
+def test_every_shipped_scenario_has_a_stable_loop():
+    scenarios = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
+    for path in sorted(scenarios.glob("*.yaml")):
+        cfg = load_scenario(path)
+        if cfg.policy.kind != "arx_deadbeat":
+            f = 0.0 if cfg.policy.f is None else np.asarray(cfg.policy.f, dtype=float)
+            assert cfg.plant.build().kernel.closed_loop_radius(f) <= 0.9, path.name
 
 
 def test_build_attack_kinds():

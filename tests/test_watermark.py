@@ -6,20 +6,18 @@ from hypothesis import strategies as st
 from dynwatermark.watermark import (
     FAMILIES,
     WatermarkSpec,
-    armax_shape,
     draw_excitation,
     draw_iid,
-    make_shaper_state,
     match_distribution,
-    pre_equalize,
+    shape,
 )
 
 
 def run_shaper(b, e_seq, c=None):
-    state = make_shaper_state(b, c)
+    """Pre-equalizer (B s = b0 e) without c, ARMAX shaper (B s = C e) with it."""
     if c is None:
-        return [pre_equalize(state, b, e) for e in e_seq]
-    return [armax_shape(state, b, c, e) for e in e_seq]
+        return shape(np.asarray(e_seq), b).tolist()
+    return shape(np.asarray(e_seq), b, c, 1.0).tolist()
 
 
 # ---------------------------------------------------------------------------
