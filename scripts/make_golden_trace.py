@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Regenerate the stored reference traces in tests/data/.
+"""Regenerate, or check, the stored reference traces in tests/data/.
 
 * golden_scalar_trace.csv: the scalar loop of ``golden_config``, compared
   byte for byte by the test suite;
@@ -7,11 +7,20 @@
   (``reference_configs``), compared column by column within 1e-12 of each
   column's scale.
 
-Only needed when the trace format itself changes; bump TRACE_SCHEMA_VERSION
-and rerun this, then eyeball the diff before committing.
+    python scripts/make_golden_trace.py          # rewrite the files
+    python scripts/make_golden_trace.py --check  # compare, write nothing there
+
+Rewriting is only needed when the trace format itself changes; bump
+TRACE_SCHEMA_VERSION and rerun this, then eyeball the diff before
+committing.  ``--check`` exports each trace into a temporary directory and
+prints, per file, whether it is byte-identical to the stored one; it exits 1
+if any file differs or is missing.
 """
+import argparse
+import filecmp
 import pathlib
 import sys
+import tempfile
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tests"))
 
@@ -19,12 +28,41 @@ from test_harness import golden_config, reference_configs  # noqa: E402
 
 from dynwatermark.harness import export_trace, run_scenario  # noqa: E402
 
-out = pathlib.Path(__file__).resolve().parent.parent / "tests" / "data"
-out.mkdir(exist_ok=True)
-targets = {"golden_scalar_trace.csv": golden_config()}
-for kind, cfg in reference_configs().items():
-    targets[f"reference_{kind}_trace.csv"] = cfg
-for name, cfg in targets.items():
-    path = out / name
-    export_trace(run_scenario(cfg), path)
-    print(f"wrote {path}")
+DATA = pathlib.Path(__file__).resolve().parent.parent / "tests" / "data"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--check", action="store_true",
+        help="compare fresh exports with tests/data/ instead of rewriting it",
+    )
+    args = parser.parse_args(argv)
+    targets = {"golden_scalar_trace.csv": golden_config()}
+    for kind, cfg in reference_configs().items():
+        targets[f"reference_{kind}_trace.csv"] = cfg
+    if not args.check:
+        DATA.mkdir(exist_ok=True)
+        for name, cfg in targets.items():
+            export_trace(run_scenario(cfg), DATA / name)
+            print(f"wrote {DATA / name}")
+        return 0
+    differing = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, cfg in targets.items():
+            fresh = pathlib.Path(tmp) / name
+            export_trace(run_scenario(cfg), fresh)
+            stored = DATA / name
+            if not stored.is_file():
+                verdict = "missing"
+            elif filecmp.cmp(fresh, stored, shallow=False):
+                verdict = "identical"
+            else:
+                verdict = "differs"
+            differing += verdict != "identical"
+            print(f"{name}: {verdict}")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

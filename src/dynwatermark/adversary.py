@@ -16,7 +16,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .linsys import LagForm
+from .linsys import LagForm, advance, dot
 from .watermark import draw_iid
 
 __all__ = [
@@ -128,7 +128,7 @@ class NoiseSimAttack(AttackStrategy):
 
     def reset(self) -> None:
         self._w_hist: list[float] = []
-        self._x_sim: np.ndarray | None = None
+        self._x_sim: list[float] | None = None
 
     def _attack(self, view: SensorView):
         form = view.plant.kernel
@@ -148,20 +148,17 @@ class NoiseSimAttack(AttackStrategy):
                 acc += ck * wk
             return acc
         # A measured state restarts from the last report; a hidden one runs
-        # on the attacker's own copy.
-        w = draw_iid(view.w_family, form.sigma_w2, rng, form.A.shape[0])
+        # on the attacker's own copy, in Python floats like the plant's loop.
+        p = form.A.shape[0]
+        w = draw_iid(view.w_family, form.sigma_w2, rng, p)
         if form.C is None:
             x = np.asarray(z[t - 1], dtype=float)
-        elif self._x_sim is None:
-            x = np.zeros(form.A.shape[0])
-        else:
-            x = self._x_sim
-        x = form.A @ x + form.B @ np.atleast_1d(np.asarray(u_g[t - 1], dtype=float)) + w
-        if form.C is None:
-            return x
-        self._x_sim = x
-        n = float(draw_iid("gaussian", form.sigma_n2, rng))
-        return float(form.C @ x + n)
+            u = np.atleast_1d(np.asarray(u_g[t - 1], dtype=float))
+            return form.A @ x + form.B @ u + w
+        rows, b, c = form.float_rows
+        x = self._x_sim or [0.0] * p
+        x = self._x_sim = advance(rows, b, x, float(u_g[t - 1]), w.tolist())
+        return dot(c, x) + float(draw_iid("gaussian", form.sigma_n2, rng))
 
 
 def _past(seq, i: int) -> float:

@@ -28,6 +28,7 @@ from .scenario import (
     load_scenario,
     save_scenario,
     scenario_from_dict,
+    scenario_sha256,
 )
 
 __all__ = ["main"]
@@ -52,9 +53,16 @@ def _cmd_run(args) -> int:
     save_scenario(config, out_dir / "scenario.yaml")
     report = oracle_metrics(trace)
     (out_dir / "report.json").write_text(report.to_json() + "\n", encoding="utf-8")
+    # Hash the scenario as `report` will read it back from the run directory.
+    provenance = {
+        "scenario_sha256": scenario_sha256(load_scenario(out_dir / "scenario.yaml")),
+        "calibration_seed": seed,
+    }
+    stored = {
+        name: {**th, **provenance} for name, th in _thresholds_dict(trace.thresholds).items()
+    }
     (out_dir / "thresholds.json").write_text(
-        json.dumps(_thresholds_dict(trace.thresholds), indent=2) + "\n",
-        encoding="utf-8",
+        json.dumps(stored, indent=2) + "\n", encoding="utf-8"
     )
     print(f"run written to {out_dir}")
     print(report.to_json())
@@ -111,11 +119,11 @@ def _cmd_report(args) -> int:
         raise FileNotFoundError(f"{run_dir} is not a run directory")
     config = load_scenario(scen_path)
     trace = import_trace(trace_path, config)
+    channels = trace.channel_names
+    bands = _threshold_bands(run_dir, config, trace.seed, channels) if channels else {}
     report = oracle_metrics(trace)
     (run_dir / "report.json").write_text(report.to_json() + "\n", encoding="utf-8")
-    channels = trace.channel_names
     if channels:
-        bands = _threshold_bands(run_dir, config, trace.seed)
         header = ["end_t"] + channels
         for ch in channels:
             header += [f"{ch}_hi", f"{ch}_lo"]
@@ -133,12 +141,30 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _threshold_bands(run_dir: Path, config, seed) -> dict:
-    """(hi, lo) per channel, from the run's thresholds.json if present."""
+def _threshold_bands(run_dir: Path, config, seed, channels) -> dict:
+    """(hi, lo) per channel, from the run's thresholds.json if present.
+
+    Stored thresholds must cover ``channels`` and carry the hash of the run's
+    scenario.yaml."""
     path = run_dir / "thresholds.json"
     if path.is_file():
         stored = json.loads(path.read_text(encoding="utf-8"))
-        return {name: (th["hi"], th.get("lo")) for name, th in stored.items()}
+        try:
+            bands = {name: (th["hi"], th.get("lo")) for name, th in stored.items()}
+            hashes = {name: th.get("scenario_sha256") for name, th in stored.items()}
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise ValueError(f"{path} is not a map from channel to thresholds") from exc
+        missing = sorted(set(channels) - set(bands))
+        if missing:
+            raise ValueError(f"{path} lacks channels {missing}")
+        digest = scenario_sha256(config)
+        for name, got in hashes.items():
+            if got != digest:
+                raise ValueError(
+                    f"{path} does not belong to {run_dir / 'scenario.yaml'}: channel "
+                    f"{name} records scenario_sha256 {got}, the scenario hashes to {digest}"
+                )
+        return bands
     fresh = calibrate_detector(config, seed=seed)
     return {name: (th.hi, th.lo) for name, th in fresh.items()}
 

@@ -26,7 +26,7 @@ import numpy as np
 from . import detect as _detect
 from .adversary import SensorView
 from .detect import ResidualNull, Threshold
-from .linsys import LagForm
+from .linsys import LagForm, advance, dot
 from .residual import innovations, kalman_design, lag_filter, prediction_errors
 from .scenario import (
     ScenarioConfig,
@@ -225,8 +225,10 @@ def _simulate_lag(form: LagForm, plant, policy, attack, wm, w_family, streams, T
 def _simulate_ss(form, plant, policy, attack, wm, w_family, streams, T):
     """Closed loop of a state-space plant.
 
-    A measured state is reported as a vector and the inputs are m-vectors;
-    a noisy scalar output y = C x + n and its single input are floats.
+    A measured state is reported as a vector and the inputs are m-vectors,
+    so that loop steps numpy arrays.  A noisy scalar output y = C x + n and
+    its single input are floats, and that loop steps lists of Python floats
+    (:func:`.linsys.advance`).
     """
     A, B, C = form.A, form.B, form.C
     p = A.shape[0]
@@ -235,17 +237,7 @@ def _simulate_ss(form, plant, policy, attack, wm, w_family, streams, T):
     e = np.column_stack(
         [draw_iid(wm.family, wm.sigma_e2, rng, T) for rng in streams.excitation]
     )
-    if C is None:
-        n = None
-        cast = partial(np.asarray, dtype=float)
-        e_l = list(e)
-    else:
-        n = np.asarray(draw_iid("gaussian", form.sigma_n2, streams.measurement, T))
-        n_l = n.tolist()
-        cast = float
-        e = e[:, 0]
-        e_l = e.tolist()
-    x_hist = np.zeros((T, p))
+    x_l: list = [None] * T
     y_l: list = [None] * T
     z_l: list = [None] * T
     ug_l: list = [None] * T
@@ -253,17 +245,36 @@ def _simulate_ss(form, plant, policy, attack, wm, w_family, streams, T):
     view = SensorView(0, y_l, z_l, ug_l, plant, wm.sigma_e2, wm.family, w_family)
     report = attack.report
     step = policy.step
-    x = np.zeros(p)
     last = T - 1
-    for t in range(T):
-        x_hist[t] = x
-        y_l[t] = x if C is None else float(C @ x) + n_l[t]
-        view.t = t
-        z = z_l[t] = cast(report(view))
-        g = ug_l[t] = cast(step(z))
-        u = u_l[t] = g + e_l[t]
-        if t < last:
-            x = A @ x + B @ np.atleast_1d(u) + w[t + 1]
+    if C is None:
+        n = None
+        cast = partial(np.asarray, dtype=float)
+        e_l = list(e)
+        x = np.zeros(p)
+        for t in range(T):
+            x_l[t] = y_l[t] = x
+            view.t = t
+            z = z_l[t] = cast(report(view))
+            g = ug_l[t] = cast(step(z))
+            u = u_l[t] = g + e_l[t]
+            if t < last:
+                x = A @ x + B @ u + w[t + 1]
+    else:
+        n = np.asarray(draw_iid("gaussian", form.sigma_n2, streams.measurement, T))
+        e = e[:, 0]
+        rows, b, c = form.float_rows
+        n_l, e_l, w_l = n.tolist(), e.tolist(), w.tolist()
+        x = [0.0] * p
+        for t in range(T):
+            x_l[t] = x
+            y_l[t] = dot(c, x) + n_l[t]
+            view.t = t
+            z = z_l[t] = float(report(view))
+            g = ug_l[t] = float(step(z))
+            u = u_l[t] = g + e_l[t]
+            if t < last:
+                x = advance(rows, b, x, u, w_l[t + 1])
+    x_hist = np.array(x_l)
     y = x_hist if C is None else np.asarray(y_l)
     return dict(
         x=x_hist, y=y, z=np.asarray(z_l), u_g=np.asarray(ug_l), u=np.asarray(u_l),
@@ -532,7 +543,12 @@ def stat_series(trace: Trace, channel: str) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def _trace_columns(trace: Trace) -> list[tuple[str, np.ndarray]]:
+def _step_columns(trace: Trace) -> list[tuple[str, list[str]]]:
+    """(header name, cell texts) of the per-step columns.
+
+    Each distinct array is formatted once: ``e_shaped`` is ``e_raw`` itself
+    when nothing shapes the excitation.
+    """
     # A measured output is written once: as y when it is the scalar output of
     # a lag-polynomial plant, as x when it is the state vector.
     if trace.x.ndim == 1:
@@ -542,13 +558,17 @@ def _trace_columns(trace: Trace) -> list[tuple[str, np.ndarray]]:
     names += ["z", "u_g", "u", "e_raw", "e_shaped", "w"]
     if trace.n is not None:
         names.append("n")
-    cols: list[tuple[str, np.ndarray]] = []
+    texts: dict[int, list[list[str]]] = {}
+    cols: list[tuple[str, list[str]]] = []
     for name in names:
         arr = getattr(trace, name)
+        if id(arr) not in texts:
+            cells = np.atleast_2d(arr.T).astype(float).tolist()
+            texts[id(arr)] = [list(map(float.__repr__, col)) for col in cells]
         if arr.ndim == 1:
-            cols.append((name, arr))
+            cols.append((name, texts[id(arr)][0]))
         else:
-            cols.extend((f"{name}_{j}", arr[:, j]) for j in range(arr.shape[1]))
+            cols.extend((f"{name}_{j}", text) for j, text in enumerate(texts[id(arr)]))
     return cols
 
 
@@ -561,7 +581,7 @@ def export_trace(trace: Trace, path) -> None:
     carries the schema metadata needed to re-import standalone.
     """
     T = trace.horizon
-    cols = _trace_columns(trace)
+    cols = _step_columns(trace)
     channels = trace.channel_names
     l = trace.config.detector.window_len
     window_id = ["-1"] * T
@@ -583,14 +603,21 @@ def export_trace(trace: Trace, path) -> None:
         f"plant={trace.config.plant.kind} residual_start={trace.residual_start} "
         f"burn_in={trace.burn_in}"
     )
-    columns = (
-        [[str(t) for t in range(T)]]
-        + [[repr(float(v)) for v in arr.tolist()] for _, arr in cols]
-        + [window_id, *stat_text, alarm_text]
-    )
+    columns = [
+        list(map(str, range(T))), *(text for _, text in cols),
+        window_id, *stat_text, alarm_text,
+    ]
+    # Cells, lines and the text each hold the whole file: free each stage
+    # before the next one is built.
+    del cols
+    lines = [meta, ",".join(header)]
+    lines += map(",".join, zip(*columns))
+    del columns
+    lines.append("")
+    text = "\n".join(lines)
+    del lines
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(meta + "\n" + ",".join(header) + "\n")
-        fh.writelines(",".join(row) + "\n" for row in zip(*columns))
+        fh.write(text)
 
 
 def import_trace(path, config: ScenarioConfig) -> Trace:
@@ -605,7 +632,7 @@ def import_trace(path, config: ScenarioConfig) -> Trace:
         if not meta_line.startswith("# dynwatermark-trace "):
             raise ValueError(f"{path} is not a trace export")
         header = fh.readline().strip().split(",")
-        numbered = [(k, ln.rstrip("\n").split(",")) for k, ln in enumerate(fh, 3) if ln.strip()]
+        lines = fh.read().split("\n")
     meta = dict(item.split("=", 1) for item in meta_line[2:].split()[1:] if "=" in item)
     absent = sorted(_META_KEYS - set(meta))
     if absent:
@@ -617,26 +644,36 @@ def import_trace(path, config: ScenarioConfig) -> Trace:
             f"trace was recorded for a {meta['plant']} plant, "
             f"scenario has {config.plant.kind}"
         )
-    for k, row in numbered:
-        if len(row) != len(header):
-            raise ValueError(f"{path} line {k}: expected {len(header)} fields, got {len(row)}")
-    if len(numbered) != config.horizon:
+    K = len(header)
+    for k, ln in enumerate(lines, 3):
+        if ln.count(",") != K - 1 and ln.strip():
+            raise ValueError(f"{path} line {k}: expected {K} fields, got {ln.count(',') + 1}")
+    # Lines, the joined body and its fields each hold the whole file: free
+    # each stage once the next one is built.
+    rows = [ln for ln in lines if ln.strip()]
+    del lines
+    if len(rows) != config.horizon:
         raise ValueError(
-            f"trace has {len(numbered)} steps, scenario horizon is {config.horizon}"
+            f"trace has {len(rows)} steps, scenario horizon is {config.horizon}"
         )
-    by_name = dict(zip(header, zip(*(row for _, row in numbered))))
+    # Every row has K fields, so field j of row t is flat[t*K + j].
+    body = ",".join(rows)
+    del rows
+    flat = body.split(",")
+    del body
+    index = {name: j for j, name in enumerate(header)}
 
     def gather(name: str) -> np.ndarray | None:
-        if name in by_name:
-            return np.array([float(v) for v in by_name[name]])
+        if name in index:
+            return np.array(flat[index[name] :: K], dtype=float)
         parts = []
-        while f"{name}_{len(parts)}" in by_name:
-            parts.append([float(v) for v in by_name[f"{name}_{len(parts)}"]])
-        return np.array(parts).T if parts else None
+        while f"{name}_{len(parts)}" in index:
+            parts.append(np.array(flat[index[f"{name}_{len(parts)}"] :: K], dtype=float))
+        return np.column_stack(parts) if parts else None
 
     data = {key: gather(key) for key in ("x", "y", "z", "u_g", "u", "e_raw", "e_shaped", "w", "n")}
     absent = [key for key in ("z", "u_g", "u", "e_raw", "e_shaped", "w") if data[key] is None]
-    absent += [key for key in ("window_id", "alarm") if key not in by_name]
+    absent += [key for key in ("window_id", "alarm") if key not in index]
     if data["x"] is None and data["y"] is None:
         absent.insert(0, "y")
     if absent:
@@ -646,20 +683,21 @@ def import_trace(path, config: ScenarioConfig) -> Trace:
     if data["y"] is None:
         data["y"] = data["x"]
     channels = [h[len("stat_") :] for h in header if h.startswith("stat_")]
-    window_id = [int(v) for v in by_name["window_id"]]
-    windows: list[WindowRecord] = []
     seen: dict[int, int] = {}
-    for t, wid in enumerate(window_id):
+    for t, wid in enumerate(map(int, flat[index["window_id"] :: K])):
         if wid >= 0:
             seen[wid] = t  # last row of the window wins
+    windows: list[WindowRecord] = []
     for wid in sorted(seen):
         end_t = seen[wid]
-        values = {ch: float(by_name[f"stat_{ch}"][end_t]) for ch in channels}
-        alarm = by_name["alarm"][end_t] == "1"
+        row = flat[end_t * K : (end_t + 1) * K]
+        values = {ch: float(row[index[f"stat_{ch}"]]) for ch in channels}
         # only the any-channel alarm flag is serialized
+        alarm = row[index["alarm"]] == "1"
         windows.append(
             WindowRecord(index=wid, end_t=end_t, values=values, alarmed={"any": alarm})
         )
+    del flat
     trace = Trace(
         config=config, seed=int(meta["seed"]), **data, windows=windows, thresholds={},
         residual_start=int(meta["residual_start"]), burn_in=int(meta["burn_in"]),

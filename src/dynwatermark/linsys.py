@@ -32,6 +32,8 @@ __all__ = [
     "MimoPlant",
     "LagForm",
     "StateSpaceForm",
+    "dot",
+    "advance",
     "check_min_phase",
     "ControlPolicy",
     "ZeroPolicy",
@@ -365,6 +367,30 @@ class StateSpaceForm:
         C_y = np.eye(len(self.A)) if self.C is None else self.C[None, :]
         F = np.broadcast_to(np.asarray(f, dtype=float), (self.n_inputs, len(C_y)))
         return float(np.max(np.abs(np.linalg.eigvals(self.A + self.B @ F @ C_y))))
+
+    @cached_property
+    def float_rows(self) -> tuple[list[list[float]], list[float], list[float]]:
+        """(rows of A, B's single column, C) as Python floats, for the
+        per-step loops of a noisy-output plant: at this size a numpy call
+        costs more than the arithmetic it does."""
+        return self.A.tolist(), self.B[:, 0].tolist(), self.C.tolist()
+
+
+def dot(row: Sequence[float], x: Sequence[float]) -> float:
+    """sum_j row[j]*x[j] on Python floats, added left to right."""
+    acc = row[0] * x[0]
+    for j in range(1, len(row)):
+        acc += row[j] * x[j]
+    return acc
+
+
+def advance(rows, b, x: list[float], u: float, w: Sequence[float]) -> list[float]:
+    """x' = A x + b u + w for one input, on the lists of
+    :attr:`StateSpaceForm.float_rows`.
+
+    With one state this is bit-equal to numpy's ``A @ x + B @ [u] + w``; with
+    more, numpy may round the row sums differently in the last bit."""
+    return [dot(row, x) + bi * u + wi for row, bi, wi in zip(rows, b, w)]
 
 
 # ---------------------------------------------------------------------------

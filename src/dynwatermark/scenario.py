@@ -8,6 +8,8 @@ carry the offending field path and render as a single line.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 from dataclasses import dataclass, field
 from typing import Any
@@ -29,6 +31,7 @@ __all__ = [
     "scenario_from_dict",
     "load_scenario",
     "save_scenario",
+    "scenario_sha256",
     "default_tests",
     "allowed_tests",
 ]
@@ -495,6 +498,12 @@ def save_scenario(config: ScenarioConfig, path) -> None:
         yaml.safe_dump(config.to_dict(), fh, sort_keys=False)
 
 
+def scenario_sha256(config: ScenarioConfig) -> str:
+    """SHA-256 of the canonical JSON (sorted keys) of ``config.to_dict()``."""
+    text = json.dumps(config.to_dict(), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 # ---------------------------------------------------------------------------
 # factories
 # ---------------------------------------------------------------------------
@@ -533,9 +542,11 @@ def resolve_watermark(config: ScenarioConfig) -> WatermarkSpec:
     wm = config.watermark
     if wm.family != "matched":
         return wm
-    # the loader admits 'matched' for lag-polynomial plants only: b0 is B(q^-1)'s lead
+    # The loader admits 'matched' for lag-polynomial plants only.  Their
+    # kernel's gain is what the shaped excitation reaches the prediction
+    # error with: b for scalar, b0 for ARX, 1 for ARMAX.
     family, variance = match_distribution(
-        (config.plant.w_family, config.plant.sigma_w2), config.plant.build().kernel.b[0]
+        (config.plant.w_family, config.plant.sigma_w2), config.plant.build().kernel.gain
     )
     # sigma_e2 is implied by matching; 0 means "compute for me", anything else
     # must agree with the implied value (a conflict is a config mistake).

@@ -44,9 +44,11 @@ def draw_iid(family: str, variance: float, rng: np.random.Generator, size=None):
 class WatermarkSpec:
     """Watermark configuration: excitation variance, family, and shaping mode.
 
-    ``family`` may be "matched", meaning: choose e so that b0*e has the same
-    distribution as the process noise (resolved against the plant via
-    :func:`match_distribution` before drawing).  ``shaper`` is "auto" (pick
+    ``family`` may be "matched", meaning: choose e so that gain*e has the
+    same distribution as the process noise, where gain is the plant kernel's
+    watermark gain (b for scalar, b0 for ARX, 1 for ARMAX, whose shaper
+    divides B out); it is resolved against the plant via
+    :func:`match_distribution` before drawing.  ``shaper`` is "auto" (pick
     per plant class), "none", "arx" (pre-equalizer) or "armax".
     """
 

@@ -1,12 +1,20 @@
 import json
+import pathlib
 
 import pytest
 import yaml
 
 from dynwatermark.cli import main
-from dynwatermark.scenario import save_scenario, scenario_from_dict
+from dynwatermark.scenario import (
+    load_scenario,
+    save_scenario,
+    scenario_from_dict,
+    scenario_sha256,
+)
 
 from conftest import make_scenario
+
+SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
 
 @pytest.fixture
@@ -155,6 +163,61 @@ def test_report_recalibrates_when_thresholds_file_missing(scenario_file, tmp_pat
     stats = (out_dir / "stats.csv").read_text().splitlines()
     row = dict(zip(stats[0].split(","), stats[1].split(",")))
     assert float(row["nll_hi"]) == stored["nll"]["hi"]
+
+
+def test_run_records_threshold_provenance(scenario_file, tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    run_cli(capsys, "run", "--scenario", str(scenario_file), "--out", str(out_dir),
+            "--seed", "11")
+    stored = json.loads((out_dir / "thresholds.json").read_text())
+    digest = scenario_sha256(load_scenario(out_dir / "scenario.yaml"))
+    assert set(stored) == {"variance_wm", "variance_raw", "cross_corr", "nll"}
+    for th in stored.values():
+        assert th["scenario_sha256"] == digest
+        assert th["calibration_seed"] == 11
+        assert isinstance(th["hi"], float)
+
+
+@pytest.mark.parametrize("edit", ["scenario", "entry", "channel"])
+def test_report_rejects_thresholds_of_another_scenario(edit, scenario_file, tmp_path,
+                                                       capsys):
+    out_dir = tmp_path / "out"
+    run_cli(capsys, "run", "--scenario", str(scenario_file), "--out", str(out_dir))
+    report = (out_dir / "report.json").read_text()
+    th_path = out_dir / "thresholds.json"
+    if edit == "scenario":
+        scen = out_dir / "scenario.yaml"
+        edited = yaml.safe_load(scen.read_text())
+        edited["detector"]["alpha"] = 0.02
+        scen.write_text(yaml.safe_dump(edited))
+        message = f"error: {th_path} does not belong to"
+    elif edit == "entry":
+        stored = json.loads(th_path.read_text())
+        stored["nll"] = [stored["nll"]["hi"]]
+        th_path.write_text(json.dumps(stored))
+        message = f"error: {th_path} is not a map from channel to thresholds"
+    else:
+        stored = json.loads(th_path.read_text())
+        del stored["nll"]
+        th_path.write_text(json.dumps(stored))
+        message = f"error: {th_path} lacks channels ['nll']"
+    code, out, err = run_cli(capsys, "report", "--run", str(out_dir))
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(message)
+    assert (out_dir / "report.json").read_text() == report
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in SCENARIOS.glob("*.yaml")))
+def test_run_then_report_on_shipped_scenario(name, tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    code, _, err = run_cli(
+        capsys, "run", "--scenario", str(SCENARIOS / f"{name}.yaml"), "--out", str(out_dir)
+    )
+    assert code == 0, err
+    code, _, err = run_cli(capsys, "report", "--run", str(out_dir))
+    assert code == 0, err
 
 
 def test_calibrate_alpha_and_ncal_overrides(scenario_file, capsys):

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import pathlib
 
@@ -8,6 +9,7 @@ from dynwatermark.harness import (
     Trace,
     _oracle_distortion,
     _residual_streams,
+    _Streams,
     calibrate_detector,
     export_trace,
     import_trace,
@@ -17,7 +19,8 @@ from dynwatermark.harness import (
     trace_equal,
 )
 from dynwatermark.linsys import PARTIAL_BURN_IN
-from dynwatermark.scenario import scenario_from_dict
+from dynwatermark.scenario import resolve_watermark, scenario_from_dict
+from dynwatermark.watermark import draw_iid
 
 from conftest import make_scenario
 
@@ -152,6 +155,81 @@ def test_seed_override_changes_realization():
 def test_determinism_all_classes(kind):
     cfg = all_class_configs()[kind]
     assert trace_equal(run_scenario(cfg), run_scenario(cfg))
+
+
+# ---------------------------------------------------------------------------
+# the float loop of a noisy-output plant against a per-step numpy reference
+# ---------------------------------------------------------------------------
+
+
+def numpy_partial_loop(cfg, seed):
+    """Closed loop of a partial plant stepped with numpy arrays, drawing the
+    same streams as the harness: (x, y, z, u_g, u)."""
+    form = cfg.plant.build().kernel
+    A, B, C = form.A, form.B, form.C
+    T, p = cfg.horizon, A.shape[0]
+    streams = _Streams(seed, 1)
+    wm = resolve_watermark(cfg)
+    w = np.asarray(draw_iid(cfg.plant.w_family, form.sigma_w2, streams.process, (T, p)))
+    w[0] = 0.0
+    e = np.asarray(draw_iid(wm.family, wm.sigma_e2, streams.excitation[0], T))
+    n = np.asarray(draw_iid("gaussian", form.sigma_n2, streams.measurement, T))
+    f = 0.0 if cfg.policy.kind == "zero" else float(cfg.policy.f)
+    attack = cfg.attack
+    first_replayed = (attack.onset or 0) - (attack.record_len or 0)
+    x, x_sim = np.zeros(p), np.zeros(p)
+    xs, ys, zs, ugs, us = [], [], [], [], []
+    for t in range(T):
+        xs.append(x)
+        ys.append(float(C @ x) + float(n[t]))
+        if attack.kind == "honest" or t < attack.onset:
+            zs.append(ys[t])
+        elif attack.kind == "replay":
+            zs.append(zs[first_replayed + (t - attack.onset) % attack.record_len])
+        else:  # noise_sim: the attacker's own copy of the loop, w' then n'
+            w_sim = draw_iid(cfg.plant.w_family, form.sigma_w2, streams.attack, p)
+            x_sim = A @ x_sim + B @ np.atleast_1d(ugs[t - 1]) + w_sim
+            n_sim = float(draw_iid("gaussian", form.sigma_n2, streams.attack))
+            zs.append(float(C @ x_sim + n_sim))
+        ugs.append(f * zs[t])
+        us.append(ugs[t] + float(e[t]))
+        if t < T - 1:
+            x = A @ x + B @ np.atleast_1d(us[t]) + w[t + 1]
+    return np.array(xs), *(np.array(v) for v in (ys, zs, ugs, us))
+
+
+PARTIAL_PLANTS = {
+    1: {"kind": "partial", "A": [[0.9]], "B": [1.0], "C": [1.0],
+        "sigma_w2": 1.0, "sigma_n2": 1.0},
+    2: {"kind": "partial", "A": [[0.9, 0.1], [0.0, 0.5]], "B": [1.0, 0.5],
+        "C": [1.0, 0.0], "sigma_w2": 1.0, "sigma_n2": 0.5},
+}
+PARTIAL_ATTACKS = {
+    "honest": {"kind": "honest"},
+    "replay": {"kind": "replay", "onset": 200, "record_len": 100},
+    "noise_sim": {"kind": "noise_sim", "onset": 200},
+}
+
+
+@pytest.mark.parametrize("policy", [{"kind": "zero"}, {"kind": "linear", "f": -0.3}],
+                         ids=["zero", "linear"])
+@pytest.mark.parametrize("attack", sorted(PARTIAL_ATTACKS))
+@pytest.mark.parametrize("p", [1, 2])
+def test_partial_loop_matches_numpy_reference(p, attack, policy):
+    cfg = make_scenario(
+        seed=9, horizon=400, plant=PARTIAL_PLANTS[p], policy=policy,
+        attack=PARTIAL_ATTACKS[attack],
+        detector={"window_len": 100, "alpha": 0.05, "n_cal": 200, "burn_in": 20},
+    )
+    trace = run_scenario(cfg)
+    got = (trace.x, trace.y, trace.z, trace.u_g, trace.u)
+    for name, a, b in zip(("x", "y", "z", "u_g", "u"), got, numpy_partial_loop(cfg, 9)):
+        assert a.shape == b.shape, name
+        if p == 1:
+            assert np.array_equal(a, b), name
+        else:
+            # numpy may round a row sum of two products differently
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), name
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +387,22 @@ def test_honest_watermark_residual_is_white():
         assert abs(rho) < 4.0 / np.sqrt(n), f"lag {lag}: {rho}"
 
 
+def test_matched_armax_raw_residual_doubles():
+    """An ARMAX watermark reaches the prediction error with gain 1, so the
+    matched excitation has the process-noise variance and r_raw twice it."""
+    cfg = make_scenario(
+        horizon=40_000,
+        plant={"kind": "armax", "a": [0.5], "b": [2.0, 0.5], "c": [1.0, 0.3],
+               "delay": 1, "sigma_w2": 1.0},
+        policy={"kind": "zero"},
+        watermark={"sigma_e2": 0.0, "family": "matched"},
+        detector={"window_len": 1000, "alpha": 0.05, "n_cal": 200},
+    )
+    assert resolve_watermark(cfg).sigma_e2 == 1.0
+    r_raw = residual_streams_of(run_scenario(cfg))["r_raw"]
+    assert float(np.var(r_raw)) == pytest.approx(2.0, rel=0.03)
+
+
 @pytest.mark.parametrize("kind", ["scalar", "arx", "armax", "partial", "mimo"])
 def test_honest_report_power_equals_state_power(kind):
     # honest sensors forward the measurement unchanged, so the reported and
@@ -443,6 +537,19 @@ def test_matches_reference_trace(kind, tmp_path):
         assert np.max(np.abs(a - b), initial=0.0) <= 1e-12 * scale, name
 
 
+def test_golden_trace_check_writes_nothing(capsys):
+    script = DATA.parent.parent / "scripts" / "make_golden_trace.py"
+    spec = importlib.util.spec_from_file_location("make_golden_trace", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    before = {p.name: (p.stat().st_mtime_ns, p.read_bytes()) for p in DATA.iterdir()}
+    module.main(["--check"])
+    verdicts = dict(line.split(": ") for line in capsys.readouterr().out.splitlines())
+    assert set(verdicts) == set(before)
+    assert verdicts["golden_scalar_trace.csv"] == "identical"
+    assert {p.name: (p.stat().st_mtime_ns, p.read_bytes()) for p in DATA.iterdir()} == before
+
+
 def test_import_golden_file():
     trace = import_trace(DATA / "golden_scalar_trace.csv", golden_config())
     assert trace.seed == 7
@@ -490,6 +597,21 @@ def test_import_rejects_wrong_schema(tmp_path):
     path.write_text(text)
     with pytest.raises(ValueError, match="schema"):
         import_trace(path, cfg)
+
+
+def test_import_names_the_physical_line_of_a_short_row(tmp_path):
+    cfg = make_scenario(horizon=400)
+    path = tmp_path / "trace.csv"
+    export_trace(run_scenario(cfg), path)
+    lines = path.read_text().split("\n")
+    n_fields = len(lines[1].split(","))
+    # blank lines count: the short row is the 9th physical line
+    lines[4:4] = ["", "   "]
+    lines[8] = ",".join(lines[8].split(",")[:3])
+    path.write_text("\n".join(lines))
+    with pytest.raises(ValueError) as err:
+        import_trace(path, cfg)
+    assert str(err.value) == f"{path} line 9: expected {n_fields} fields, got 3"
 
 
 def test_burn_in_partial_default():
