@@ -13,14 +13,19 @@
 Rewriting is only needed when the trace format itself changes; bump
 TRACE_SCHEMA_VERSION and rerun this, then eyeball the diff before
 committing.  ``--check`` exports each trace into a temporary directory and
-prints, per file, whether it is byte-identical to the stored one; it exits 1
-if any file differs or is missing.
+prints, per file, whether it is byte-identical to the stored one, and for a
+file that differs, each differing column with its largest absolute change
+relative to the stored column's largest magnitude; it exits 1 if any file
+differs or is missing.
 """
 import argparse
 import filecmp
+import math
 import pathlib
 import sys
 import tempfile
+
+import numpy as np
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tests"))
 
@@ -29,6 +34,36 @@ from test_harness import golden_config, reference_configs  # noqa: E402
 from dynwatermark.harness import export_trace, run_scenario  # noqa: E402
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "tests" / "data"
+
+
+def _columns(path: pathlib.Path) -> tuple[str, dict[str, list[str]]]:
+    """(metadata line, {column name: cell texts}) of an exported trace."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    header = lines[1].split(",")
+    rows = [ln.split(",") for ln in lines[2:]]
+    return lines[0], {name: [r[j] for r in rows] for j, name in enumerate(header)}
+
+
+def column_deltas(fresh: pathlib.Path, stored: pathlib.Path) -> list[tuple[str, float]]:
+    """(column, max|delta| / max|stored column|) for each column whose text
+    differs; a column missing from one file, or blank on different rows,
+    scores inf, and so does a changed metadata line."""
+    meta_f, got = _columns(fresh)
+    meta_s, ref = _columns(stored)
+    out = [("metadata", math.inf)] if meta_f != meta_s else []
+    for name in list(ref) + [n for n in got if n not in ref]:
+        a, b = got.get(name), ref.get(name)
+        if a == b:
+            continue
+        if a is None or b is None or [v == "" for v in a] != [v == "" for v in b]:
+            out.append((name, math.inf))
+            continue
+        x = np.array([float(v) for v in a if v])
+        y = np.array([float(v) for v in b if v])
+        scale = float(np.max(np.abs(y), initial=0.0))
+        delta = float(np.max(np.abs(x - y), initial=0.0))
+        out.append((name, delta / scale if scale else math.inf))
+    return out
 
 
 def main(argv=None) -> int:
@@ -61,6 +96,9 @@ def main(argv=None) -> int:
                 verdict = "differs"
             differing += verdict != "identical"
             print(f"{name}: {verdict}")
+            if verdict == "differs":
+                for column, rel in column_deltas(fresh, stored):
+                    print(f"  {column} max|delta|/max|column| = {rel:.3g}")
     return 1 if differing else 0
 
 

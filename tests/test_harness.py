@@ -537,17 +537,38 @@ def test_matches_reference_trace(kind, tmp_path):
         assert np.max(np.abs(a - b), initial=0.0) <= 1e-12 * scale, name
 
 
-def test_golden_trace_check_writes_nothing(capsys):
+def _golden_script():
     script = DATA.parent.parent / "scripts" / "make_golden_trace.py"
     spec = importlib.util.spec_from_file_location("make_golden_trace", script)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def test_golden_trace_check_writes_nothing(capsys):
+    module = _golden_script()
     before = {p.name: (p.stat().st_mtime_ns, p.read_bytes()) for p in DATA.iterdir()}
     module.main(["--check"])
-    verdicts = dict(line.split(": ") for line in capsys.readouterr().out.splitlines())
+    lines = capsys.readouterr().out.splitlines()
+    # indented lines detail the columns of a file that differs
+    verdicts = dict(line.split(": ") for line in lines if not line.startswith(" "))
     assert set(verdicts) == set(before)
     assert verdicts["golden_scalar_trace.csv"] == "identical"
     assert {p.name: (p.stat().st_mtime_ns, p.read_bytes()) for p in DATA.iterdir()} == before
+
+
+def test_golden_trace_check_names_differing_columns(tmp_path):
+    stored = DATA / "golden_scalar_trace.csv"
+    lines = stored.read_text().splitlines()
+    z_col = lines[1].split(",").index("z")
+    z_max = max(abs(float(ln.split(",")[z_col])) for ln in lines[2:])
+    row = lines[10].split(",")
+    row[z_col] = repr(float(row[z_col]) + 0.25 * z_max)
+    lines[10] = ",".join(row)
+    fresh = tmp_path / "trace.csv"
+    fresh.write_text("\n".join(lines) + "\n")
+    [(name, rel)] = _golden_script().column_deltas(fresh, stored)
+    assert name == "z" and rel == pytest.approx(0.25, rel=1e-12)
 
 
 def test_import_golden_file():
