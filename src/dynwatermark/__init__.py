@@ -30,16 +30,9 @@ from .detect import (
     STAT_KINDS,
     ResidualNull,
     Threshold,
-    WindowStat,
     calibrate_threshold,
-    cov_entries_stat,
-    cov_stat,
-    cross_corr_stat,
-    nll_window,
-    sequential_detect,
     simulate_null_stats,
     threshold_from_stats,
-    variance_stat,
 )
 from .harness import (
     RunReport,

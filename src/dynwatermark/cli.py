@@ -38,6 +38,13 @@ def _thresholds_dict(thresholds) -> dict:
     return {name: dataclasses.asdict(th) for name, th in thresholds.items()}
 
 
+def _require_channels(source, channels, thresholds) -> None:
+    """Refuse to judge ``channels`` that ``source`` holds no thresholds for."""
+    missing = sorted(set(channels) - set(thresholds))
+    if missing:
+        raise ValueError(f"{source} lacks channels {missing}")
+
+
 def _cmd_run(args) -> int:
     config = load_scenario(args.scenario)
     seed = args.seed if args.seed is not None else config.seed
@@ -90,13 +97,13 @@ def _cmd_detect(args) -> int:
     trace = import_trace(args.trace, config)
     seed = args.seed if args.seed is not None else trace.seed
     thresholds = calibrate_detector(config, seed=seed)
+    _require_channels(args.scenario, trace.channel_names, thresholds)
     alarms = []
     for wrec in trace.windows:
         hit = [
             name
             for name, value in wrec.values.items()
-            if name in thresholds
-            and thresholds[name].exceeded(value, channel=name, end_t=wrec.end_t)
+            if thresholds[name].exceeded(value, channel=name, end_t=wrec.end_t)
         ]
         if hit:
             alarms.append({"index": wrec.index, "end_t": wrec.end_t, "channels": hit})
@@ -154,9 +161,7 @@ def _threshold_bands(run_dir: Path, config, seed, channels) -> dict:
             hashes = {name: th.get("scenario_sha256") for name, th in stored.items()}
         except (AttributeError, KeyError, TypeError) as exc:
             raise ValueError(f"{path} is not a map from channel to thresholds") from exc
-        missing = sorted(set(channels) - set(bands))
-        if missing:
-            raise ValueError(f"{path} lacks channels {missing}")
+        _require_channels(path, channels, bands)
         digest = scenario_sha256(config)
         for name, got in hashes.items():
             if got != digest:

@@ -2,7 +2,7 @@
 
 The detector consumes residual streams in non-overlapping windows of length
 ``l`` and compares each window's statistic against a calibrated threshold.
-Four statistic kinds cover the tests used across the plant classes:
+Five statistic kinds cover the tests used across the plant classes:
 
 * ``variance``     — mean square of a scalar residual vs. a known target;
 * ``cross_corr``   — deviation of the excitation/residual cross-correlation
@@ -14,9 +14,13 @@ Four statistic kinds cover the tests used across the plant classes:
 * ``nll``          — negative log-likelihood of the window scatter under the
                      nominal Wishart law.
 
-Calibration is closed-form chi-square for the Gaussian variance kind and
-Monte Carlo elsewhere, always from the scenario's own null model; Gaussian
-nulls draw each window's joint (e, r) scatter from its Wishart law.
+Each is a function of the window's joint (excitation, residual) scatter, and
+one evaluator (``_batch_values``) computes it from a stack of such scatters,
+for calibration draws and detection windows alike.  Calibration is
+closed-form chi-square for the Gaussian variance kind and Monte Carlo
+elsewhere, always from the scenario's own null model; Gaussian nulls draw
+each window's joint (e, r) scatter from its Wishart law, other nulls build it
+from raw draws as detection does (``_joint_scatter``).
 """
 
 from __future__ import annotations
@@ -31,149 +35,15 @@ from scipy.stats import chi2
 from .watermark import draw_iid
 
 __all__ = [
-    "WindowStat",
-    "variance_stat",
-    "cross_corr_stat",
-    "cov_stat",
-    "cov_entries_stat",
-    "nll_window",
     "ResidualNull",
     "Threshold",
     "simulate_null_stats",
     "threshold_from_stats",
     "calibrate_threshold",
-    "AlarmLog",
-    "sequential_detect",
     "STAT_KINDS",
 ]
 
 STAT_KINDS = ("variance", "cross_corr", "cov", "cov_entries", "nll")
-
-
-@dataclass(frozen=True)
-class WindowStat:
-    kind: str
-    window_len: int
-    value: float
-    target: object = None
-
-    @property
-    def normalized(self) -> float:
-        """value / target, for the variance kind."""
-        if self.kind != "variance":
-            raise ValueError(f"normalized is defined for variance, not {self.kind}")
-        return self.value / float(self.target)
-
-
-def variance_stat(samples, target: float) -> WindowStat:
-    """Mean square of a scalar residual window."""
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 1 or samples.size == 0:
-        raise ValueError("samples must be a non-empty 1-d array")
-    if not target > 0.0:
-        raise ValueError(f"target variance must be positive, got {target}")
-    value = float(np.mean(samples * samples))
-    return WindowStat("variance", samples.size, value, target)
-
-
-def cross_corr_stat(e_samples, residuals, target) -> WindowStat:
-    """Deviation of the empirical lag cross-correlation from its target.
-
-    ``e_samples[k]`` must already be aligned with ``residuals[k]`` (the caller
-    pairs e[k] with the residual it should surface in).  Scalar residuals give
-    an absolute deviation, vector residuals a Euclidean one.
-    """
-    e_samples = np.asarray(e_samples, dtype=float)
-    residuals = np.asarray(residuals, dtype=float)
-    if e_samples.ndim != 1 or e_samples.shape[0] != residuals.shape[0]:
-        raise ValueError(
-            f"misaligned windows: {e_samples.shape} excitation vs "
-            f"{residuals.shape} residuals"
-        )
-    if residuals.ndim == 1:
-        emp = float(np.mean(e_samples * residuals))
-        value = abs(emp - float(target))
-    else:
-        emp = e_samples @ residuals / e_samples.shape[0]
-        value = float(np.linalg.norm(emp - np.asarray(target, dtype=float)))
-    return WindowStat("cross_corr", e_samples.shape[0], value, target)
-
-
-def _window_scatter(residuals) -> tuple[np.ndarray, int, int]:
-    r = np.asarray(residuals, dtype=float)
-    if r.ndim == 1:
-        r = r[:, None]
-    l, n = r.shape
-    return r.T @ r / l, l, n
-
-
-def _as_sigma0(Sigma0, n: int) -> np.ndarray:
-    S0 = np.atleast_2d(np.asarray(Sigma0, dtype=float))
-    if S0.shape != (n, n):
-        raise ValueError(f"Sigma0 must be {n}x{n}, got {S0.shape}")
-    return S0
-
-
-def cov_stat(residuals, Sigma0) -> WindowStat:
-    """Stein divergence trace(S0^-1 S) - logdet(S0^-1 S) - n of the window.
-
-    Nonnegative, zero iff the window scatter S equals the target exactly;
-    grows for inflation, deflation and rotation alike.  Needs l > n so S is
-    a.s. nonsingular, and a positive-definite target.
-    """
-    S, l, n = _window_scatter(residuals)
-    S0 = _as_sigma0(Sigma0, n)
-    if l <= n:
-        raise ValueError(f"window of {l} samples cannot estimate a {n}x{n} scatter")
-    ratio = np.linalg.solve(S0, S)
-    sign, logdet = np.linalg.slogdet(ratio)
-    if sign <= 0:
-        raise ValueError("window scatter is singular")
-    value = max(float(np.trace(ratio) - logdet - n), 0.0)
-    return WindowStat("cov", l, value, S0)
-
-
-def cov_entries_stat(residuals, Sigma0) -> WindowStat:
-    """Entrywise max-abs deviation of the window scatter, relative to the
-    largest target entry.  Defined for rank-deficient targets too."""
-    S, l, n = _window_scatter(residuals)
-    S0 = _as_sigma0(Sigma0, n)
-    scale = float(np.max(np.abs(S0)))
-    if scale == 0.0:
-        raise ValueError("Sigma0 is identically zero")
-    value = float(np.max(np.abs(S - S0)) / scale)
-    return WindowStat("cov_entries", l, value, S0)
-
-
-def _wishart_const(l: int, n: int, S0: np.ndarray) -> tuple[float, float]:
-    sign0, logdet0 = np.linalg.slogdet(S0)
-    if sign0 <= 0:
-        raise ValueError("Sigma0 must be positive definite")
-    const = (
-        0.5 * l * n * math.log(2.0) + 0.5 * l * logdet0 + multigammaln(0.5 * l, n)
-    )
-    return const, logdet0
-
-
-def nll_window(residuals, Sigma0) -> WindowStat:
-    """Negative log-likelihood of the window scatter under the nominal law.
-
-    l*S is Wishart(l, Sigma0) when the window holds l i.i.d. N(0, Sigma0)
-    residuals; this evaluates minus its log-density at the observed scatter.
-    Low likelihood flags inflation and deflation in one number.
-    """
-    S, l, n = _window_scatter(residuals)
-    S0 = _as_sigma0(Sigma0, n)
-    if l <= n:
-        raise ValueError(f"window of {l} samples cannot estimate a {n}x{n} scatter")
-    const, _ = _wishart_const(l, n, S0)
-    sign, logdet_S = np.linalg.slogdet(S)
-    if sign <= 0:
-        raise ValueError("window scatter is singular")
-    logdet_X = n * math.log(l) + logdet_S
-    trace_term = float(np.trace(np.linalg.solve(S0, S)))
-    logpdf = 0.5 * (l - n - 1) * logdet_X - 0.5 * l * trace_term - const
-    return WindowStat("nll", l, -float(logpdf), S0)
 
 
 # ---------------------------------------------------------------------------
@@ -290,18 +160,49 @@ def _wishart_scatter(M: np.ndarray, l: int, n_windows: int, rng) -> np.ndarray:
     return MA @ MA.transpose(0, 2, 1) / l
 
 
-def _joint_scatter(e_block, r_block) -> np.ndarray:
-    """Joint scatters z'z/l of z = (e, r) from raw (windows, l[, dim]) blocks."""
-    z = np.concatenate([np.atleast_3d(b) for b in (e_block, r_block)], axis=2)
-    return np.einsum("wli,wlj->wij", z, z) / z.shape[1]
+def _joint_scatter(*blocks) -> np.ndarray:
+    """Joint scatters z'z/l of z = (blocks...), from (windows, l[, dim]) blocks.
+
+    Entry (i, j) is the mean of z_i z_j over each window, reduced along a
+    contiguous time axis: a window's entry is bit-equal to ``np.mean`` of its
+    own products.
+    """
+    z = np.concatenate([np.moveaxis(np.atleast_3d(b), 2, 0) for b in blocks])
+    p = z.shape[0]
+    Z = np.empty((z.shape[1], p, p))
+    for i in range(p):
+        for j in range(i + 1):
+            Z[:, i, j] = Z[:, j, i] = np.mean(z[i] * z[j], axis=-1)
+    return Z
+
+
+def _as_sigma0(Sigma0, n: int) -> np.ndarray:
+    S0 = np.atleast_2d(np.asarray(Sigma0, dtype=float))
+    if S0.shape != (n, n):
+        raise ValueError(f"Sigma0 must be {n}x{n}, got {S0.shape}")
+    return S0
+
+
+def _wishart_const(l: int, n: int, S0: np.ndarray) -> tuple[float, float]:
+    sign0, logdet0 = np.linalg.slogdet(S0)
+    if sign0 <= 0:
+        raise ValueError("Sigma0 must be positive definite")
+    const = (
+        0.5 * l * n * math.log(2.0) + 0.5 * l * logdet0 + multigammaln(0.5 * l, n)
+    )
+    return const, logdet0
 
 
 def _batch_values(
     kind: str, Z: np.ndarray, l: int, n_e: int, *, target=None, Sigma0=None, e_index=0
 ) -> np.ndarray:
-    """Window statistics from joint scatters ``Z`` of z = (e, r), shape
-    (windows, n_e + n, n_e + n); formula-identical to the per-window ops
-    (pinned by test), used for Monte-Carlo calibration throughput."""
+    """Statistics of windows of length ``l`` from their joint scatters ``Z`` of
+    z = (e, r), shape (windows, n_e + n, n_e + n); the one evaluator of every
+    kind, for calibration draws and detection windows alike.
+
+    A singular scatter lies infinitely far from a positive-definite target and
+    has zero Wishart density, so ``cov`` and ``nll`` score it +inf.
+    """
     S = Z[:, n_e:, n_e:]
     n = S.shape[1]
     if kind == "variance":
@@ -314,16 +215,19 @@ def _batch_values(
         return np.max(np.abs(S - S0), axis=(1, 2)) / np.max(np.abs(S0))
     if kind not in ("cov", "nll"):
         raise ValueError(f"unknown stat kind {kind!r}")
+    if l <= n:
+        raise ValueError(f"window of {l} samples cannot estimate a {n}x{n} scatter")
     const, logdet0 = _wishart_const(l, n, S0) if kind == "nll" else (0.0, 0.0)
     ratio = np.linalg.solve(S0, S)
     sign, logdet = np.linalg.slogdet(ratio)  # logdet(S) - logdet(S0)
-    if np.any(sign <= 0):
-        raise ValueError("singular window scatter in calibration draw")
     tr = np.trace(ratio, axis1=1, axis2=2)
-    if kind == "cov":
-        return np.maximum(tr - logdet - n, 0.0)
-    logdet_X = n * math.log(l) + logdet + logdet0
-    return -(0.5 * (l - n - 1) * logdet_X - 0.5 * l * tr - const)
+    with np.errstate(invalid="ignore"):
+        if kind == "cov":
+            value = np.maximum(tr - logdet - n, 0.0)
+        else:
+            logdet_X = n * math.log(l) + logdet + logdet0
+            value = -(0.5 * (l - n - 1) * logdet_X - 0.5 * l * tr - const)
+    return np.where(sign > 0, value, np.inf)
 
 
 def simulate_null_stats(
@@ -435,38 +339,3 @@ def calibrate_threshold(
         rng = np.random.default_rng(rng)
     stats = simulate_null_stats(kind, l, null, n_cal, rng, e_index=e_index)
     return threshold_from_stats(kind, stats, alpha)
-
-
-# ---------------------------------------------------------------------------
-# sequential decision
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class AlarmLog:
-    """Outcome of running one thresholded statistic over consecutive windows."""
-
-    alarm_times: list
-    n_windows: int
-
-    @property
-    def first_alarm(self):
-        return self.alarm_times[0] if self.alarm_times else None
-
-
-def sequential_detect(values, threshold: Threshold, window_ends=None) -> AlarmLog:
-    """Compare consecutive non-overlapping window statistics to a threshold.
-
-    ``values`` may be floats or :class:`WindowStat`; ``window_ends`` labels
-    each window (defaults to 0-based window indices).  The detector never
-    accepts forever: every window is tested, so any excursion past the
-    threshold is an alarm at that window.
-    """
-    vals = [v.value if isinstance(v, WindowStat) else float(v) for v in values]
-    if window_ends is None:
-        window_ends = range(len(vals))
-    ends = list(window_ends)
-    if len(ends) != len(vals):
-        raise ValueError("window_ends and values must align")
-    alarms = [end for end, v in zip(ends, vals) if threshold.exceeded(v, end_t=end)]
-    return AlarmLog(alarm_times=alarms, n_windows=len(vals))

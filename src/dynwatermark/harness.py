@@ -57,6 +57,11 @@ REPORT_SCHEMA_VERSION = 1
 
 _META_KEYS = {"schema_version", "seed", "plant", "residual_start", "burn_in"}
 
+# Per-step fields of a Trace, in column order.  x and y carry the measured
+# output (either may stand for both) and only a noisy-output plant has n.
+_STEP_FIELDS = ("x", "y", "z", "u_g", "u", "e_raw", "e_shaped", "w", "n")
+_ALWAYS_STEP_FIELDS = _STEP_FIELDS[2:-1]
+
 
 # ---------------------------------------------------------------------------
 # data carriers
@@ -345,17 +350,19 @@ def channel_specs(config: ScenarioConfig) -> list[ChannelSpec]:
     return specs
 
 
-def _channel_samples(spec: ChannelSpec, streams: dict):
-    """(samples, e_samples) for one channel from the residual streams."""
+def _channel_samples(spec: ChannelSpec, streams: dict) -> list[np.ndarray]:
+    """Aligned sample streams of one channel: (e, r) for a cross-correlation,
+    else (r,)."""
     if "q" in streams:
-        r, e = streams["q"], streams["e"]
-    elif spec.kind == "cross_corr":
-        r, e = streams["r_raw"], streams["e"]
-    else:  # variance_wm and nll run on the wm-removed residual
-        r, e = streams["r_raw" if spec.name == "variance_raw" else "r_wm"], None
-    if spec.kind == "cross_corr" and e.ndim == 2:
-        e = e[:, spec.e_index]
-    return r, e
+        r = streams["q"]
+    elif spec.kind == "cross_corr" or spec.name == "variance_raw":
+        r = streams["r_raw"]
+    else:  # the other lag channels run on the wm-removed residual
+        r = streams["r_wm"]
+    if spec.kind != "cross_corr":
+        return [r]
+    e = streams["e"]
+    return [e if e.ndim == 1 else e[:, spec.e_index], r]
 
 
 def calibrate_detector(
@@ -386,44 +393,38 @@ def calibrate_detector(
     return out
 
 
-_WINDOW_STATS = {
-    "variance": lambda spec, r, e: _detect.variance_stat(r, spec.target),
-    "cross_corr": lambda spec, r, e: _detect.cross_corr_stat(e, r, spec.target),
-    "cov": lambda spec, r, e: _detect.cov_stat(r, spec.Sigma0),
-    "cov_entries": lambda spec, r, e: _detect.cov_entries_stat(r, spec.Sigma0),
-    "nll": lambda spec, r, e: _detect.nll_window(r, spec.Sigma0),
-}
-
-
 def _detect_pass(
     config: ScenarioConfig,
     streams: dict,
     specs: list[ChannelSpec],
     thresholds: dict[str, Threshold],
 ) -> list[WindowRecord]:
+    """Every complete window of every channel, evaluated from its joint
+    scatter in one batch per channel, then thresholded window by window."""
     l = config.detector.window_len
     start, burn = streams["start"], streams["burn"]
-    n_samples = len(streams["e"])
-    n_win = max((n_samples - burn) // l, 0)
+    n_win = (len(streams["e"]) - burn) // l
+    if n_win <= 0:
+        return []
+    span = slice(burn, burn + n_win * l)
+    values: dict[str, list[float]] = {}
+    for spec in specs:
+        blocks = [
+            b[span].reshape(n_win, l, *b.shape[1:]) for b in _channel_samples(spec, streams)
+        ]
+        Z = _detect._joint_scatter(*blocks)
+        values[spec.name] = _detect._batch_values(
+            spec.kind, Z, l, len(blocks) - 1, target=spec.target, Sigma0=spec.Sigma0
+        ).tolist()
     records: list[WindowRecord] = []
-    per_channel = [
-        (spec, *_channel_samples(spec, streams)) for spec in specs
-    ]
     for wdx in range(n_win):
-        lo = burn + wdx * l
-        hi = lo + l
-        values: dict[str, float] = {}
-        alarmed: dict[str, bool] = {}
-        for spec, samples, e_samples in per_channel:
-            e = None if e_samples is None else e_samples[lo:hi]
-            val = _WINDOW_STATS[spec.kind](spec, samples[lo:hi], e).value
-            values[spec.name] = val
-            alarmed[spec.name] = thresholds[spec.name].exceeded(
-                val, channel=spec.name, end_t=start + hi - 1
-            )
-        records.append(
-            WindowRecord(index=wdx, end_t=start + hi - 1, values=values, alarmed=alarmed)
-        )
+        end_t = start + burn + (wdx + 1) * l - 1
+        vals = {name: v[wdx] for name, v in values.items()}
+        alarmed = {
+            name: thresholds[name].exceeded(val, channel=name, end_t=end_t)
+            for name, val in vals.items()
+        }
+        records.append(WindowRecord(index=wdx, end_t=end_t, values=vals, alarmed=alarmed))
     return records
 
 
@@ -555,7 +556,7 @@ def _step_columns(trace: Trace) -> list[tuple[str, list[str]]]:
         names = ["y"]
     else:
         names = ["x"] if trace.n is None else ["x", "y"]
-    names += ["z", "u_g", "u", "e_raw", "e_shaped", "w"]
+    names += _ALWAYS_STEP_FIELDS
     if trace.n is not None:
         names.append("n")
     texts: dict[int, list[list[str]]] = {}
@@ -671,8 +672,8 @@ def import_trace(path, config: ScenarioConfig) -> Trace:
             parts.append(np.array(flat[index[f"{name}_{len(parts)}"] :: K], dtype=float))
         return np.column_stack(parts) if parts else None
 
-    data = {key: gather(key) for key in ("x", "y", "z", "u_g", "u", "e_raw", "e_shaped", "w", "n")}
-    absent = [key for key in ("z", "u_g", "u", "e_raw", "e_shaped", "w") if data[key] is None]
+    data = {key: gather(key) for key in _STEP_FIELDS}
+    absent = [key for key in _ALWAYS_STEP_FIELDS if data[key] is None]
     absent += [key for key in ("window_id", "alarm") if key not in index]
     if data["x"] is None and data["y"] is None:
         absent.insert(0, "y")
@@ -684,9 +685,18 @@ def import_trace(path, config: ScenarioConfig) -> Trace:
         data["y"] = data["x"]
     channels = [h[len("stat_") :] for h in header if h.startswith("stat_")]
     seen: dict[int, int] = {}
+    rows_of: dict[int, int] = {}
     for t, wid in enumerate(map(int, flat[index["window_id"] :: K])):
         if wid >= 0:
             seen[wid] = t  # last row of the window wins
+            rows_of[wid] = rows_of.get(wid, 0) + 1
+    l = config.detector.window_len
+    for wid, n_rows in rows_of.items():
+        if n_rows != l:
+            raise ValueError(
+                f"{path}: window {wid} spans {n_rows} rows, "
+                f"scenario window_len is {l}"
+            )
     windows: list[WindowRecord] = []
     for wid in sorted(seen):
         end_t = seen[wid]
@@ -726,7 +736,7 @@ def _self_check(trace: Trace) -> None:
 
 def trace_equal(t1: Trace, t2: Trace) -> bool:
     """Bit-exact equality of the serialized content of two traces."""
-    for name in ("x", "y", "z", "u_g", "u", "e_raw", "e_shaped", "w", "n"):
+    for name in _STEP_FIELDS:
         a, b = getattr(t1, name), getattr(t2, name)
         if (a is None) != (b is None):
             return False

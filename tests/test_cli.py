@@ -1,9 +1,11 @@
 import json
 import pathlib
 
+import numpy as np
 import pytest
 import yaml
 
+from dynwatermark.adversary import register_attack
 from dynwatermark.cli import main
 from dynwatermark.scenario import (
     load_scenario,
@@ -275,6 +277,74 @@ def test_detect_rejects_mismatched_scenario(scenario_file, tmp_path, capsys):
     )
     assert code == 1
     assert "error:" in err
+
+
+def test_detect_rejects_scenario_of_another_window_len(scenario_file, tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    run_cli(capsys, "run", "--scenario", str(scenario_file), "--out", str(out_dir))
+    d = load_scenario(scenario_file).to_dict()
+    d["detector"]["window_len"] = 250
+    other_path = tmp_path / "other.yaml"
+    save_scenario(scenario_from_dict(d), other_path)
+    trace = out_dir / "trace.csv"
+    code, out, err = run_cli(
+        capsys, "detect", "--trace", str(trace), "--scenario", str(other_path)
+    )
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [
+        f"error: {trace}: window 0 spans 500 rows, scenario window_len is 250"
+    ]
+
+
+def test_detect_rejects_channels_the_scenario_does_not_calibrate(
+    scenario_file, tmp_path, capsys
+):
+    out_dir = tmp_path / "out"
+    run_cli(capsys, "run", "--scenario", str(scenario_file), "--out", str(out_dir))
+    d = load_scenario(scenario_file).to_dict()
+    d["detector"]["tests"] = ["variance_wm"]
+    other_path = tmp_path / "other.yaml"
+    save_scenario(scenario_from_dict(d), other_path)
+    code, out, err = run_cli(
+        capsys, "detect",
+        "--trace", str(out_dir / "trace.csv"), "--scenario", str(other_path),
+    )
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [
+        f"error: {other_path} lacks channels ['cross_corr', 'nll', 'variance_raw']"
+    ]
+
+
+def test_run_rejects_singular_detection_window(tmp_path, capsys):
+    """A sensor that reports zeros makes the MIMO residual vanish: the first
+    window wholly after the onset, ending at t=300, has a singular scatter,
+    and the run stops there."""
+
+    @register_attack("silent_sensor_test")
+    def silent(view, rng):
+        return np.zeros(len(view.y[view.t]))
+
+    cfg = make_scenario(
+        name="silent", seed=6, horizon=401,
+        plant={"kind": "mimo", "A": [[0.5, 0.1], [0.0, 0.4]],
+               "B": [[1.0, 0.0], [0.2, 1.0]], "sigma_w2": 1.0},
+        policy={"kind": "linear", "f": [[-0.2, 0.0], [0.0, -0.1]]},
+        watermark={"sigma_e2": 0.5},
+        attack={"kind": "silent_sensor_test", "onset": 150},
+        detector={"window_len": 100, "alpha": 0.01, "n_cal": 1000},
+    )
+    path = tmp_path / "silent.yaml"
+    save_scenario(cfg, path)
+    code, out, err = run_cli(
+        capsys, "run", "--scenario", str(path), "--out", str(tmp_path / "out")
+    )
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [
+        "error: non-finite statistic inf on channel cov, window ending at t=300"
+    ]
 
 
 def test_detect_rejects_truncated_trace_row(scenario_file, tmp_path, capsys):
