@@ -5,14 +5,14 @@ statistical tests on the reported measurements then decide whether the
 sensor stream is consistent with the physics plus that excitation, and
 bound the distortion any consistent attacker can still add.
 
-Layers: ``linsys`` (the five plant classes, their two canonical kernels --
-lag polynomial and state space -- and policies), ``watermark`` (excitation
-and the shaping filter), ``adversary`` (sensor attack strategies, one path
-per kernel), ``residual`` (prediction-error and Kalman-innovation filters
-run on recorded data), ``detect`` (window statistics, calibration,
-thresholds), ``scenario``/``harness`` (config files, one closed-loop
-simulator per kernel, oracle metrics, trace export), ``cli`` (command-line
-front end).
+Layers: ``linsys`` (the five plant classes and their two canonical kernels,
+lag polynomial and state space), ``watermark`` (excitation and the shaping
+filter), ``adversary`` (sensor attack strategies, one path per kernel),
+``residual`` (prediction-error and Kalman-innovation filters run on recorded
+data), ``detect`` (window statistics, calibration, thresholds),
+``scenario``/``harness`` (config files, one closed-loop simulator per kernel
+that applies the policy inline, oracle metrics, trace export), ``cli``
+(command-line front end).
 """
 
 from .adversary import (
@@ -50,16 +50,11 @@ from .harness import (
 from .linsys import (
     ArmaxPlant,
     ArxPlant,
-    ArxDeadbeat,
-    CallablePolicy,
-    ControlPolicy,
     LagForm,
-    LinearFeedback,
     MimoPlant,
     PartialPlant,
     ScalarPlant,
     StateSpaceForm,
-    ZeroPolicy,
     check_min_phase,
 )
 from .residual import (

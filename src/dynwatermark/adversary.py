@@ -40,8 +40,10 @@ class SensorView:
 
     ``y[0..t]`` are valid (``y[t]`` is the measurement being reported on);
     ``z[0..t-1]`` and ``u_g[0..t-1]`` are valid.  ``u_g`` is cached here for
-    convenience only: it is a deterministic function of the reports and the
-    public policy, so carrying it adds no information.
+    convenience only: the policy is a public LTI map of the reports with no
+    secret state, so an attacker who runs it on the reports reproduces u_g
+    exactly, and carrying it adds no information.  Only the excitation is
+    private.
     """
 
     t: int
@@ -67,9 +69,6 @@ class AttackStrategy:
         if onset is not None and onset < 1:
             raise ValueError(f"onset must be >= 1, got {onset}")
         self.onset = onset
-
-    def reset(self) -> None:
-        pass
 
     def report(self, view: SensorView):
         if self.onset is None or view.t < self.onset:
@@ -124,9 +123,6 @@ class NoiseSimAttack(AttackStrategy):
     def __init__(self, onset: int, rng: np.random.Generator):
         super().__init__(onset)
         self._rng = rng
-        self.reset()
-
-    def reset(self) -> None:
         self._w_hist: list[float] = []
         self._x_sim: list[float] | None = None
 

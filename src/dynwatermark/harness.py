@@ -31,7 +31,6 @@ from .residual import innovations, kalman_design, lag_filter, prediction_errors
 from .scenario import (
     ScenarioConfig,
     build_attack,
-    build_policy,
     default_tests,
     resolve_watermark,
 )
@@ -181,12 +180,32 @@ class _Streams:
 # ---------------------------------------------------------------------------
 
 
-def _simulate_lag(form: LagForm, plant, policy, attack, wm, w_family, streams, T):
+def _policy_data(config: ScenarioConfig, form):
+    """The scenario's control law as kernel data, or None for ``zero``.
+
+    A lag plant gets ``(za, ub)``: u_g[t] = (sum_m za[m]*z[t-m] -
+    sum_{r>=1} ub[r]*u_g[t-r]) / ub[0].  ``linear`` is ((f,), (1.0,));
+    ``arx_deadbeat`` is (a, b), which solves B(q^-1) u_g = A(q^-1) z, stable
+    because B is strictly minimum phase.  A state-space plant gets the gain:
+    the (m, n) matrix F on a measured state, the float f on a noisy output.
+    """
+    pc = config.policy
+    if pc.kind == "zero":
+        return None
+    if pc.kind == "arx_deadbeat":
+        return form.a, form.b
+    if isinstance(form, LagForm):
+        return (float(pc.f),), (1.0,)
+    return np.asarray(pc.f, dtype=float) if form.C is None else float(pc.f)
+
+
+def _simulate_lag(form: LagForm, plant, law, attack, wm, w_family, streams, T):
     """Closed loop of a lag-polynomial plant.
 
     At each t the output sums the AR terms, then the delayed input terms,
-    then C(q^-1) w[t]; the sensor reports it, the policy answers, and the
-    shaped excitation is added to the nominal input.
+    then C(q^-1) w[t]; the sensor reports it, the control law ``law`` (see
+    :func:`_policy_data`) sums its z terms, then its u_g terms, then divides
+    by ub[0], and the shaped excitation is added to the nominal input.
     """
     w = np.asarray(draw_iid(w_family, form.sigma_w2, streams.process, T))
     w[: form.start] = 0.0
@@ -196,15 +215,19 @@ def _simulate_lag(form: LagForm, plant, policy, attack, wm, w_family, streams, T
     s_l = s.tolist()
     ar = [(ak, 1 + k) for k, ak in enumerate(form.a)]
     br = [(bk, form.delay + k) for k, bk in enumerate(form.b)]
-    pad = max(lag for _, lag in ar + br)
+    za, ub = law if law is not None else ((), ())
+    zr = [(am, m) for m, am in enumerate(za) if m]
+    gr = [(ubr, r) for r, ubr in enumerate(ub) if r]
+    pad = max(lag for _, lag in ar + br + zr + gr)
     y_pad = [0.0] * (pad + T)
     u_pad = [0.0] * (pad + T)
+    z_pad = [0.0] * (pad + T)
+    g_pad = [0.0] * (pad + T)
     y_l = [0.0] * T
     z_l = [0.0] * T
     ug_l = [0.0] * T
     view = SensorView(0, y_l, z_l, ug_l, plant, wm.sigma_e2, wm.family, w_family)
     report = attack.report
-    step = policy.step
     for t in range(T):
         i = pad + t
         acc = 0.0
@@ -215,10 +238,18 @@ def _simulate_lag(form: LagForm, plant, policy, attack, wm, w_family, streams, T
         acc += cw[t]
         y_pad[i] = y_l[t] = acc
         view.t = t
-        z = report(view)
-        z_l[t] = z
-        g = step(z)
-        ug_l[t] = g
+        z = z_l[t] = z_pad[i] = float(report(view))
+        if law is None:
+            g = 0.0
+        else:
+            # Start from the first product: f*z keeps its sign at zero.
+            g = za[0] * z
+            for am, m in zr:
+                g += am * z_pad[i - m]
+            for ubr, r in gr:
+                g -= ubr * g_pad[i - r]
+            g /= ub[0]
+        ug_l[t] = g_pad[i] = g
         u_pad[i] = g + s_l[t]
     y = np.asarray(y_l)
     return dict(
@@ -227,13 +258,14 @@ def _simulate_lag(form: LagForm, plant, policy, attack, wm, w_family, streams, T
     )
 
 
-def _simulate_ss(form, plant, policy, attack, wm, w_family, streams, T):
+def _simulate_ss(form, plant, law, attack, wm, w_family, streams, T):
     """Closed loop of a state-space plant.
 
     A measured state is reported as a vector and the inputs are m-vectors,
-    so that loop steps numpy arrays.  A noisy scalar output y = C x + n and
-    its single input are floats, and that loop steps lists of Python floats
-    (:func:`.linsys.advance`).
+    so that loop steps numpy arrays and u_g = F @ z.  A noisy scalar output
+    y = C x + n and its single input are floats, and that loop steps lists of
+    Python floats (:func:`.linsys.advance`) with u_g = f * z.  ``law`` is None
+    for the zero input.
     """
     A, B, C = form.A, form.B, form.C
     p = A.shape[0]
@@ -249,18 +281,18 @@ def _simulate_ss(form, plant, policy, attack, wm, w_family, streams, T):
     u_l: list = [None] * T
     view = SensorView(0, y_l, z_l, ug_l, plant, wm.sigma_e2, wm.family, w_family)
     report = attack.report
-    step = policy.step
     last = T - 1
     if C is None:
         n = None
         cast = partial(np.asarray, dtype=float)
         e_l = list(e)
         x = np.zeros(p)
+        zero = np.zeros(form.n_inputs)
         for t in range(T):
             x_l[t] = y_l[t] = x
             view.t = t
             z = z_l[t] = cast(report(view))
-            g = ug_l[t] = cast(step(z))
+            g = ug_l[t] = zero if law is None else law @ z
             u = u_l[t] = g + e_l[t]
             if t < last:
                 x = A @ x + B @ u + w[t + 1]
@@ -275,7 +307,7 @@ def _simulate_ss(form, plant, policy, attack, wm, w_family, streams, T):
             y_l[t] = dot(c, x) + n_l[t]
             view.t = t
             z = z_l[t] = float(report(view))
-            g = ug_l[t] = float(step(z))
+            g = ug_l[t] = 0.0 if law is None else law * z
             u = u_l[t] = g + e_l[t]
             if t < last:
                 x = advance(rows, b, x, u, w_l[t + 1])
@@ -444,13 +476,11 @@ def run_scenario(
     form = plant.kernel
     wm = resolve_watermark(config)
     streams_rng = _Streams(seed, form.n_inputs)
-    policy = build_policy(config, plant)
-    policy.reset()
     attack = build_attack(config, streams_rng.attack)
-    attack.reset()
     simulate = _simulate_lag if isinstance(form, LagForm) else _simulate_ss
     arrays = simulate(
-        form, plant, policy, attack, wm, config.plant.w_family, streams_rng, config.horizon
+        form, plant, _policy_data(config, form), attack, wm, config.plant.w_family,
+        streams_rng, config.horizon,
     )
     res = _residual_streams(config, plant, arrays)
     specs = channel_specs(config)

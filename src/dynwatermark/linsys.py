@@ -3,7 +3,9 @@
 The five plant classes are the public, validated parameterisations.  Each
 one exposes ``kernel``, its canonical form: a :class:`LagForm` (scalar, ARX,
 ARMAX) or a :class:`StateSpaceForm` (partial, MIMO).  Simulation, residuals,
-oracle metrics and attacks are written once per kernel.
+oracle metrics and attacks are written once per kernel.  Control laws are not
+objects: the closed-loop simulators in :mod:`.harness` apply a scenario's
+policy as kernel data (lag coefficients or a gain).
 
 Conventions shared across the package:
 
@@ -20,7 +22,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -35,11 +37,6 @@ __all__ = [
     "dot",
     "advance",
     "check_min_phase",
-    "ControlPolicy",
-    "ZeroPolicy",
-    "LinearFeedback",
-    "ArxDeadbeat",
-    "CallablePolicy",
 ]
 
 # Roots this close to the unit circle are treated as on it.
@@ -391,105 +388,3 @@ def advance(rows, b, x: list[float], u: float, w: Sequence[float]) -> list[float
     With one state this is bit-equal to numpy's ``A @ x + B @ [u] + w``; with
     more, numpy may round the row sums differently in the last bit."""
     return [dot(row, x) + bi * u + wi for row, bi, wi in zip(rows, b, w)]
-
-
-# ---------------------------------------------------------------------------
-# control policies
-# ---------------------------------------------------------------------------
-
-
-class ControlPolicy:
-    """Deterministic map from the reported output stream to the nominal input.
-
-    Policies are consumed as streams: feed reports in arrival order through
-    :meth:`step`, which returns u_g[t] = g_t(z[0..t]).  They carry no secret
-    state, so an adversary can run its own instance on the public report
-    stream and reproduce the controller's nominal inputs exactly.
-    """
-
-    def reset(self) -> None:  # pragma: no cover - trivial default
-        pass
-
-    def step(self, z_t):
-        raise NotImplementedError
-
-
-@dataclass
-class ZeroPolicy(ControlPolicy):
-    """Open-loop zero input (scalar 0.0, or a zero vector of width n_inputs)."""
-
-    n_inputs: int | None = None
-
-    def step(self, z_t):
-        if self.n_inputs is None:
-            return 0.0
-        return np.zeros(self.n_inputs)
-
-
-@dataclass
-class LinearFeedback(ControlPolicy):
-    """Static gain on the latest report: u_g[t] = f * z[t] (or F @ z[t])."""
-
-    f: float | np.ndarray
-
-    def step(self, z_t):
-        if np.ndim(self.f) == 0:
-            return float(self.f) * float(z_t)
-        return np.asarray(self.f, dtype=float) @ np.asarray(z_t, dtype=float)
-
-
-class ArxDeadbeat(ControlPolicy):
-    """Stable inverse-of-B cancellation of the ARX autoregression.
-
-    u_g[t] = (sum_m a[m]*z[t-m] - sum_{r>=1} b[r]*u_g[t-r]) / b[0], so that
-    B(q^-1) u_g[t] = sum_m a[m] z[t-m]; under honest reporting the closed loop
-    collapses to y[t+1] = b[0]*e[t] + w[t+1].  Stable because B is strictly
-    minimum phase.
-    """
-
-    def __init__(self, a_coeffs: Sequence[float], b_coeffs: Sequence[float]):
-        check_min_phase(b_coeffs, "b_coeffs")
-        self.a_coeffs = tuple(float(v) for v in a_coeffs)
-        self.b_coeffs = tuple(float(v) for v in b_coeffs)
-        if self.b_coeffs[0] == 0.0:
-            raise ValueError("b_coeffs[0] must be nonzero")
-        self.reset()
-
-    def reset(self) -> None:
-        self._z = [0.0] * len(self.a_coeffs)
-        self._u = [0.0] * max(len(self.b_coeffs) - 1, 1)
-
-    def step(self, z_t) -> float:
-        z = self._z
-        z.insert(0, float(z_t))
-        z.pop()
-        acc = 0.0
-        for m, am in enumerate(self.a_coeffs):
-            acc += am * z[m]
-        b = self.b_coeffs
-        u = self._u
-        for r in range(1, len(b)):
-            acc -= b[r] * u[r - 1]
-        out = acc / b[0]
-        u.insert(0, out)
-        u.pop()
-        return out
-
-
-class CallablePolicy(ControlPolicy):
-    """Wrap an arbitrary deterministic function of the full report history.
-
-    ``fn(z_hist)`` receives the reports oldest-first, including the latest.
-    Mainly for experiments; not representable in scenario files.
-    """
-
-    def __init__(self, fn: Callable[[list], float]):
-        self._fn = fn
-        self._z: list = []
-
-    def reset(self) -> None:
-        self._z = []
-
-    def step(self, z_t):
-        self._z.append(z_t)
-        return self._fn(self._z)

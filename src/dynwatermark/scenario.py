@@ -509,21 +509,6 @@ def scenario_sha256(config: ScenarioConfig) -> str:
 # ---------------------------------------------------------------------------
 
 
-def build_policy(config: ScenarioConfig, plant) -> linsys.ControlPolicy:
-    pc = config.policy
-    if pc.kind == "zero":
-        m = plant.n_inputs if isinstance(plant, linsys.MimoPlant) else None
-        return linsys.ZeroPolicy(n_inputs=m)
-    if pc.kind == "linear":
-        f = pc.f
-        if isinstance(f, (list, tuple)):
-            f = np.asarray(f, dtype=float)
-        return linsys.LinearFeedback(f)
-    if pc.kind == "arx_deadbeat":
-        return linsys.ArxDeadbeat(plant.a_coeffs, plant.b_coeffs)
-    raise ScenarioError("policy.kind", f"unknown kind {pc.kind!r}")
-
-
 def build_attack(config: ScenarioConfig, rng: np.random.Generator) -> adversary.AttackStrategy:
     ac = config.attack
     if ac.kind == "honest":

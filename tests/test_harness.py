@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import pathlib
@@ -22,7 +23,7 @@ from dynwatermark.harness import (
     trace_equal,
 )
 from dynwatermark.linsys import PARTIAL_BURN_IN
-from dynwatermark.scenario import resolve_watermark, scenario_from_dict
+from dynwatermark.scenario import PolicyConfig, resolve_watermark
 from dynwatermark.watermark import draw_iid
 
 from conftest import make_scenario
@@ -158,6 +159,15 @@ def test_seed_override_changes_realization():
 def test_determinism_all_classes(kind):
     cfg = all_class_configs()[kind]
     assert trace_equal(run_scenario(cfg), run_scenario(cfg))
+
+
+@pytest.mark.parametrize("kind", ["scalar", "arx", "armax", "partial", "mimo"])
+def test_zero_policy_is_positive_zero(kind):
+    """The zero policy adds nothing, not even a negative zero, to the input."""
+    cfg = dataclasses.replace(all_class_configs()[kind], policy=PolicyConfig("zero"))
+    trace = run_scenario(cfg)
+    assert not np.signbit(trace.u_g).any()
+    assert trace.u.tobytes() == trace.e_shaped.tobytes()
 
 
 # ---------------------------------------------------------------------------

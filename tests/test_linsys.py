@@ -4,23 +4,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import lfilter
 
 from dynwatermark.harness import _self_check, run_scenario
 from dynwatermark.linsys import (
     ArmaxPlant,
-    ArxDeadbeat,
     ArxPlant,
-    CallablePolicy,
     LagForm,
-    LinearFeedback,
     MimoPlant,
     PartialPlant,
     ScalarPlant,
     StateSpaceForm,
-    ZeroPolicy,
     check_min_phase,
 )
 from dynwatermark.residual import innovations, lag_filter
+from dynwatermark.scenario import ScenarioError
 
 from conftest import make_scenario
 
@@ -252,66 +250,58 @@ def test_mimo_plant_full_rank_no_warning():
 
 
 # ---------------------------------------------------------------------------
-# policies
+# policies, as the closed-loop simulators apply them
 # ---------------------------------------------------------------------------
+
+MIMO = {"kind": "mimo", "A": [[0.5, 0.1], [0.0, 0.4]],
+        "B": [[1.0, 0.0], [0.2, 1.0]], "sigma_w2": 1.0}
+ARX = {"kind": "arx", "a": [0.7, 0.2], "b": [1.0, 0.5], "sigma_w2": 1.0}
+DET = {"window_len": 100, "alpha": 0.01, "n_cal": 1000}
 
 
 def test_zero_policy_scalar_and_vector():
-    assert ZeroPolicy().step(3.0) == 0.0
-    np.testing.assert_array_equal(ZeroPolicy(n_inputs=2).step(np.ones(2)), np.zeros(2))
+    scalar = run_scenario(make_scenario(horizon=300, policy={"kind": "zero"}))
+    assert scalar.u_g.shape == (300,)
+    assert not scalar.u_g.any()
+    vector = run_scenario(
+        make_scenario(horizon=300, plant=MIMO, policy={"kind": "zero"}, detector=DET)
+    )
+    assert vector.u_g.shape == (300, 2)
+    assert not vector.u_g.any()
 
 
 def test_linear_feedback_scalar_and_matrix():
-    assert LinearFeedback(f=-0.3).step(2.0) == pytest.approx(-0.6)
-    F = np.array([[0.1, 0.0], [0.0, 0.2]])
-    np.testing.assert_allclose(
-        LinearFeedback(f=F).step(np.array([1.0, 2.0])), [0.1, 0.4]
-    )
+    trace = run_scenario(make_scenario(horizon=300, policy={"kind": "linear", "f": -0.3}))
+    assert (-0.3 * trace.z).tobytes() == trace.u_g.tobytes()
+    partial = {"kind": "partial", "A": [[0.9]], "B": [1.0], "C": [1.0],
+               "sigma_w2": 1.0, "sigma_n2": 1.0}
+    trace = run_scenario(make_scenario(
+        horizon=300, plant=partial, policy={"kind": "linear", "f": -0.3},
+        detector=dict(DET, tests=["cross_corr"]),
+    ))
+    assert (-0.3 * trace.z).tobytes() == trace.u_g.tobytes()
+    F = np.array([[-0.2, 0.1], [0.0, -0.2]])
+    trace = run_scenario(make_scenario(
+        horizon=300, plant=MIMO, policy={"kind": "linear", "f": F.tolist()}, detector=DET
+    ))
+    # numpy may round the batched product differently in the last bit
+    scale = np.max(np.abs(trace.u_g))
+    np.testing.assert_allclose(trace.u_g, trace.z @ F.T, rtol=0.0, atol=1e-15 * scale)
 
 
 def test_arx_deadbeat_satisfies_its_recursion():
-    """b0 u[t] + sum_{r>=1} b_r u[t-r] must equal sum_m a_m z[t-m]."""
-    a = (0.7, 0.2)
-    b = (1.0, 0.5)
-    pol = ArxDeadbeat(a, b)
-    rng = np.random.default_rng(4)
-    z_seen: list[float] = []
-    u_seen: list[float] = []
-    for _ in range(40):
-        z_t = float(rng.normal())
-        u_t = pol.step(z_t)
-        z_seen.append(z_t)
-        u_seen.append(u_t)
-        t = len(z_seen) - 1
-        lhs = sum(
-            br * u_seen[t - r] for r, br in enumerate(b) if t - r >= 0
-        )
-        rhs = sum(
-            am * z_seen[t - m] for m, am in enumerate(a) if t - m >= 0
-        )
-        assert lhs == pytest.approx(rhs, abs=1e-12)
-
-
-def test_arx_deadbeat_reset_clears_state():
-    pol = ArxDeadbeat((0.5,), (1.0, 0.5))
-    first = [pol.step(1.0), pol.step(2.0)]
-    pol.reset()
-    again = [pol.step(1.0), pol.step(2.0)]
-    assert first == again
+    """B(q^-1) u_g = A(q^-1) z on the reports, honest or not."""
+    for attack in ({"kind": "honest"}, {"kind": "additive_estimated", "onset": 150}):
+        trace = run_scenario(make_scenario(
+            horizon=400, plant=ARX, policy={"kind": "arx_deadbeat"}, attack=attack,
+            detector=DET,
+        ))
+        lhs = lfilter(ARX["b"], 1.0, trace.u_g)
+        rhs = lfilter(ARX["a"], 1.0, trace.z)
+        np.testing.assert_allclose(lhs, rhs, rtol=0.0, atol=1e-12)
 
 
 def test_arx_deadbeat_rejects_nonminphase_b():
-    with pytest.raises(ValueError, match="minimum phase"):
-        ArxDeadbeat((0.5,), (1.0, 2.0))
-
-
-def test_callable_policy_sees_history_oldest_first():
-    seen = []
-    pol = CallablePolicy(lambda hist: seen.append(list(hist)) or 0.0)
-    pol.step(1.0)
-    pol.step(2.0)
-    pol.step(3.0)
-    assert seen[-1] == [1.0, 2.0, 3.0]
-    pol.reset()
-    pol.step(9.0)
-    assert seen[-1] == [9.0]
+    with pytest.raises(ScenarioError, match="minimum phase") as err:
+        make_scenario(plant=dict(ARX, b=[1.0, 2.0]), policy={"kind": "arx_deadbeat"})
+    assert err.value.field == "plant"

@@ -3,13 +3,11 @@ import pathlib
 import numpy as np
 import pytest
 
-from dynwatermark.linsys import ArxDeadbeat, LinearFeedback, ZeroPolicy
 from dynwatermark.scenario import (
     SCHEMA_VERSION,
     ScenarioError,
     allowed_tests,
     build_attack,
-    build_policy,
     default_tests,
     load_scenario,
     resolve_watermark,
@@ -206,36 +204,6 @@ def test_allowed_and_default_tests_tables():
 # ---------------------------------------------------------------------------
 # factories
 # ---------------------------------------------------------------------------
-
-
-def test_build_policy_kinds():
-    cfg = scenario_from_dict(base_dict())
-    assert isinstance(build_policy(cfg, cfg.plant.build()), LinearFeedback)
-    cfg = scenario_from_dict(base_dict(policy={"kind": "zero"}))
-    assert isinstance(build_policy(cfg, cfg.plant.build()), ZeroPolicy)
-    cfg = scenario_from_dict(
-        base_dict(
-            plant={"kind": "arx", "a": [0.7, 0.2], "b": [1.0, 0.5], "sigma_w2": 1.0},
-            policy={"kind": "arx_deadbeat"},
-        )
-    )
-    pol = build_policy(cfg, cfg.plant.build())
-    assert isinstance(pol, ArxDeadbeat)
-    assert pol.a_coeffs == (0.7, 0.2)
-
-
-def test_build_policy_matrix_gain():
-    cfg = scenario_from_dict(
-        base_dict(
-            plant={"kind": "mimo", "A": [[0.5, 0.0], [0.0, 0.5]],
-                   "B": [[1.0, 0.0], [0.0, 1.0]], "sigma_w2": 1.0},
-            policy={"kind": "linear", "f": [[-0.1, 0.0], [0.0, -0.2]]},
-            detector={"window_len": 100, "alpha": 0.01, "n_cal": 1000},
-        )
-    )
-    pol = build_policy(cfg, cfg.plant.build())
-    out = pol.step(np.array([1.0, 1.0]))
-    np.testing.assert_allclose(out, [-0.1, -0.2])
 
 
 def test_mimo_linear_gain_shape_is_checked_at_load():
