@@ -2,7 +2,9 @@ import pathlib
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
+from dynwatermark.harness import run_scenario
 from dynwatermark.scenario import (
     SCHEMA_VERSION,
     ScenarioError,
@@ -204,6 +206,46 @@ def test_allowed_and_default_tests_tables():
 # ---------------------------------------------------------------------------
 # factories
 # ---------------------------------------------------------------------------
+
+
+def test_build_policy_kinds():
+    """Each policy kind of a scenario file drives the loop with its own law."""
+    cfg = scenario_from_dict(base_dict(horizon=300))
+    trace = run_scenario(cfg)
+    assert (-0.3 * trace.z).tobytes() == trace.u_g.tobytes()
+    trace = run_scenario(scenario_from_dict(base_dict(horizon=300, policy={"kind": "zero"})))
+    assert not trace.u_g.any()
+    cfg = scenario_from_dict(
+        base_dict(
+            horizon=300,
+            plant={"kind": "arx", "a": [0.7, 0.2], "b": [1.0, 0.5], "sigma_w2": 1.0},
+            policy={"kind": "arx_deadbeat"},
+        )
+    )
+    trace = run_scenario(cfg)
+    # the deadbeat law takes its coefficients from the plant: B(q^-1) u_g = A(q^-1) z
+    np.testing.assert_allclose(
+        lfilter([1.0, 0.5], 1.0, trace.u_g), lfilter([0.7, 0.2], 1.0, trace.z),
+        rtol=0.0, atol=1e-12,
+    )
+
+
+def test_build_policy_matrix_gain():
+    cfg = scenario_from_dict(
+        base_dict(
+            horizon=300,
+            plant={"kind": "mimo", "A": [[0.5, 0.0], [0.0, 0.5]],
+                   "B": [[1.0, 0.0], [0.0, 1.0]], "sigma_w2": 1.0},
+            policy={"kind": "linear", "f": [[-0.1, 0.0], [0.0, -0.2]]},
+            detector={"window_len": 100, "alpha": 0.01, "n_cal": 1000},
+        )
+    )
+    trace = run_scenario(cfg)
+    assert trace.u_g.shape == (300, 2)
+    scale = np.max(np.abs(trace.u_g))
+    np.testing.assert_allclose(
+        trace.u_g, trace.z * [-0.1, -0.2], rtol=0.0, atol=1e-15 * scale
+    )
 
 
 def test_mimo_linear_gain_shape_is_checked_at_load():
