@@ -11,6 +11,7 @@ noise are structurally absent — there are no such fields.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
@@ -116,24 +117,49 @@ class NoiseSimAttack(AttackStrategy):
     driven by the nominal inputs and the attacker's own process noise w'.
     The attacker cannot add the watermark (it never sees e), which is what
     the correlation tests catch.
+
+    The attack steps run from ``onset`` to ``horizon - 1``.  Their noise is
+    drawn in one block at onset, in the order per-step draws would take it,
+    except on a noisy output whose w' is not Gaussian: there w' and the
+    Gaussian n' come from two families, and each step draws its own.
     """
 
     kind = "noise_sim"
 
-    def __init__(self, onset: int, rng: np.random.Generator):
+    def __init__(self, onset: int, rng: np.random.Generator, horizon: int):
         super().__init__(onset)
         self._rng = rng
+        self._horizon = horizon
+        self._noise = None
         self._w_hist: list[float] = []
         self._x_sim: list[float] | None = None
+
+    def _predraw(self, form, w_family: str):
+        """Noise of every attack step, one row per step, or None if the steps
+        draw their own: w' for a lag plant or a measured state, (w', n') for
+        a noisy output."""
+        steps = self._horizon - self.onset
+        if isinstance(form, LagForm):
+            return draw_iid(w_family, form.sigma_w2, self._rng, steps).tolist()
+        p = form.A.shape[0]
+        if form.C is None:
+            return draw_iid(w_family, form.sigma_w2, self._rng, (steps, p))
+        if w_family != "gaussian":
+            return None
+        scales = [math.sqrt(form.sigma_w2)] * p + [math.sqrt(form.sigma_n2)]
+        return self._rng.normal(0.0, scales, (steps, p + 1)).tolist()
 
     def _attack(self, view: SensorView):
         form = view.plant.kernel
         t = view.t
-        rng = self._rng
+        step = t - self.onset
+        if step == 0:
+            self._noise = self._predraw(form, view.w_family)
+        noise = self._noise
         z, u_g = view.z, view.u_g
         if isinstance(form, LagForm):
             # Own noise memory for C(q^-1) w'; pre-onset w' values are zero.
-            self._w_hist.insert(0, float(draw_iid(view.w_family, form.sigma_w2, rng)))
+            self._w_hist.insert(0, noise[step])
             del self._w_hist[len(form.c) :]
             acc = 0.0
             for k, ak in enumerate(form.a):
@@ -145,16 +171,20 @@ class NoiseSimAttack(AttackStrategy):
             return acc
         # A measured state restarts from the last report; a hidden one runs
         # on the attacker's own copy, in Python floats like the plant's loop.
-        p = form.A.shape[0]
-        w = draw_iid(view.w_family, form.sigma_w2, rng, p)
         if form.C is None:
             x = np.asarray(z[t - 1], dtype=float)
             u = np.atleast_1d(np.asarray(u_g[t - 1], dtype=float))
-            return form.A @ x + form.B @ u + w
+            return form.A @ x + form.B @ u + noise[step]
+        p = form.A.shape[0]
+        if noise is None:
+            w = draw_iid(view.w_family, form.sigma_w2, self._rng, p).tolist()
+            n = float(draw_iid("gaussian", form.sigma_n2, self._rng))
+        else:
+            *w, n = noise[step]
         rows, b, c = form.float_rows
         x = self._x_sim or [0.0] * p
-        x = self._x_sim = advance(rows, b, x, float(u_g[t - 1]), w.tolist())
-        return dot(c, x) + float(draw_iid("gaussian", form.sigma_n2, rng))
+        x = self._x_sim = advance(rows, b, x, float(u_g[t - 1]), w)
+        return dot(c, x) + n
 
 
 def _past(seq, i: int) -> float:

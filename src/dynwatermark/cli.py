@@ -53,9 +53,9 @@ def _cmd_run(args) -> int:
         out = os.environ.get("DYNWATERMARK_OUT")
     if out is None:
         out = os.path.join("runs", f"{config.name}-{seed}")
+    trace = run_scenario(config, seed=seed)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    trace = run_scenario(config, seed=seed)
     export_trace(trace, out_dir / "trace.csv")
     save_scenario(config, out_dir / "scenario.yaml")
     report = oracle_metrics(trace)

@@ -29,8 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import multigammaln
-from scipy.stats import chi2
 
 from .watermark import draw_iid
 
@@ -184,6 +182,8 @@ def _as_sigma0(Sigma0, n: int) -> np.ndarray:
 
 
 def _wishart_const(l: int, n: int, S0: np.ndarray) -> tuple[float, float]:
+    from scipy.special import multigammaln
+
     sign0, logdet0 = np.linalg.slogdet(S0)
     if sign0 <= 0:
         raise ValueError("Sigma0 must be positive definite")
@@ -298,6 +298,14 @@ def threshold_from_stats(kind: str, stats: np.ndarray, alpha: float) -> Threshol
     return Threshold(kind, alpha, hi, None, "mc", stats.size)
 
 
+def _chi2_ppf(q: float, dof: int) -> float:
+    """Chi-square quantile, evaluated as ``scipy.stats.chi2.ppf`` does it
+    (2 * gammaincinv(dof/2, q)) without loading ``scipy.stats``."""
+    from scipy.special import gammaincinv
+
+    return 2 * gammaincinv(dof / 2, q)
+
+
 def _check_alpha(alpha: float) -> None:
     if not 0.0 < alpha < 0.5:
         raise ValueError(f"alpha must be in (0, 0.5), got {alpha}")
@@ -325,8 +333,8 @@ def calibrate_threshold(
         raise ValueError(f"unknown stat kind {kind!r}; expected one of {STAT_KINDS}")
     if kind == "variance" and null.gaussian:
         target = null.variance_target()
-        lo = target * chi2.ppf(0.5 * alpha, l) / l
-        hi = target * chi2.ppf(1.0 - 0.5 * alpha, l) / l
+        lo = target * _chi2_ppf(0.5 * alpha, l) / l
+        hi = target * _chi2_ppf(1.0 - 0.5 * alpha, l) / l
         return Threshold(kind, alpha, float(hi), float(lo), "chi2")
     if n_cal is None:
         n_cal = max(int(math.ceil(10.0 / alpha)), 10_000)

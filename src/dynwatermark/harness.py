@@ -31,6 +31,7 @@ from .residual import innovations, kalman_design, lag_filter, prediction_errors
 from .scenario import (
     ScenarioConfig,
     build_attack,
+    check_seed,
     default_tests,
     resolve_watermark,
 )
@@ -166,7 +167,7 @@ class _Streams:
     """
 
     def __init__(self, seed: int, n_actuators: int = 1):
-        root = np.random.SeedSequence(seed)
+        root = np.random.SeedSequence(check_seed(seed))
         proc, meas, exc, atk, cal = root.spawn(5)
         self.process = np.random.default_rng(proc)
         self.measurement = np.random.default_rng(meas)

@@ -26,6 +26,7 @@ __all__ = [
     "KalmanDesign",
     "kalman_design",
     "lag_filter",
+    "rational_filter",
     "prediction_errors",
     "innovations",
 ]
@@ -43,16 +44,28 @@ def lag_filter(coeffs, x: np.ndarray, delay: int = 0) -> np.ndarray:
     return acc
 
 
+def rational_filter(b, a, x: np.ndarray) -> np.ndarray:
+    """y with A(q^-1) y = B(q^-1) x along the last axis, at rest: lfilter(b, a, x).
+
+    A one-tap filter with b == a is the identity.  lfilter sums 1.0 * x onto
+    a zero state, which keeps every bit except that -0.0 becomes +0.0, so
+    x + 0.0 is its exact output and ``scipy.signal`` is not loaded for it.
+    """
+    if len(b) == 1 and len(a) == 1 and b[0] == a[0] != 0.0:
+        return np.add(x, 0.0)
+    from scipy.signal import lfilter
+
+    return lfilter(b, a, x)
+
+
 def prediction_errors(form: LagForm, z: np.ndarray, u_g: np.ndarray) -> np.ndarray:
     """ztilde with C(q^-1) ztilde = A(q^-1) z - q^-delay B(q^-1) u_g, at rest.
 
     With honest reports and a shaped watermark this is exactly
     gain * e[t-delay] + w[t] (Astrom 1970, innovations form).
     """
-    from scipy.signal import lfilter
-
     drive = lag_filter((1.0,) + form.a, z) - lag_filter(form.b, u_g, form.delay)
-    return lfilter((1.0,), form.c, drive)
+    return rational_filter((1.0,), form.c, drive)
 
 
 # ---------------------------------------------------------------------------

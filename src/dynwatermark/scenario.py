@@ -51,6 +51,14 @@ class ScenarioError(ValueError):
         super().__init__(f"{field_path}: {message}")
 
 
+def check_seed(seed: int) -> int:
+    """A master seed is a non-negative integer; the loader, the simulator
+    and the calibration all refuse a negative one with this error."""
+    if seed < 0:
+        raise ScenarioError("seed", "must be >= 0")
+    return seed
+
+
 def _require(d: dict, key: str, section: str):
     if key not in d:
         raise ScenarioError(f"{section}.{key}", "missing required key")
@@ -469,9 +477,7 @@ def scenario_from_dict(d: dict) -> ScenarioConfig:
     horizon = _as_int(_require(d, "horizon", "scenario"), "horizon")
     if horizon < 2:
         raise ScenarioError("horizon", f"must be >= 2, got {horizon}")
-    seed = _as_int(d.get("seed", 0), "seed")
-    if seed < 0:
-        raise ScenarioError("seed", "must be >= 0")
+    seed = check_seed(_as_int(d.get("seed", 0), "seed"))
     plant = _parse_plant(_require(d, "plant", "scenario"))
     policy = _parse_policy(d.get("policy", {"kind": "zero"}), plant)
     wm = _parse_watermark(_require(d, "watermark", "scenario"), plant)
@@ -516,7 +522,7 @@ def build_attack(config: ScenarioConfig, rng: np.random.Generator) -> adversary.
     if ac.kind == "replay":
         return adversary.ReplayAttack(ac.onset, ac.record_len)
     if ac.kind == "noise_sim":
-        return adversary.NoiseSimAttack(ac.onset, rng)
+        return adversary.NoiseSimAttack(ac.onset, rng, config.horizon)
     if ac.kind == "additive_estimated":
         return adversary.AdditiveEstimatedAttack(ac.onset, rng)
     return adversary.CustomAttack(ac.kind, ac.onset, rng, ac.params)

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .residual import rational_filter
+
 __all__ = [
     "FAMILIES",
     "WatermarkSpec",
@@ -103,8 +105,6 @@ def shape(e, b_coeffs, c_coeffs=(1.0,), gain=None) -> np.ndarray:
     filter is stable.  It depends on e alone, so it runs on the whole
     sequence at once.
     """
-    from scipy.signal import lfilter
-
     if gain is None:
         gain = b_coeffs[0]
-    return lfilter(gain * np.asarray(c_coeffs, dtype=float), b_coeffs, e)
+    return rational_filter(gain * np.asarray(c_coeffs, dtype=float), b_coeffs, e)

@@ -16,7 +16,7 @@ from dynwatermark.adversary import (
 )
 from dynwatermark.harness import _Streams, run_scenario
 from dynwatermark.linsys import ArxPlant, MimoPlant, ScalarPlant
-from dynwatermark.watermark import draw_iid
+from dynwatermark.watermark import FAMILIES, draw_iid
 
 from conftest import make_scenario
 
@@ -125,6 +125,47 @@ def test_noise_sim_reports_follow_recursion_driven_by_private_noise():
     for t in range(onset, cfg.horizon):
         w_prime = float(draw_iid("gaussian", plant.sigma_w2, own_rng))
         assert z[t] == plant.a * z[t - 1] + plant.b * ug[t - 1] + w_prime
+
+
+NOISE_SIM_PLANTS = {
+    "armax": {"kind": "armax", "a": [0.5], "b": [1.0, 0.5], "c": [1.0, 0.3],
+              "delay": 2, "sigma_w2": 0.8},
+    "mimo": {"kind": "mimo", "A": [[0.5, 0.1], [0.0, 0.4]],
+             "B": [[1.0, 0.0], [0.2, 1.0]], "sigma_w2": 0.6},
+}
+
+
+@pytest.mark.parametrize("w_family", FAMILIES)
+@pytest.mark.parametrize("kind", sorted(NOISE_SIM_PLANTS))
+def test_noise_sim_block_draws_equal_per_step_draws(kind, w_family):
+    """The attacker's w', drawn in one block at onset, is the sequence one
+    draw per attacked step gives: the reports are reproduced bit for bit."""
+    seed, onset = 4, 300
+    cfg = make_scenario(
+        seed=seed, horizon=700, plant=dict(NOISE_SIM_PLANTS[kind], w_family=w_family),
+        policy={"kind": "zero"}, attack={"kind": "noise_sim", "onset": onset},
+        detector={"window_len": 200, "alpha": 0.05, "n_cal": 200},
+    )
+    trace = run_scenario(cfg)
+    z, ug = trace.z, trace.u_g
+    own_rng = _Streams(seed).attack
+    form = cfg.plant.build().kernel
+    w_own = {}
+    for t in range(onset, cfg.horizon):
+        if kind == "mimo":
+            w = draw_iid(w_family, form.sigma_w2, own_rng, 2)
+            assert np.array_equal(z[t], form.A @ z[t - 1] + form.B @ ug[t - 1] + w), t
+            continue
+        w_own[t] = float(draw_iid(w_family, form.sigma_w2, own_rng))
+        acc = 0.0
+        for k, ak in enumerate(form.a):
+            acc -= ak * z[t - 1 - k]
+        for k, bk in enumerate(form.b):
+            acc += bk * ug[t - form.delay - k]
+        for k, ck in enumerate(form.c):
+            if t - k in w_own:  # w' is zero before onset
+                acc += ck * w_own[t - k]
+        assert z[t] == acc, t
 
 
 def test_noise_sim_with_zero_excitation_is_law_consistent():

@@ -85,6 +85,22 @@ def test_run_writes_run_directory(scenario_file, tmp_path, capsys):
     assert report["n_windows"] == 4
 
 
+@pytest.mark.parametrize("command", ["run", "calibrate", "detect"])
+def test_negative_seed_names_its_field(command, scenario_file, tmp_path, capsys):
+    argv = [command, "--scenario", str(scenario_file), "--seed", "-1"]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "out")]
+    if command == "detect":
+        run_dir = tmp_path / "first"
+        run_cli(capsys, "run", "--scenario", str(scenario_file), "--out", str(run_dir))
+        argv += ["--trace", str(run_dir / "trace.csv")]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == ["error: seed: must be >= 0"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_seed_override_lands_in_directory(scenario_file, tmp_path, capsys):
     out_dir = tmp_path / "out"
     code, out, _ = run_cli(

@@ -388,6 +388,20 @@ def test_gaussian_variance_threshold_is_chi2_closed_form():
     assert th.lo == pytest.approx(target * chi2.ppf(0.0005, 500) / 500)
 
 
+@pytest.mark.parametrize("alpha", [1e-4, 1e-3, 0.01, 0.05, 0.2, 0.4])
+def test_gaussian_variance_bands_equal_chi2_ppf_bitwise(alpha):
+    """The bands are chi2.ppf's own evaluation, without scipy.stats: every
+    band equals target * chi2.ppf(q, l) / l byte for byte."""
+    null = ResidualNull(gain=0.7, sigma_e2=0.3, sigma_w2=1.1)
+    target = null.variance_target()
+    for l in [2, 3, 7, 10, 51, 100, 499, 500, 1000, 2000, 4999, 20_000, 100_000]:
+        th = calibrate_threshold("variance", l, alpha, null)
+        hi = target * chi2.ppf(1.0 - 0.5 * alpha, l) / l
+        lo = target * chi2.ppf(0.5 * alpha, l) / l
+        assert np.float64(th.hi).tobytes() == np.float64(hi).tobytes(), (l, alpha)
+        assert np.float64(th.lo).tobytes() == np.float64(lo).tobytes(), (l, alpha)
+
+
 def test_chi2_threshold_agrees_with_monte_carlo_quantile():
     """Dual route: closed form vs empirical quantile of simulated nulls."""
     null = ResidualNull(gain=1.0, sigma_e2=0.25, sigma_w2=1.0)

@@ -23,7 +23,7 @@ from dynwatermark.harness import (
     trace_equal,
 )
 from dynwatermark.linsys import PARTIAL_BURN_IN
-from dynwatermark.scenario import PolicyConfig, resolve_watermark
+from dynwatermark.scenario import PolicyConfig, ScenarioError, resolve_watermark
 from dynwatermark.watermark import draw_iid
 
 from conftest import make_scenario
@@ -243,6 +243,35 @@ def test_partial_loop_matches_numpy_reference(p, attack, policy):
         else:
             # numpy may round a row sum of two products differently
             assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), name
+
+
+@pytest.mark.parametrize("w_family", ["laplace", "uniform"])
+@pytest.mark.parametrize("p", [1, 2])
+def test_partial_noise_sim_matches_numpy_reference_for_non_gaussian_noise(p, w_family):
+    """A non-Gaussian w' and the Gaussian n' are drawn step by step, w' first."""
+    cfg = make_scenario(
+        seed=9, horizon=400, plant=dict(PARTIAL_PLANTS[p], w_family=w_family),
+        attack=PARTIAL_ATTACKS["noise_sim"],
+        detector={"window_len": 100, "alpha": 0.05, "n_cal": 200, "burn_in": 20},
+    )
+    trace = run_scenario(cfg)
+    got = (trace.x, trace.y, trace.z, trace.u_g, trace.u)
+    for name, a, b in zip(("x", "y", "z", "u_g", "u"), got, numpy_partial_loop(cfg, 9)):
+        if p == 1:
+            assert np.array_equal(a, b), name
+        else:
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), name
+
+
+def test_negative_seed_is_refused_like_the_loader_refuses_it():
+    cfg = make_scenario(horizon=600, detector={"window_len": 200, "alpha": 0.05, "n_cal": 200})
+    for call in (run_scenario, calibrate_detector):
+        with pytest.raises(ScenarioError) as exc:
+            call(cfg, seed=-1)
+        assert str(exc.value) == "seed: must be >= 0"
+    with pytest.raises(ScenarioError) as exc:
+        make_scenario(seed=-2)
+    assert str(exc.value) == "seed: must be >= 0"
 
 
 # ---------------------------------------------------------------------------

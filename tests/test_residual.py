@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import solve_discrete_are
+from scipy.signal import lfilter
 
 from dynwatermark.linsys import (
     ArmaxPlant,
@@ -16,8 +17,43 @@ from dynwatermark.residual import (
     kalman_design,
     lag_filter,
     prediction_errors,
+    rational_filter,
 )
 from dynwatermark.watermark import shape
+
+
+# ---------------------------------------------------------------------------
+# one-tap identity filters skip lfilter, bit for bit
+# ---------------------------------------------------------------------------
+
+SIGNED = np.array([-0.0, 0.0, 1.5, -0.0, -2.25, 1e-300, -7.0, 3.0e200, -0.0])
+
+
+@pytest.mark.parametrize("b", [1.0, 0.3, -2.0])
+def test_identity_filter_equals_lfilter_bitwise(b):
+    x = np.concatenate([SIGNED, np.random.default_rng(2).normal(size=200)])
+    got = rational_filter((b,), (b,), x)
+    assert got.tobytes() == lfilter((b,), (b,), x).tobytes()
+    # lfilter adds its zero state, so -0.0 comes out as +0.0
+    assert not np.signbit(got[[0, 3, 8]]).any()
+
+
+@pytest.mark.parametrize("b", [1.0, 0.3, -2.0])
+def test_identity_shaper_and_scalar_residual_equal_lfilter_bitwise(b):
+    """The one-coefficient pre-equalizer and the C = (1,) prediction error
+    return their input, bit-equal to what lfilter makes of it."""
+    e = np.concatenate([SIGNED, np.random.default_rng(3).normal(size=200)])
+    assert shape(e, (b,)).tobytes() == lfilter((b,), (b,), e).tobytes()
+    form = ScalarPlant(a=0.5, b=b, sigma_w2=1.0).kernel
+    z, u_g = e, np.concatenate([SIGNED[::-1], np.random.default_rng(4).normal(size=200)])
+    drive = lag_filter((1.0,) + form.a, z) - lag_filter(form.b, u_g, form.delay)
+    assert prediction_errors(form, z, u_g).tobytes() == lfilter((1.0,), (1.0,), drive).tobytes()
+
+
+def test_rational_filter_runs_lfilter_otherwise():
+    x = np.random.default_rng(5).normal(size=300)
+    for b, a in [((0.5,), (1.0,)), ((1.0,), (1.0, 0.3)), ((1.0, 0.2), (1.0,))]:
+        assert rational_filter(b, a, x).tobytes() == lfilter(b, a, x).tobytes()
 
 
 # ---------------------------------------------------------------------------
