@@ -24,7 +24,6 @@ from .harness import (
     stat_series,
 )
 from .scenario import (
-    ScenarioError,
     load_scenario,
     save_scenario,
     scenario_from_dict,
@@ -97,18 +96,16 @@ def _cmd_detect(args) -> int:
     trace = import_trace(args.trace, config)
     seed = args.seed if args.seed is not None else trace.seed
     thresholds = calibrate_detector(config, seed=seed)
-    _require_channels(args.scenario, trace.channel_names, thresholds)
-    alarms = []
-    for wrec in trace.windows:
-        hit = [
-            name
-            for name, value in wrec.values.items()
-            if thresholds[name].exceeded(value, channel=name, end_t=wrec.end_t)
-        ]
-        if hit:
-            alarms.append({"index": wrec.index, "end_t": wrec.end_t, "channels": hit})
+    channels = trace.channel_names
+    _require_channels(args.scenario, channels, thresholds)
+    series = {ch: stat_series(trace, ch) for ch in channels}
+    flags = {ch: thresholds[ch].exceeded(v, channel=ch, end_t=t) for ch, (t, v) in series.items()}
+    alarms = [
+        {"index": i, "end_t": end, "channels": [ch for ch in channels if flags[ch][i]]}
+        for i, end in enumerate(trace.window_ends.tolist()) if any(flags[ch][i] for ch in channels)
+    ]
     out = {
-        "n_windows": len(trace.windows),
+        "n_windows": len(trace.window_ends),
         "n_alarms": len(alarms),
         "first_alarm": alarms[0]["end_t"] if alarms else None,
         "alarms": alarms,
@@ -132,17 +129,15 @@ def _cmd_report(args) -> int:
     (run_dir / "report.json").write_text(report.to_json() + "\n", encoding="utf-8")
     if channels:
         header = ["end_t"] + channels
+        band_cells = []
         for ch in channels:
+            hi, lo = bands[ch]
             header += [f"{ch}_hi", f"{ch}_lo"]
+            band_cells += [repr(hi), "" if lo is None else repr(lo)]
         lines = [",".join(header)]
-        series = {ch: stat_series(trace, ch) for ch in channels}
-        ends = series[channels[0]][0]
-        for i, end in enumerate(ends.tolist()):
-            row = [str(end)] + [repr(float(series[ch][1][i])) for ch in channels]
-            for ch in channels:
-                hi, lo = bands[ch]
-                row += [repr(hi), "" if lo is None else repr(lo)]
-            lines.append(",".join(row))
+        series = [stat_series(trace, ch)[1].tolist() for ch in channels]
+        for end, *values in zip(trace.window_ends.tolist(), *series):
+            lines.append(",".join([str(end), *map(repr, values), *band_cells]))
         (run_dir / "stats.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(report.to_json())
     return 0
@@ -228,9 +223,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

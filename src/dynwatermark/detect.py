@@ -275,14 +275,28 @@ class Threshold:
     method: str = "mc"
     n_cal: int | None = None
 
-    def exceeded(self, value: float, *, channel: str | None = None, end_t=None) -> bool:
-        """Whether ``value`` alarms; a non-finite value is an error, not a pass."""
-        if not math.isfinite(value):
-            where = f"channel {channel or self.kind}, window ending at t={end_t}"
-            raise ValueError(f"non-finite statistic {value} on {where}")
-        if value > self.hi:
-            return True
-        return self.lo is not None and value < self.lo
+    def exceeded(self, value, *, channel: str | None = None, end_t=None):
+        """Whether ``value`` (one window's, or an array with ``end_t`` per
+        entry) alarms; a non-finite value is an error, not a pass."""
+        v = np.asarray(value, dtype=float)
+        _require_finite(np.atleast_1d(end_t), {channel or self.kind: np.atleast_1d(v)})
+        hit = v > self.hi
+        if self.lo is not None:
+            hit |= v < self.lo
+        return hit if v.ndim else bool(hit)
+
+
+def _require_finite(ends, stats: dict[str, np.ndarray]) -> None:
+    """Refuse a non-finite statistic (``stats``: channel -> one value per
+    window ending at ``ends``), naming the earliest such window, then channel."""
+    bad = [(np.flatnonzero(~np.isfinite(v)), ch) for ch, v in stats.items()]
+    bad = [(idx[0], ch) for idx, ch in bad if idx.size]
+    if bad:
+        wdx, ch = min(bad, key=lambda b: b[0])  # the first channel on a tie
+        raise ValueError(
+            f"non-finite statistic {stats[ch][wdx]} on channel {ch}, "
+            f"window ending at t={ends[wdx]}"
+        )
 
 
 def threshold_from_stats(kind: str, stats: np.ndarray, alpha: float) -> Threshold:

@@ -84,7 +84,8 @@ class WindowRecord:
 
 @dataclass
 class Trace:
-    """Everything one run produced, per step plus per window."""
+    """Everything one run produced: per step, and per window its last step and
+    per channel its statistic and alarm flag (imported: one flag, ``"any"``)."""
 
     config: ScenarioConfig
     seed: int
@@ -97,7 +98,9 @@ class Trace:
     e_shaped: np.ndarray
     w: np.ndarray
     n: np.ndarray | None
-    windows: list[WindowRecord]
+    window_ends: np.ndarray
+    window_stats: dict[str, np.ndarray]
+    window_alarms: dict[str, np.ndarray]
     thresholds: dict[str, Threshold]
     residual_start: int
     burn_in: int
@@ -109,7 +112,26 @@ class Trace:
 
     @property
     def channel_names(self) -> list[str]:
-        return sorted(self.windows[0].values) if self.windows else []
+        return sorted(self.window_stats)
+
+    @property
+    def any_alarm(self) -> np.ndarray:
+        """Per window, whether any channel alarmed."""
+        flags = [np.zeros(len(self.window_ends), bool), *self.window_alarms.values()]
+        return np.logical_or.reduce(flags)
+
+    @property
+    def windows(self) -> list[WindowRecord]:
+        """One record per window, built from the arrays on each access."""
+        stats = {ch: v.tolist() for ch, v in self.window_stats.items()}
+        alarms = {ch: a.tolist() for ch, a in self.window_alarms.items()}
+        return [
+            WindowRecord(
+                i, end, {ch: v[i] for ch, v in stats.items()},
+                {ch: a[i] for ch, a in alarms.items()},
+            )
+            for i, end in enumerate(self.window_ends.tolist())
+        ]
 
 
 @dataclass
@@ -426,39 +448,38 @@ def calibrate_detector(
     return out
 
 
+def _window_ends(T: int, start: int, burn: int, l: int) -> np.ndarray:
+    """Last steps of the complete windows that tile steps start + burn .. T-1."""
+    return np.arange(start + burn + l - 1, T, l)
+
+
 def _detect_pass(
     config: ScenarioConfig,
     streams: dict,
     specs: list[ChannelSpec],
     thresholds: dict[str, Threshold],
-) -> list[WindowRecord]:
-    """Every complete window of every channel, evaluated from its joint
-    scatter in one batch per channel, then thresholded window by window."""
+) -> tuple[np.ndarray, dict[str, np.ndarray], dict[str, np.ndarray]]:
+    """Ends, statistics and alarm flags of every complete window, evaluated
+    from the joint scatters in one batch per channel and thresholded in one call."""
     l = config.detector.window_len
     start, burn = streams["start"], streams["burn"]
-    n_win = (len(streams["e"]) - burn) // l
-    if n_win <= 0:
-        return []
+    ends = _window_ends(start + len(streams["e"]), start, burn, l)
+    n_win = len(ends)
+    if not n_win:
+        return ends, {}, {}
     span = slice(burn, burn + n_win * l)
-    values: dict[str, list[float]] = {}
+    stats: dict[str, np.ndarray] = {}
     for spec in specs:
         blocks = [
             b[span].reshape(n_win, l, *b.shape[1:]) for b in _channel_samples(spec, streams)
         ]
         Z = _detect._joint_scatter(*blocks)
-        values[spec.name] = _detect._batch_values(
+        stats[spec.name] = _detect._batch_values(
             spec.kind, Z, l, len(blocks) - 1, target=spec.target, Sigma0=spec.Sigma0
-        ).tolist()
-    records: list[WindowRecord] = []
-    for wdx in range(n_win):
-        end_t = start + burn + (wdx + 1) * l - 1
-        vals = {name: v[wdx] for name, v in values.items()}
-        alarmed = {
-            name: thresholds[name].exceeded(val, channel=name, end_t=end_t)
-            for name, val in vals.items()
-        }
-        records.append(WindowRecord(index=wdx, end_t=end_t, values=vals, alarmed=alarmed))
-    return records
+        )
+    _detect._require_finite(ends, stats)
+    alarms = {ch: thresholds[ch].exceeded(v, channel=ch, end_t=ends) for ch, v in stats.items()}
+    return ends, stats, alarms
 
 
 def run_scenario(
@@ -491,9 +512,10 @@ def run_scenario(
         missing = {s.name for s in specs} - set(thresholds)
         if missing:
             raise ValueError(f"thresholds missing channels {sorted(missing)}")
+    ends, stats, alarms = _detect_pass(config, res, specs, thresholds)
     return Trace(
-        config=config, seed=seed, **arrays, thresholds=thresholds,
-        windows=_detect_pass(config, res, specs, thresholds),
+        config=config, seed=seed, **arrays, window_ends=ends, window_stats=stats,
+        window_alarms=alarms, thresholds=thresholds,
         residual_start=res["start"], burn_in=res["burn"],
     )
 
@@ -530,7 +552,7 @@ def oracle_metrics(trace: Trace) -> RunReport:
     v = _oracle_distortion(config, plant, trace)
     d = trace.z - trace.y
     onset = config.attack.onset
-    alarms = [wrec.end_t for wrec in trace.windows if wrec.any_alarm]
+    alarms = trace.window_ends[trace.any_alarm].tolist()
     if onset is None:
         false_alarms = len(alarms)
         delay = None
@@ -549,7 +571,7 @@ def oracle_metrics(trace: Trace) -> RunReport:
         mean_square_report=_mean_square(trace.z),
         distortion_power=_mean_square(v),
         distortion_msq=_mean_square(d),
-        n_windows=len(trace.windows),
+        n_windows=len(trace.window_ends),
         n_alarms=len(alarms),
         false_alarms_pre_onset=false_alarms,
         first_alarm=alarms[0] if alarms else None,
@@ -559,15 +581,9 @@ def oracle_metrics(trace: Trace) -> RunReport:
 
 def stat_series(trace: Trace, channel: str) -> tuple[np.ndarray, np.ndarray]:
     """(window_end_times, values) for one channel — plot-ready."""
-    if not trace.windows:
-        return np.array([], dtype=int), np.array([])
-    if channel not in trace.windows[0].values:
-        raise ValueError(
-            f"channel {channel!r} not in trace (has {trace.channel_names})"
-        )
-    ends = np.array([wrec.end_t for wrec in trace.windows], dtype=int)
-    vals = np.array([wrec.values[channel] for wrec in trace.windows])
-    return ends, vals
+    if channel not in trace.window_stats and trace.window_stats:
+        raise ValueError(f"channel {channel!r} not in trace (has {trace.channel_names})")
+    return trace.window_ends, trace.window_stats.get(channel, np.array([]))
 
 
 # ---------------------------------------------------------------------------
@@ -604,41 +620,44 @@ def _step_columns(trace: Trace) -> list[tuple[str, list[str]]]:
     return cols
 
 
+def _window_columns(trace: Trace) -> list[tuple[str, list[str]]]:
+    """(header name, cell texts) of ``window_id``, ``stat_<channel>`` per
+    channel and ``alarm``: each window's cells repeat on its rows, and rows
+    outside complete windows hold window id -1 and empty cells."""
+    T, l = trace.horizon, trace.config.detector.window_len
+    ends = trace.window_ends.tolist()
+
+    def spread(cells, outside: str) -> list[str]:
+        col = [outside] * T
+        for end, cell in zip(ends, cells):
+            col[end - l + 1 : end + 1] = [cell] * l
+        return col
+
+    cols = [("window_id", spread(map(str, range(len(ends))), "-1"))]
+    cols += [
+        (f"stat_{ch}", spread(map(repr, trace.window_stats[ch].tolist()), ""))
+        for ch in trace.channel_names
+    ]
+    cols.append(("alarm", spread(["1" if a else "0" for a in trace.any_alarm.tolist()], "")))
+    return cols
+
+
 def export_trace(trace: Trace, path) -> None:
     """Write the trace as column-stable delimited text (bit-exact floats).
 
-    One row per step.  Window-level columns (``window_id``, per-channel
-    statistics, ``alarm``) repeat their window's values on each of its rows
-    and are empty outside complete windows.  A single header comment line
-    carries the schema metadata needed to re-import standalone.
+    One row per step: its step columns, then its :func:`_window_columns`
+    cells.  A single header comment line carries the schema metadata needed
+    to re-import standalone.
     """
-    T = trace.horizon
-    cols = _step_columns(trace)
-    channels = trace.channel_names
-    l = trace.config.detector.window_len
-    window_id = ["-1"] * T
-    stat_text = [[""] * T for _ in channels]
-    alarm_text = [""] * T
-    for wrec in trace.windows:
-        span = slice(wrec.end_t - l + 1, wrec.end_t + 1)
-        window_id[span] = [str(wrec.index)] * l
-        for text, ch in zip(stat_text, channels):
-            text[span] = [repr(wrec.values[ch])] * l
-        alarm_text[span] = ["1" if wrec.any_alarm else "0"] * l
-    header = (
-        ["t"] + [name for name, _ in cols]
-        + ["window_id"] + [f"stat_{ch}" for ch in channels] + ["alarm"]
-    )
+    cols = _step_columns(trace) + _window_columns(trace)
+    header = ["t"] + [name for name, _ in cols]
     meta = (
         f"# dynwatermark-trace schema_version={trace.schema_version} "
         f"name={trace.config.name} seed={trace.seed} "
         f"plant={trace.config.plant.kind} residual_start={trace.residual_start} "
         f"burn_in={trace.burn_in}"
     )
-    columns = [
-        list(map(str, range(T))), *(text for _, text in cols),
-        window_id, *stat_text, alarm_text,
-    ]
+    columns = [list(map(str, range(trace.horizon))), *(text for _, text in cols)]
     # Cells, lines and the text each hold the whole file: free each stage
     # before the next one is built.
     del cols
@@ -656,8 +675,10 @@ def import_trace(path, config: ScenarioConfig) -> Trace:
     """Rebuild a :class:`Trace` from exported text (inverse of export).
 
     Thresholds are not serialized; the returned trace carries an empty
-    threshold map and the window records parsed from the file.  The stored
-    step data is self-checked against the plant recursion.
+    threshold map and each window's values from its last row.  The window
+    columns must be what export writes for the layout of the metadata and
+    ``window_len``, with finite statistics, and the stored step data must
+    hold the plant recursion.
     """
     with open(path, "r", encoding="utf-8") as fh:
         meta_line = fh.readline().strip()
@@ -714,35 +735,37 @@ def import_trace(path, config: ScenarioConfig) -> Trace:
         data["x"] = data["y"]
     if data["y"] is None:
         data["y"] = data["x"]
-    channels = [h[len("stat_") :] for h in header if h.startswith("stat_")]
-    seen: dict[int, int] = {}
-    rows_of: dict[int, int] = {}
-    for t, wid in enumerate(map(int, flat[index["window_id"] :: K])):
-        if wid >= 0:
-            seen[wid] = t  # last row of the window wins
-            rows_of[wid] = rows_of.get(wid, 0) + 1
     l = config.detector.window_len
-    for wid, n_rows in rows_of.items():
-        if n_rows != l:
-            raise ValueError(
-                f"{path}: window {wid} spans {n_rows} rows, "
-                f"scenario window_len is {l}"
-            )
-    windows: list[WindowRecord] = []
-    for wid in sorted(seen):
-        end_t = seen[wid]
-        row = flat[end_t * K : (end_t + 1) * K]
-        values = {ch: float(row[index[f"stat_{ch}"]]) for ch in channels}
-        # only the any-channel alarm flag is serialized
-        alarm = row[index["alarm"]] == "1"
-        windows.append(
-            WindowRecord(index=wid, end_t=end_t, values=values, alarmed={"any": alarm})
-        )
+    window_cols = [h for h in header if h in ("window_id", "alarm") or h.startswith("stat_")]
+    stored = {h: flat[index[h] :: K] for h in window_cols}
     del flat
+    counts = np.bincount([wid for wid in map(int, stored["window_id"]) if wid >= 0])
+    wrong = np.flatnonzero((counts > 0) & (counts != l))
+    if wrong.size:
+        wid = wrong[0]
+        raise ValueError(
+            f"{path}: window {wid} spans {counts[wid]} rows, scenario window_len is {l}"
+        )
+    start, burn = int(meta["residual_start"]), int(meta["burn_in"])
+    ends = _window_ends(config.horizon, start, burn, l)
+    last = {name: [cells[t] for t in ends.tolist()] for name, cells in stored.items()}
+    stats = {
+        h[len("stat_") :]: np.array(v, dtype=float)
+        for h, v in last.items() if h.startswith("stat_")
+    }
+    _detect._require_finite(ends, stats)
     trace = Trace(
-        config=config, seed=int(meta["seed"]), **data, windows=windows, thresholds={},
-        residual_start=int(meta["residual_start"]), burn_in=int(meta["burn_in"]),
+        config=config, seed=int(meta["seed"]), **data, window_ends=ends,
+        window_stats=stats, window_alarms={"any": np.array(last["alarm"], dtype=str) == "1"},
+        thresholds={}, residual_start=start, burn_in=burn,
     )
+    for name, cells in _window_columns(trace):
+        if stored[name] != cells:
+            t = next(t for t, (a, b) in enumerate(zip(stored[name], cells)) if a != b)
+            raise ValueError(
+                f"{path}: column {name} holds {stored[name][t]!r} at t={t}, "
+                f"where its window layout gives {cells[t]!r}"
+            )
     _self_check(trace)
     return trace
 
@@ -773,5 +796,4 @@ def trace_equal(t1: Trace, t2: Trace) -> bool:
             return False
         if a is not None and (a.shape != b.shape or not np.array_equal(a, b)):
             return False
-    w1, w2 = ([(w.index, w.end_t, w.values, w.any_alarm) for w in t.windows] for t in (t1, t2))
-    return w1 == w2
+    return _window_columns(t1) == _window_columns(t2)

@@ -50,8 +50,10 @@ class WatermarkSpec:
     same distribution as the process noise, where gain is the plant kernel's
     watermark gain (b for scalar, b0 for ARX, 1 for ARMAX, whose shaper
     divides B out); it is resolved against the plant via
-    :func:`match_distribution` before drawing.  ``shaper`` is "auto" (pick
-    per plant class), "none", "arx" (pre-equalizer) or "armax".
+    :func:`match_distribution` before drawing.  ``shaper`` is "none" (the
+    raw excitation drives the input) or one of "auto", "arx" and "armax",
+    which all select the plant kernel's shaper B s = gain C e (see
+    :func:`shape`); "arx" needs b_coeffs and "armax" an ARMAX plant.
     """
 
     sigma_e2: float

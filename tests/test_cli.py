@@ -7,6 +7,7 @@ import yaml
 
 from dynwatermark.adversary import register_attack
 from dynwatermark.cli import main
+from dynwatermark.harness import export_trace, import_trace, run_scenario, trace_equal
 from dynwatermark.scenario import (
     load_scenario,
     save_scenario,
@@ -15,6 +16,7 @@ from dynwatermark.scenario import (
 )
 
 from conftest import make_scenario
+from test_harness import reference_configs
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -144,6 +146,71 @@ def test_detect_agrees_with_run(scenario_file, tmp_path, capsys):
     assert detection["n_alarms"] == report["n_alarms"]
     assert detection["first_alarm"] == report["first_alarm"]
     assert all(a["end_t"] > 1000 for a in detection["alarms"])
+
+
+@pytest.mark.parametrize("kind", ["scalar", "arx", "armax", "partial", "mimo"])
+def test_detect_agrees_with_run_window_by_window(kind, tmp_path, capsys):
+    """Under an attack, detect's alarms on the exported trace are the run's
+    per-channel flags: same windows, same end steps, same channels."""
+    configs = {
+        "scalar": make_scenario(
+            name="scalar-replay", horizon=2001,
+            attack={"kind": "replay", "onset": 1000, "record_len": 500},
+        ),
+        **reference_configs(),
+    }
+    cfg = configs[kind]
+    scen_path, trace_path = tmp_path / "scenario.yaml", tmp_path / "trace.csv"
+    save_scenario(cfg, scen_path)
+    trace = run_scenario(load_scenario(scen_path))
+    export_trace(trace, trace_path)
+    code, out, err = run_cli(
+        capsys, "detect", "--trace", str(trace_path), "--scenario", str(scen_path)
+    )
+    assert code == 0, err
+    channels = trace.channel_names
+    expected = [
+        {"index": i, "end_t": end,
+         "channels": [ch for ch in channels if trace.window_alarms[ch][i]]}
+        for i, end in enumerate(trace.window_ends.tolist())
+        if trace.any_alarm[i]
+    ]
+    assert expected, "the attack raises no alarm"
+    detection = json.loads(out)
+    assert detection["alarms"] == expected
+    assert detection["n_windows"] == len(trace.window_ends)
+
+
+def test_zero_window_run_round_trips(tmp_path, capsys):
+    """A horizon shorter than one window: no statistic columns, an exact
+    round trip, no stats.csv and no windows for detect."""
+    d = load_scenario(SCENARIOS / "scalar_honest.yaml").to_dict()
+    d["horizon"] = 400
+    d["detector"]["window_len"] = 500
+    cfg = scenario_from_dict(d)
+    scen_path = tmp_path / "scenario.yaml"
+    save_scenario(cfg, scen_path)
+    out_dir = tmp_path / "out"
+    code, _, err = run_cli(capsys, "run", "--scenario", str(scen_path), "--out", str(out_dir))
+    assert code == 0, err
+    trace_path = out_dir / "trace.csv"
+    header = trace_path.read_text().splitlines()[1].split(",")
+    assert header[-2:] == ["window_id", "alarm"]
+    assert not [h for h in header if h.startswith("stat_")]
+    imported = import_trace(trace_path, cfg)
+    assert trace_equal(imported, run_scenario(cfg))
+    again = tmp_path / "again.csv"
+    export_trace(imported, again)
+    assert again.read_bytes() == trace_path.read_bytes()
+    code, out, err = run_cli(capsys, "report", "--run", str(out_dir))
+    assert code == 0, err
+    assert json.loads(out)["n_windows"] == 0
+    assert not (out_dir / "stats.csv").exists()
+    code, out, err = run_cli(
+        capsys, "detect", "--trace", str(trace_path), "--scenario", str(scen_path)
+    )
+    assert code == 0, err
+    assert json.loads(out)["n_windows"] == 0
 
 
 def test_report_rewrites_summary_and_stats(scenario_file, tmp_path, capsys):
@@ -401,3 +468,26 @@ def test_detect_rejects_non_finite_statistic(scenario_file, tmp_path, capsys):
     assert len(err.splitlines()) == 1
     assert err.startswith("error: non-finite statistic nan on channel cross_corr")
     assert f"t={fields[0]}" in err
+
+
+def test_report_rejects_non_finite_statistic(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    run_cli(capsys, "run", "--scenario", str(SCENARIOS / "arx_additive.yaml"),
+            "--out", str(out_dir))
+    report = (out_dir / "report.json").read_text()
+    trace = out_dir / "trace.csv"
+    lines = trace.read_text().splitlines()
+    col = lines[1].split(",").index("stat_cross_corr")
+    row = max(i for i in range(2, len(lines)) if lines[i].split(",")[col])
+    fields = lines[row].split(",")
+    fields[col] = "nan"
+    lines[row] = ",".join(fields)
+    trace.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(capsys, "report", "--run", str(out_dir))
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [
+        f"error: non-finite statistic nan on channel cross_corr, "
+        f"window ending at t={fields[0]}"
+    ]
+    assert (out_dir / "report.json").read_text() == report

@@ -23,7 +23,12 @@ from dynwatermark.harness import (
     trace_equal,
 )
 from dynwatermark.linsys import PARTIAL_BURN_IN
-from dynwatermark.scenario import PolicyConfig, ScenarioError, resolve_watermark
+from dynwatermark.scenario import (
+    PolicyConfig,
+    ScenarioError,
+    load_scenario,
+    resolve_watermark,
+)
 from dynwatermark.watermark import draw_iid
 
 from conftest import make_scenario
@@ -530,11 +535,10 @@ def test_detect_pass_alarms_per_window():
     streams = {"start": 1, "burn": 2, "r_wm": r, "e": np.zeros_like(r)}
     spec = ChannelSpec("variance_wm", "variance")
     th = {"variance_wm": Threshold("variance", 0.01, hi=2.0, lo=0.5)}
-    windows = _detect_pass(cfg, streams, [spec], th)
-    assert [w.index for w in windows] == [0, 1, 2, 3]
-    assert [w.end_t for w in windows] == [6, 10, 14, 18]
-    assert [w.values["variance_wm"] for w in windows] == [1.0, 4.0, 1.0, 9.0]
-    assert [w.any_alarm for w in windows] == [False, True, False, True]
+    ends, stats, alarms = _detect_pass(cfg, streams, [spec], th)
+    assert ends.tolist() == [6, 10, 14, 18]
+    assert stats["variance_wm"].tolist() == [1.0, 4.0, 1.0, 9.0]
+    assert alarms["variance_wm"].tolist() == [False, True, False, True]
 
 
 # ---------------------------------------------------------------------------
@@ -651,6 +655,78 @@ def test_import_rejects_tampered_state(tmp_path):
         import_trace(path, cfg)
 
 
+@pytest.fixture(scope="module")
+def arx_additive_export(tmp_path_factory):
+    """The shipped arx_additive scenario (window_len 500) and its exported
+    trace's lines."""
+    cfg = load_scenario(DATA.parent.parent / "scenarios" / "arx_additive.yaml")
+    path = tmp_path_factory.mktemp("arx") / "trace.csv"
+    export_trace(run_scenario(cfg), path)
+    return cfg, path.read_text().splitlines()
+
+
+def _edit_cells(lines, path, edits):
+    """Write ``lines`` to ``path`` with cells replaced: {(t, column): text}."""
+    header = lines[1].split(",")
+    out = list(lines)
+    for (t, name), text in edits.items():
+        row = out[2 + t].split(",")
+        row[header.index(name)] = text
+        out[2 + t] = ",".join(row)
+    path.write_text("\n".join(out) + "\n")
+
+
+def test_import_rejects_swapped_window_ids(arx_additive_export, tmp_path):
+    """Rows t=10 and t=600 lie in windows 0 and 1: swapping their ids keeps
+    500 rows per window but breaks the layout the detector produces."""
+    cfg, lines = arx_additive_export
+    path = tmp_path / "trace.csv"
+    col = lines[1].split(",").index("window_id")
+    ids = {t: lines[2 + t].split(",")[col] for t in (10, 600)}
+    assert ids == {10: "0", 600: "1"}
+    _edit_cells(lines, path, {(10, "window_id"): "1", (600, "window_id"): "0"})
+    with pytest.raises(ValueError, match="column window_id holds '1' at t=10"):
+        import_trace(path, cfg)
+
+
+def test_import_checks_every_row_of_a_window(arx_additive_export, tmp_path):
+    """A statistic edited on a row other than its window's last is refused."""
+    cfg, lines = arx_additive_export
+    path = tmp_path / "trace.csv"
+    _edit_cells(lines, path, {(1, "stat_nll"): "0.5"})
+    with pytest.raises(ValueError, match="column stat_nll holds '0.5' at t=1"):
+        import_trace(path, cfg)
+
+
+def test_import_rejects_non_finite_statistic(arx_additive_export, tmp_path):
+    """The earliest window holding a non-finite statistic is named, then its
+    first channel in header order."""
+    cfg, lines = arx_additive_export
+    path = tmp_path / "trace.csv"
+    # rows 500 and 1000 end windows 0 and 1
+    _edit_cells(lines, path, {
+        (1000, "stat_cross_corr"): "nan", (500, "stat_variance_wm"): "inf",
+        (500, "stat_variance_raw"): "-inf",
+    })
+    with pytest.raises(ValueError) as err:
+        import_trace(path, cfg)
+    assert str(err.value) == (
+        "non-finite statistic -inf on channel variance_raw, window ending at t=500"
+    )
+
+
+def test_window_records_view_the_arrays():
+    trace = run_scenario(reference_configs()["arx"])
+    records = trace.windows
+    assert [w.index for w in records] == list(range(len(trace.window_ends)))
+    assert [w.end_t for w in records] == trace.window_ends.tolist()
+    for ch, values in trace.window_stats.items():
+        assert [w.values[ch] for w in records] == values.tolist()
+        assert [w.alarmed[ch] for w in records] == trace.window_alarms[ch].tolist()
+    assert [w.any_alarm for w in records] == trace.any_alarm.tolist()
+    assert any(w.any_alarm for w in records)
+
+
 def test_export_empty_trace_is_header_only(tmp_path):
     cfg = make_scenario(horizon=400)
     zeros = np.empty(0)
@@ -658,7 +734,8 @@ def test_export_empty_trace_is_header_only(tmp_path):
         config=cfg, seed=0,
         x=zeros, y=zeros, z=zeros, u_g=zeros, u=zeros,
         e_raw=zeros, e_shaped=zeros, w=zeros, n=None,
-        windows=[], thresholds={}, residual_start=1, burn_in=0,
+        window_ends=np.empty(0, dtype=int), window_stats={}, window_alarms={},
+        thresholds={}, residual_start=1, burn_in=0,
     )
     path = tmp_path / "empty.csv"
     export_trace(empty, path)
