@@ -17,8 +17,10 @@ metrics are LTI filters of the recorded data (see :mod:`.residual`).
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from functools import partial
+from itertools import accumulate, chain, groupby, islice, repeat, starmap
 from typing import Any
 
 import numpy as np
@@ -591,12 +593,14 @@ def stat_series(trace: Trace, channel: str) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def _step_columns(trace: Trace) -> list[tuple[str, list[str]]]:
-    """(header name, cell texts) of the per-step columns.
+# Rows per block of trace export and import.  Each block is formatted or
+# parsed on its own, so the memory both take is bounded by a block, not by
+# the horizon.
+_CHUNK_ROWS = 4096
 
-    Each distinct array is formatted once: ``e_shaped`` is ``e_raw`` itself
-    when nothing shapes the excitation.
-    """
+
+def _step_columns(trace: Trace) -> list[tuple[str, np.ndarray]]:
+    """(header name, values) of the per-step columns."""
     # A measured output is written once: as y when it is the scalar output of
     # a lag-polynomial plant, as x when it is the state vector.
     if trace.x.ndim == 1:
@@ -606,40 +610,82 @@ def _step_columns(trace: Trace) -> list[tuple[str, list[str]]]:
     names += _ALWAYS_STEP_FIELDS
     if trace.n is not None:
         names.append("n")
-    texts: dict[int, list[list[str]]] = {}
-    cols: list[tuple[str, list[str]]] = []
+    cols: list[tuple[str, np.ndarray]] = []
     for name in names:
-        arr = getattr(trace, name)
-        if id(arr) not in texts:
-            cells = np.atleast_2d(arr.T).astype(float).tolist()
-            texts[id(arr)] = [list(map(float.__repr__, col)) for col in cells]
+        arr = np.asarray(getattr(trace, name), dtype=float)
         if arr.ndim == 1:
-            cols.append((name, texts[id(arr)][0]))
+            cols.append((name, arr))
         else:
-            cols.extend((f"{name}_{j}", text) for j, text in enumerate(texts[id(arr)]))
+            cols.extend((f"{name}_{j}", arr[:, j]) for j in range(arr.shape[1]))
     return cols
 
 
-def _window_columns(trace: Trace) -> list[tuple[str, list[str]]]:
-    """(header name, cell texts) of ``window_id``, ``stat_<channel>`` per
-    channel and ``alarm``: each window's cells repeat on its rows, and rows
-    outside complete windows hold window id -1 and empty cells."""
+def _format_block(blocks: list[np.ndarray]) -> list[list[str]]:
+    """Cell texts of one block of step columns.
+
+    A column bitwise equal to one already formatted reuses its texts (so
+    ``e_shaped`` costs nothing when nothing shapes the excitation, nor ``z``
+    while it reports ``y``), and a constant column is formatted once.  Bits,
+    not values, are compared: -0.0 and 0.0 keep their own texts.
+    """
+    done: dict[bytes, list[str]] = {}
+    out = []
+    for values in blocks:
+        bits = np.ascontiguousarray(values).view(np.int64)
+        key = bits.tobytes()
+        if key not in done:
+            if (bits == bits[0]).all():
+                done[key] = [repr(float(values[0]))] * len(values)
+            else:
+                done[key] = list(map(float.__repr__, values.tolist()))
+        out.append(done[key])
+    return out
+
+
+def _add_run(runs: list[tuple[str, int]], cell: str, count: int) -> None:
+    """Append ``count`` rows of ``cell`` to a run-length column, merging
+    equal neighbours so that equal columns have equal runs."""
+    if runs and runs[-1][0] == cell:
+        runs[-1] = (cell, runs[-1][1] + count)
+    elif count:
+        runs.append((cell, count))
+
+
+def _window_columns(trace: Trace) -> list[tuple[str, list[tuple[str, int]]]]:
+    """(header name, runs of (cell text, row count)) of ``window_id``,
+    ``stat_<channel>`` per channel and ``alarm``: each window's cells repeat
+    on its rows, and rows outside complete windows hold window id -1 and
+    empty cells."""
     T, l = trace.horizon, trace.config.detector.window_len
     ends = trace.window_ends.tolist()
+    head = ends[0] - l + 1 if ends else T
+    tail = T - 1 - ends[-1] if ends else 0
 
-    def spread(cells, outside: str) -> list[str]:
-        col = [outside] * T
-        for end, cell in zip(ends, cells):
-            col[end - l + 1 : end + 1] = [cell] * l
-        return col
+    def runs(cells, outside: str) -> list[tuple[str, int]]:
+        out: list[tuple[str, int]] = []
+        _add_run(out, outside, head)
+        for cell in cells:
+            _add_run(out, cell, l)
+        _add_run(out, outside, tail)
+        return out
 
-    cols = [("window_id", spread(map(str, range(len(ends))), "-1"))]
+    cols = [("window_id", runs(map(str, range(len(ends))), "-1"))]
     cols += [
-        (f"stat_{ch}", spread(map(repr, trace.window_stats[ch].tolist()), ""))
+        (f"stat_{ch}", runs(map(repr, trace.window_stats[ch].tolist()), ""))
         for ch in trace.channel_names
     ]
-    cols.append(("alarm", spread(["1" if a else "0" for a in trace.any_alarm.tolist()], "")))
+    cols.append(("alarm", runs(["1" if a else "0" for a in trace.any_alarm.tolist()], "")))
     return cols
+
+
+def _expand(runs: list[tuple[str, int]]):
+    """The cells of a run-length column, one per row."""
+    return chain.from_iterable(starmap(repeat, runs))
+
+
+def _rows(columns) -> str:
+    """The text of a block of rows, from the cell texts of its columns."""
+    return "\n".join(map(",".join, zip(*columns))) + "\n"
 
 
 def export_trace(trace: Trace, path) -> None:
@@ -647,124 +693,209 @@ def export_trace(trace: Trace, path) -> None:
 
     One row per step: its step columns, then its :func:`_window_columns`
     cells.  A single header comment line carries the schema metadata needed
-    to re-import standalone.
+    to re-import standalone.  Rows are formatted and written in blocks of
+    ``_CHUNK_ROWS``, so memory does not grow with the horizon; within a
+    block, repeated columns are formatted once (:func:`_format_block`).
     """
-    cols = _step_columns(trace) + _window_columns(trace)
-    header = ["t"] + [name for name, _ in cols]
+    steps = _step_columns(trace)
+    windows = _window_columns(trace)
+    header = ["t", *(name for name, _ in steps), *(name for name, _ in windows)]
     meta = (
         f"# dynwatermark-trace schema_version={trace.schema_version} "
         f"name={trace.config.name} seed={trace.seed} "
         f"plant={trace.config.plant.kind} residual_start={trace.residual_start} "
         f"burn_in={trace.burn_in}"
     )
-    columns = [list(map(str, range(trace.horizon))), *(text for _, text in cols)]
-    # Cells, lines and the text each hold the whole file: free each stage
-    # before the next one is built.
-    del cols
-    lines = [meta, ",".join(header)]
-    lines += map(",".join, zip(*columns))
-    del columns
-    lines.append("")
-    text = "\n".join(lines)
-    del lines
+    T = trace.horizon
+    window_cells = [_expand(runs) for _, runs in windows]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.write(f"{meta}\n{','.join(header)}\n")
+        for a in range(0, T, _CHUNK_ROWS):
+            b = min(a + _CHUNK_ROWS, T)
+            fh.write(_rows([
+                map(str, range(a, b)),
+                *_format_block([values[a:b] for _, values in steps]),
+                *(islice(cells, b - a) for cells in window_cells),
+            ]))
+
+
+def _parse_floats(path, name: str, cells: list[str], ts) -> np.ndarray:
+    """Parse the cells of column ``name`` at steps ``ts``, naming the first
+    one that is not a number."""
+    try:
+        return np.array(cells, dtype=float)
+    except ValueError:
+        for cell, t in zip(cells, ts):
+            try:
+                np.array(cell, dtype=float)
+            except ValueError:
+                raise ValueError(
+                    f"{path}: column {name} holds {cell!r} at t={t}, not a number"
+                ) from None
+        raise
+
+
+def _parse_steps(path, name: str, cells: list[str], ts) -> np.ndarray:
+    """Parse step cells, which must all be finite numbers."""
+    values = _parse_floats(path, name, cells, ts)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ValueError(f"{path}: column {name} holds {cells[bad[0]]!r} at t={ts[bad[0]]}")
+    return values
+
+
+def _cells_at(runs: list[tuple[str, int]], ts) -> list[str]:
+    """The cells of a run-length column at steps ``ts``."""
+    bounds = list(accumulate(count for _, count in runs))
+    return [runs[bisect_right(bounds, t)][0] for t in ts]
+
+
+def _row_blocks(fh, path, K: int):
+    """The non-blank rows of a trace body, up to ``_CHUNK_ROWS`` physical
+    lines at a time, each checked to hold ``K`` fields."""
+    line_no = 2
+    while lines := list(islice(fh, _CHUNK_ROWS)):
+        odd = [k for k, ln in enumerate(lines) if ln.count(",") != K - 1]
+        for k in odd:
+            if lines[k].strip():
+                raise ValueError(
+                    f"{path} line {line_no + 1 + k}: expected {K} fields, "
+                    f"got {lines[k].count(',') + 1}"
+                )
+        line_no += len(lines)
+        yield [ln for ln in lines if ln.strip()] if odd else lines
+
+
+def _fields(rows: list[str]) -> list[str]:
+    """The fields of rows of K fields each: field j of row i is at i*K + j."""
+    return ",".join(rows).replace("\n", "").split(",")
 
 
 def import_trace(path, config: ScenarioConfig) -> Trace:
     """Rebuild a :class:`Trace` from exported text (inverse of export).
 
     Thresholds are not serialized; the returned trace carries an empty
-    threshold map and each window's values from its last row.  The window
-    columns must be what export writes for the layout of the metadata and
-    ``window_len``, with finite statistics, and the stored step data must
-    hold the plant recursion.
+    threshold map and each window's values from its last row.  Rows are read
+    and parsed in blocks of ``_CHUNK_ROWS`` into preallocated arrays, and the
+    window columns are kept as runs of equal cells, so memory beyond the
+    returned arrays does not grow with the horizon.  Every step cell must be
+    a finite number.  The window columns must be what export writes for the
+    layout of the metadata and ``window_len``, with finite statistics, and
+    the stored step data must hold the plant recursion.
     """
     with open(path, "r", encoding="utf-8") as fh:
         meta_line = fh.readline().strip()
         if not meta_line.startswith("# dynwatermark-trace "):
             raise ValueError(f"{path} is not a trace export")
         header = fh.readline().strip().split(",")
-        lines = fh.read().split("\n")
-    meta = dict(item.split("=", 1) for item in meta_line[2:].split()[1:] if "=" in item)
-    absent = sorted(_META_KEYS - set(meta))
-    if absent:
-        raise ValueError(f"{path}: trace metadata line lacks {absent}")
-    if int(meta["schema_version"]) != TRACE_SCHEMA_VERSION:
-        raise ValueError(f"unsupported trace schema_version {meta['schema_version']}")
-    if meta["plant"] != config.plant.kind:
-        raise ValueError(
-            f"trace was recorded for a {meta['plant']} plant, "
-            f"scenario has {config.plant.kind}"
-        )
-    K = len(header)
-    for k, ln in enumerate(lines, 3):
-        if ln.count(",") != K - 1 and ln.strip():
-            raise ValueError(f"{path} line {k}: expected {K} fields, got {ln.count(',') + 1}")
-    # Lines, the joined body and its fields each hold the whole file: free
-    # each stage once the next one is built.
-    rows = [ln for ln in lines if ln.strip()]
-    del lines
-    if len(rows) != config.horizon:
-        raise ValueError(
-            f"trace has {len(rows)} steps, scenario horizon is {config.horizon}"
-        )
-    # Every row has K fields, so field j of row t is flat[t*K + j].
-    body = ",".join(rows)
-    del rows
-    flat = body.split(",")
-    del body
-    index = {name: j for j, name in enumerate(header)}
-
-    def gather(name: str) -> np.ndarray | None:
-        if name in index:
-            return np.array(flat[index[name] :: K], dtype=float)
-        parts = []
-        while f"{name}_{len(parts)}" in index:
-            parts.append(np.array(flat[index[f"{name}_{len(parts)}"] :: K], dtype=float))
-        return np.column_stack(parts) if parts else None
-
-    data = {key: gather(key) for key in _STEP_FIELDS}
-    absent = [key for key in _ALWAYS_STEP_FIELDS if data[key] is None]
-    absent += [key for key in ("window_id", "alarm") if key not in index]
-    if data["x"] is None and data["y"] is None:
-        absent.insert(0, "y")
-    if absent:
-        raise ValueError(f"{path}: trace lacks columns {absent}")
+        meta = dict(item.split("=", 1) for item in meta_line[2:].split()[1:] if "=" in item)
+        absent = sorted(_META_KEYS - set(meta))
+        if absent:
+            raise ValueError(f"{path}: trace metadata line lacks {absent}")
+        if int(meta["schema_version"]) != TRACE_SCHEMA_VERSION:
+            raise ValueError(f"unsupported trace schema_version {meta['schema_version']}")
+        if meta["plant"] != config.plant.kind:
+            raise ValueError(
+                f"trace was recorded for a {meta['plant']} plant, "
+                f"scenario has {config.plant.kind}"
+            )
+        start, burn = int(meta["residual_start"]), int(meta["burn_in"])
+        if start < 0 or burn < 0:
+            raise ValueError(
+                f"{path}: trace metadata has residual_start={start}, burn_in={burn}"
+            )
+        T, K = config.horizon, len(header)
+        index = {name: j for j, name in enumerate(header)}
+        data: dict[str, np.ndarray | None] = {}
+        # (header index, destination) of each step column
+        targets: list[tuple[int, np.ndarray]] = []
+        for key in _STEP_FIELDS:
+            if key in index:
+                data[key] = np.empty(T)
+                targets.append((index[key], data[key]))
+                continue
+            parts = []
+            while f"{key}_{len(parts)}" in index:
+                parts.append(index[f"{key}_{len(parts)}"])
+            data[key] = np.empty((T, len(parts))) if parts else None
+            targets += [(j, data[key][:, c]) for c, j in enumerate(parts)]
+        absent = [key for key in _ALWAYS_STEP_FIELDS if data[key] is None]
+        absent += [key for key in ("window_id", "alarm") if key not in index]
+        if data["x"] is None and data["y"] is None:
+            absent.insert(0, "y")
+        if absent:
+            raise ValueError(f"{path}: trace lacks columns {absent}")
+        stored: dict[str, list[tuple[str, int]]] = {
+            h: [] for h in header if h in ("window_id", "alarm") or h.startswith("stat_")
+        }
+        n_rows = 0
+        for rows in _row_blocks(fh, path, K):
+            t0 = n_rows
+            n_rows += len(rows)
+            if t0 >= T:
+                continue  # only count the rows beyond the horizon
+            rows = rows[: T - t0]
+            flat = _fields(rows)
+            ts = range(t0, t0 + len(rows))
+            parsed: list[tuple[list[str], np.ndarray]] = []
+            for j, dest in targets:
+                cells = flat[j::K]
+                values = next((v for c, v in parsed if c == cells), None)
+                if values is None:
+                    values = _parse_steps(path, header[j], cells, ts)
+                    parsed.append((cells, values))
+                dest[t0 : t0 + len(rows)] = values
+            for h, runs in stored.items():
+                for cell, group in groupby(flat[index[h] :: K]):
+                    _add_run(runs, cell, len(list(group)))
+    if n_rows != T:
+        raise ValueError(f"trace has {n_rows} steps, scenario horizon is {T}")
     if data["x"] is None:
         data["x"] = data["y"]
     if data["y"] is None:
         data["y"] = data["x"]
     l = config.detector.window_len
-    window_cols = [h for h in header if h in ("window_id", "alarm") or h.startswith("stat_")]
-    stored = {h: flat[index[h] :: K] for h in window_cols}
-    del flat
-    counts = np.bincount([wid for wid in map(int, stored["window_id"]) if wid >= 0])
-    wrong = np.flatnonzero((counts > 0) & (counts != l))
-    if wrong.size:
-        wid = wrong[0]
+    counts: dict[int, int] = {}
+    t = 0
+    for cell, count in stored["window_id"]:
+        try:
+            wid = int(cell)
+        except ValueError:
+            raise ValueError(
+                f"{path}: column window_id holds {cell!r} at t={t}, not an integer"
+            ) from None
+        if wid >= 0:
+            counts[wid] = counts.get(wid, 0) + count
+        t += count
+    wrong = sorted(wid for wid, count in counts.items() if count != l)
+    if wrong:
         raise ValueError(
-            f"{path}: window {wid} spans {counts[wid]} rows, scenario window_len is {l}"
+            f"{path}: window {wrong[0]} spans {counts[wrong[0]]} rows, "
+            f"scenario window_len is {l}"
         )
-    start, burn = int(meta["residual_start"]), int(meta["burn_in"])
-    ends = _window_ends(config.horizon, start, burn, l)
-    last = {name: [cells[t] for t in ends.tolist()] for name, cells in stored.items()}
+    ends = _window_ends(T, start, burn, l)
+    ends_l = ends.tolist()
     stats = {
-        h[len("stat_") :]: np.array(v, dtype=float)
-        for h, v in last.items() if h.startswith("stat_")
+        h[len("stat_") :]: _parse_floats(path, h, _cells_at(runs, ends_l), ends_l)
+        for h, runs in stored.items() if h.startswith("stat_")
     }
     _detect._require_finite(ends, stats)
+    alarms = np.array(_cells_at(stored["alarm"], ends_l), dtype=str) == "1"
     trace = Trace(
         config=config, seed=int(meta["seed"]), **data, window_ends=ends,
-        window_stats=stats, window_alarms={"any": np.array(last["alarm"], dtype=str) == "1"},
+        window_stats=stats, window_alarms={"any": alarms},
         thresholds={}, residual_start=start, burn_in=burn,
     )
-    for name, cells in _window_columns(trace):
-        if stored[name] != cells:
-            t = next(t for t, (a, b) in enumerate(zip(stored[name], cells)) if a != b)
+    for name, runs in _window_columns(trace):
+        if stored[name] != runs:
+            t, got, want = next(
+                (t, got, want)
+                for t, (got, want) in enumerate(zip(_expand(stored[name]), _expand(runs)))
+                if got != want
+            )
             raise ValueError(
-                f"{path}: column {name} holds {stored[name][t]!r} at t={t}, "
-                f"where its window layout gives {cells[t]!r}"
+                f"{path}: column {name} holds {got!r} at t={t}, "
+                f"where its window layout gives {want!r}"
             )
     _self_check(trace)
     return trace

@@ -294,6 +294,27 @@ def test_report_rejects_thresholds_of_another_scenario(edit, scenario_file, tmp_
     assert (out_dir / "report.json").read_text() == report
 
 
+def test_report_rejects_non_finite_report(tmp_path, capsys):
+    """A nan report lies outside the plant recursion the self-check covers:
+    import refuses it before the oracle can write a nan distortion power."""
+    out_dir = tmp_path / "out"
+    run_cli(capsys, "run", "--scenario", str(SCENARIOS / "arx_additive.yaml"),
+            "--out", str(out_dir))
+    report = (out_dir / "report.json").read_text()
+    trace = out_dir / "trace.csv"
+    lines = trace.read_text().splitlines()
+    col = lines[1].split(",").index("z")
+    fields = lines[2 + 100].split(",")
+    fields[col] = "nan"
+    lines[2 + 100] = ",".join(fields)
+    trace.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(capsys, "report", "--run", str(out_dir))
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [f"error: {trace}: column z holds 'nan' at t=100"]
+    assert (out_dir / "report.json").read_text() == report
+
+
 @pytest.mark.parametrize("name", sorted(p.stem for p in SCENARIOS.glob("*.yaml")))
 def test_run_then_report_on_shipped_scenario(name, tmp_path, capsys):
     out_dir = tmp_path / "out"

@@ -2,12 +2,14 @@ import dataclasses
 import importlib.util
 import json
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from dynwatermark.detect import Threshold
 from dynwatermark.harness import (
+    _CHUNK_ROWS,
     ChannelSpec,
     Trace,
     _detect_pass,
@@ -755,6 +757,18 @@ def test_import_rejects_wrong_schema(tmp_path):
         import_trace(path, cfg)
 
 
+def test_import_rejects_negative_window_origin(tmp_path):
+    """Windows would then start before the first row."""
+    cfg = make_scenario()
+    path = tmp_path / "trace.csv"
+    export_trace(run_scenario(cfg), path)
+    text = path.read_text().replace("residual_start=1 ", "residual_start=-1 ", 1)
+    path.write_text(text)
+    with pytest.raises(ValueError) as err:
+        import_trace(path, cfg)
+    assert str(err.value) == f"{path}: trace metadata has residual_start=-1, burn_in=0"
+
+
 def test_import_names_the_physical_line_of_a_short_row(tmp_path):
     cfg = make_scenario(horizon=400)
     path = tmp_path / "trace.csv"
@@ -768,6 +782,162 @@ def test_import_names_the_physical_line_of_a_short_row(tmp_path):
     with pytest.raises(ValueError) as err:
         import_trace(path, cfg)
     assert str(err.value) == f"{path} line 9: expected {n_fields} fields, got 3"
+
+
+@pytest.mark.parametrize("name", ["z", "e_raw", "u_g"])
+def test_import_rejects_non_finite_step_cell(arx_additive_export, tmp_path, name):
+    """Columns outside the plant recursion are checked too: a nan there
+    would pass the self-check."""
+    cfg, lines = arx_additive_export
+    path = tmp_path / "trace.csv"
+    _edit_cells(lines, path, {(100, name): "nan"})
+    with pytest.raises(ValueError) as err:
+        import_trace(path, cfg)
+    assert str(err.value) == f"{path}: column {name} holds 'nan' at t=100"
+
+
+def test_import_names_the_cell_that_is_not_a_number(arx_additive_export, tmp_path):
+    cfg, lines = arx_additive_export
+    path = tmp_path / "trace.csv"
+    _edit_cells(lines, path, {(100, "z"): "abc"})
+    with pytest.raises(ValueError) as err:
+        import_trace(path, cfg)
+    assert str(err.value) == f"{path}: column z holds 'abc' at t=100, not a number"
+
+
+def test_import_names_the_statistic_that_is_not_a_number(arx_additive_export, tmp_path):
+    """A statistic is read from its window's last row; row 500 ends window 0."""
+    cfg, lines = arx_additive_export
+    path = tmp_path / "trace.csv"
+    _edit_cells(lines, path, {(500, "stat_nll"): "abc"})
+    with pytest.raises(ValueError) as err:
+        import_trace(path, cfg)
+    assert str(err.value) == f"{path}: column stat_nll holds 'abc' at t=500, not a number"
+
+
+def test_import_names_the_window_id_that_is_not_an_integer(arx_additive_export, tmp_path):
+    cfg, lines = arx_additive_export
+    path = tmp_path / "trace.csv"
+    _edit_cells(lines, path, {(600, "window_id"): "1.0"})
+    with pytest.raises(ValueError) as err:
+        import_trace(path, cfg)
+    assert str(err.value) == (
+        f"{path}: column window_id holds '1.0' at t=600, not an integer"
+    )
+
+
+def _block_config(horizon):
+    return make_scenario(
+        horizon=horizon, detector={"window_len": 100, "alpha": 0.05, "n_cal": 200}
+    )
+
+
+@pytest.mark.parametrize(
+    "horizon", [_CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 1]
+)
+def test_roundtrip_at_block_boundaries(horizon, tmp_path):
+    cfg = _block_config(horizon)
+    trace = run_scenario(cfg)
+    path, again_path = tmp_path / "trace.csv", tmp_path / "again.csv"
+    export_trace(trace, path)
+    again = import_trace(path, cfg)
+    assert trace_equal(trace, again)
+    export_trace(again, again_path)
+    assert again_path.read_bytes() == path.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def two_block_export(tmp_path_factory):
+    """A run of two blocks and one row, with t=_CHUNK_ROWS inside a window
+    but not its last row."""
+    cfg = _block_config(2 * _CHUNK_ROWS + 1)
+    trace = run_scenario(cfg)
+    ends = trace.window_ends
+    assert _CHUNK_ROWS not in ends and ends[0] < _CHUNK_ROWS < ends[-1]
+    path = tmp_path_factory.mktemp("blocks") / "trace.csv"
+    export_trace(trace, path)
+    return cfg, path.read_text().splitlines()
+
+
+def test_import_checks_the_first_row_of_a_later_block(two_block_export, tmp_path):
+    cfg, lines = two_block_export
+    path = tmp_path / "trace.csv"
+    t = _CHUNK_ROWS
+    cell = lines[2 + t].split(",")[lines[1].split(",").index("stat_variance_wm")]
+    _edit_cells(lines, path, {(t, "stat_variance_wm"): "0.5"})
+    with pytest.raises(ValueError) as err:
+        import_trace(path, cfg)
+    assert str(err.value) == (
+        f"{path}: column stat_variance_wm holds '0.5' at t={t}, "
+        f"where its window layout gives {cell!r}"
+    )
+
+
+def test_import_names_the_line_of_a_short_row_in_a_later_block(two_block_export, tmp_path):
+    cfg, lines = two_block_export
+    path = tmp_path / "trace.csv"
+    lines = list(lines)
+    n_fields = len(lines[1].split(","))
+    # row t is physical line t + 3, after the metadata and header lines
+    lines[2 + _CHUNK_ROWS] = ",".join(lines[2 + _CHUNK_ROWS].split(",")[:3])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as err:
+        import_trace(path, cfg)
+    assert str(err.value) == f"{path} line {_CHUNK_ROWS + 3}: expected {n_fields} fields, got 3"
+
+
+def test_export_reuses_cells_of_equal_bits_only(tmp_path):
+    """Columns share cell texts only where their bits are equal: -0.0 and
+    0.0 keep their own texts, in a mixed column and in a constant one."""
+    trace = run_scenario(make_scenario(horizon=400))
+    y = trace.y.copy()
+    y[7] = -0.0
+    z = y.copy()
+    z[7] = 0.0
+    hand = dataclasses.replace(
+        trace, x=y, y=y, z=z, u_g=np.full(400, -0.0), u=np.zeros(400)
+    )
+    path = tmp_path / "trace.csv"
+    export_trace(hand, path)
+    _, _, cols = _read_trace_text(path)
+    assert (cols["y"][7], cols["z"][7]) == ("-0.0", "0.0")
+    assert cols["y"][:7] + cols["y"][8:] == cols["z"][:7] + cols["z"][8:]
+    assert set(cols["u_g"]) == {"-0.0"} and set(cols["u"]) == {"0.0"}
+    # the golden file's first nominal input is a negative zero
+    _, _, golden = _read_trace_text(DATA / "golden_scalar_trace.csv")
+    assert golden["u_g"][0] == "-0.0"
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+def test_trace_io_memory_does_not_grow_with_the_horizon(tmp_path):
+    """Export's peak, and import's peak beyond the arrays it returns, are
+    set by the block size, not by the number of rows."""
+    peaks = []
+    for blocks in (4, 16):
+        cfg = make_scenario(
+            horizon=blocks * _CHUNK_ROWS, policy={"kind": "zero"},
+            detector={"window_len": 500, "alpha": 0.05, "n_cal": 200,
+                      "tests": ["variance_wm"]},
+        )
+        path = tmp_path / f"trace{blocks}.csv"
+        trace = run_scenario(cfg)
+        export_peak, _ = _traced_peak(export_trace, trace, path)
+        del trace
+        import_peak, back = _traced_peak(import_trace, path, cfg)
+        arrays = {id(a): a.nbytes for a in (back.x, back.y, back.z, back.u_g, back.u,
+                                            back.e_raw, back.e_shaped, back.w)}
+        peaks.append((export_peak, import_peak - sum(arrays.values())))
+    (export_4, import_4), (export_16, import_16) = peaks
+    assert export_16 <= 1.25 * export_4
+    assert import_16 <= 1.25 * import_4
 
 
 def test_burn_in_partial_default():
