@@ -771,6 +771,16 @@ def _fields(rows: list[str]) -> list[str]:
     return ",".join(rows).replace("\n", "").split(",")
 
 
+def _meta_int(path, meta: dict[str, str], key: str) -> int:
+    """The integer metadata field ``key`` of a trace export."""
+    try:
+        return int(meta[key])
+    except ValueError:
+        raise ValueError(
+            f"{path}: trace metadata field {key} is {meta[key]!r}, not an integer"
+        ) from None
+
+
 def import_trace(path, config: ScenarioConfig) -> Trace:
     """Rebuild a :class:`Trace` from exported text (inverse of export).
 
@@ -792,14 +802,17 @@ def import_trace(path, config: ScenarioConfig) -> Trace:
         absent = sorted(_META_KEYS - set(meta))
         if absent:
             raise ValueError(f"{path}: trace metadata line lacks {absent}")
-        if int(meta["schema_version"]) != TRACE_SCHEMA_VERSION:
-            raise ValueError(f"unsupported trace schema_version {meta['schema_version']}")
+        version, seed, start, burn = (
+            _meta_int(path, meta, key)
+            for key in ("schema_version", "seed", "residual_start", "burn_in")
+        )
+        if version != TRACE_SCHEMA_VERSION:
+            raise ValueError(f"{path}: unsupported trace schema_version {version}")
         if meta["plant"] != config.plant.kind:
             raise ValueError(
                 f"trace was recorded for a {meta['plant']} plant, "
                 f"scenario has {config.plant.kind}"
             )
-        start, burn = int(meta["residual_start"]), int(meta["burn_in"])
         if start < 0 or burn < 0:
             raise ValueError(
                 f"{path}: trace metadata has residual_start={start}, burn_in={burn}"
@@ -882,7 +895,7 @@ def import_trace(path, config: ScenarioConfig) -> Trace:
     _detect._require_finite(ends, stats)
     alarms = np.array(_cells_at(stored["alarm"], ends_l), dtype=str) == "1"
     trace = Trace(
-        config=config, seed=int(meta["seed"]), **data, window_ends=ends,
+        config=config, seed=seed, **data, window_ends=ends,
         window_stats=stats, window_alarms={"any": alarms},
         thresholds={}, residual_start=start, burn_in=burn,
     )

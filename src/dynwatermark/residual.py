@@ -12,6 +12,12 @@ once a run is over.
   the one-step state prediction.  For a measured state it is
   z[t] - A z[t-1] - B u[t-1]; for a noisy scalar output it is K nu[t], the
   gain times the innovation of the steady-state Kalman filter.
+
+The rational filters are ``scipy.signal.lfilter`` and ``ss2tf`` rewritten on
+numpy and Python floats with scipy's own operations in scipy's order, so
+they give its outputs bit for bit (including the sign of zeros) without
+loading ``scipy.signal``.  The recursion is the direct form II transposed
+(Oppenheim & Schafer, Discrete-Time Signal Processing).
 """
 
 from __future__ import annotations
@@ -45,17 +51,40 @@ def lag_filter(coeffs, x: np.ndarray, delay: int = 0) -> np.ndarray:
 
 
 def rational_filter(b, a, x: np.ndarray) -> np.ndarray:
-    """y with A(q^-1) y = B(q^-1) x along the last axis, at rest: lfilter(b, a, x).
+    """y with A(q^-1) y = B(q^-1) x for 1-D x, at rest: lfilter(b, a, x) bit for bit.
 
-    A one-tap filter with b == a is the identity.  lfilter sums 1.0 * x onto
-    a zero state, which keeps every bit except that -0.0 becomes +0.0, so
-    x + 0.0 is its exact output and ``scipy.signal`` is not loaded for it.
+    A one-tap ``a`` is scipy's FIR path, a convolution with b / a[0].
+    Otherwise b and a are zero-padded to one length n and then divided by
+    a[0] (so a padded tap is -0.0 when a[0] < 0), and the delay line
+    Z_0..Z_{n-2}, at rest at +0.0, runs y = Z_0 + b_0 x,
+    Z_{k-1} = (Z_k + b_k x) - a_k y, Z_{n-2} = b_{n-1} x - a_{n-1} y.
     """
-    if len(b) == 1 and len(a) == 1 and b[0] == a[0] != 0.0:
-        return np.add(x, 0.0)
-    from scipy.signal import lfilter
-
-    return lfilter(b, a, x)
+    x = np.asarray(x, dtype=float)
+    if len(a) == 1:
+        return np.convolve(np.asarray(b, dtype=float) / a[0], x)[: len(x)]
+    n = max(len(a), len(b))
+    b = np.pad(np.asarray(b, dtype=float), (0, n - len(b))) / a[0]
+    a = (np.pad(np.asarray(a, dtype=float), (0, n - len(a))) / a[0]).tolist()
+    bx = [bk * x for bk in b]
+    if n == 2:
+        # Every shipped IIR filter has one delay.  Looping over the state
+        # alone, Z[t] = b_1 x[t] - a_1 (b_0 x[t] + Z[t-1]), halves the cost
+        # per step; y = b_0 x + Z[t-1] is then one vector sum of the same
+        # operands.
+        a1, z = a[1], 0.0
+        zs = [z := b1x - a1 * (b0x + z) for b0x, b1x in zip(bx[0].tolist(), bx[1].tolist())]
+        return bx[0] + np.array([0.0] + zs[:-1])
+    bx = [v.tolist() for v in bx]
+    inner, a_last = range(1, n - 1), a[-1]
+    delay = [0.0] * (n - 1)
+    y = []
+    for t, (b0x, b_last_x) in enumerate(zip(bx[0], bx[-1])):
+        yt = delay[0] + b0x
+        for k in inner:
+            delay[k - 1] = (delay[k] + bx[k][t]) - a[k] * yt
+        delay[-1] = b_last_x - a_last * yt
+        y.append(yt)
+    return np.array(y)
 
 
 def prediction_errors(form: LagForm, z: np.ndarray, u_g: np.ndarray) -> np.ndarray:
@@ -135,17 +164,21 @@ def innovations(form: StateSpaceForm, z: np.ndarray, u: np.ndarray | None) -> np
     if form.C is None:
         r = z[1:] - z[:-1] @ form.A.T
         return r if u is None else r - u[:-1] @ form.B.T
-    from scipy.signal import lfilter, ss2tf
-
     A, b, C = form.A, form.B[:, 0], form.C
     K = kalman_design(form).K
     M = np.eye(len(A)) - np.outer(K, C)
     # state x_hat(t-1|t-1), inputs (z[t], u[t-1]), output nu[t]
     system = (M @ A, np.column_stack([K, M @ b]), -(C @ A)[None, :],
               np.array([[1.0, -float(C @ b)]]))
-    num, den = ss2tf(*system, input=0)
-    nu = lfilter(num[0], den, z[1:])
+    nu = rational_filter(*_ss2tf(*system, 0), z[1:])
     if u is not None:
-        num, den = ss2tf(*system, input=1)
-        nu = nu + lfilter(num[0], den, u[:-1])
+        nu = nu + rational_filter(*_ss2tf(*system, 1), u[:-1])
     return np.outer(nu, K)
+
+
+def _ss2tf(A, B, C, D, j: int):
+    """(num, den) of input ``j`` of a one-output system: ss2tf(A, B, C, D, j)
+    with scipy's operations, den = det(sI - A) and
+    num = det(sI - A + B_j C) + (D_j - 1) den."""
+    den = np.poly(A)
+    return np.poly(A - np.dot(B[:, j : j + 1], C)) + (D[0, j] - 1) * den, den

@@ -366,6 +366,46 @@ def test_report_rejects_non_run_directory(tmp_path, capsys):
     assert "not a run directory" in err
 
 
+def _edit_trace_meta(trace, key, value):
+    lines = trace.read_text().split("\n")
+    fields = lines[0].split(" ")
+    k = next(k for k, f in enumerate(fields) if f.startswith(f"{key}="))
+    fields[k] = f"{key}={value}"
+    lines[0] = " ".join(fields)
+    trace.write_text("\n".join(lines))
+
+
+@pytest.mark.parametrize("key", ["schema_version", "seed", "residual_start", "burn_in"])
+def test_detect_names_file_and_field_of_non_integer_metadata(
+    key, scenario_file, tmp_path, capsys
+):
+    out_dir = tmp_path / "out"
+    run_cli(capsys, "run", "--scenario", str(scenario_file), "--out", str(out_dir))
+    trace = out_dir / "trace.csv"
+    _edit_trace_meta(trace, key, "abc")
+    code, out, err = run_cli(
+        capsys, "detect", "--trace", str(trace), "--scenario", str(scenario_file)
+    )
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [
+        f"error: {trace}: trace metadata field {key} is 'abc', not an integer"
+    ]
+
+
+def test_detect_names_file_of_unsupported_schema_version(scenario_file, tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    run_cli(capsys, "run", "--scenario", str(scenario_file), "--out", str(out_dir))
+    trace = out_dir / "trace.csv"
+    _edit_trace_meta(trace, "schema_version", "99")
+    code, out, err = run_cli(
+        capsys, "detect", "--trace", str(trace), "--scenario", str(scenario_file)
+    )
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [f"error: {trace}: unsupported trace schema_version 99"]
+
+
 def test_detect_rejects_mismatched_scenario(scenario_file, tmp_path, capsys):
     out_dir = tmp_path / "out"
     run_cli(capsys, "run", "--scenario", str(scenario_file), "--out", str(out_dir))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import solve_discrete_are
-from scipy.signal import lfilter
+from scipy.signal import lfilter, ss2tf
 
 from dynwatermark.linsys import (
     ArmaxPlant,
@@ -13,6 +13,7 @@ from dynwatermark.linsys import (
     ScalarPlant,
 )
 from dynwatermark.residual import (
+    _ss2tf,
     innovations,
     kalman_design,
     lag_filter,
@@ -23,7 +24,7 @@ from dynwatermark.watermark import shape
 
 
 # ---------------------------------------------------------------------------
-# one-tap identity filters skip lfilter, bit for bit
+# rational filters equal scipy's lfilter and ss2tf, bit for bit
 # ---------------------------------------------------------------------------
 
 SIGNED = np.array([-0.0, 0.0, 1.5, -0.0, -2.25, 1e-300, -7.0, 3.0e200, -0.0])
@@ -54,6 +55,89 @@ def test_rational_filter_runs_lfilter_otherwise():
     x = np.random.default_rng(5).normal(size=300)
     for b, a in [((0.5,), (1.0,)), ((1.0,), (1.0, 0.3)), ((1.0, 0.2), (1.0,))]:
         assert rational_filter(b, a, x).tobytes() == lfilter(b, a, x).tobytes()
+
+
+def signed_zero_input(rng, T=240):
+    """Normal draws with scattered -0.0 and +0.0 cells, a leading run of
+    -0.0 (the filter at rest) and inner runs of each zero."""
+    x = rng.normal(size=T)
+    mask = rng.random(T) < 0.2
+    x[mask] = rng.choice([0.0, -0.0], size=int(mask.sum()))
+    x[:12] = -0.0
+    x[60:90] = -0.0
+    x[150:170] = 0.0
+    return x
+
+
+def random_filter(rng, order: int, nb: int):
+    """A stable filter: sum |a_k / a_0| = 0.9, a_0 of either sign with
+    |a_0| in [0.3, 3], and some taps of b and a[1:] set to -0.0 or +0.0."""
+    a0 = rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 3.0)
+    ratios = rng.uniform(-1.0, 1.0, size=order)
+    a = a0 * np.concatenate([[1.0], 0.9 * ratios / np.abs(ratios).sum()])
+    b = rng.normal(size=nb)
+    for taps in (a[1:], b):
+        mask = rng.random(taps.shape) < 0.2
+        taps[mask] = rng.choice([0.0, -0.0], size=int(mask.sum()))
+    return b, a
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+@pytest.mark.parametrize("b_len", ["shorter", "equal", "longer"])
+def test_rational_filter_equals_lfilter_on_random_iir_filters(order, b_len):
+    rng = np.random.default_rng([order, len(b_len)])
+    for _ in range(25):
+        nb = {"shorter": rng.integers(1, order + 1), "equal": order + 1,
+              "longer": rng.integers(order + 2, order + 4)}[b_len]
+        b, a = random_filter(rng, order, int(nb))
+        x = signed_zero_input(rng)
+        assert rational_filter(b, a, x).tobytes() == lfilter(b, a, x).tobytes(), (b, a)
+
+
+def test_rational_filter_equals_lfilter_on_random_fir_filters():
+    rng = np.random.default_rng(17)
+    for _ in range(100):
+        b, a = random_filter(rng, 0, int(rng.integers(1, 6)))
+        x = signed_zero_input(rng)
+        assert rational_filter(b, a, x).tobytes() == lfilter(b, a, x).tobytes(), (b, a)
+
+
+def test_ss2tf_port_equals_scipy():
+    rng = np.random.default_rng(19)
+    for _ in range(100):
+        n = int(rng.integers(1, 4))
+        system = (rng.normal(size=(n, n)), rng.normal(size=(n, 2)),
+                  rng.normal(size=(1, n)), rng.normal(size=(1, 2)))
+        for j in (0, 1):
+            num, den = ss2tf(*system, input=j)
+            got_num, got_den = _ss2tf(*system, j)
+            assert got_num.tobytes() == num[0].tobytes()
+            assert got_den.tobytes() == den.tobytes()
+
+
+def scipy_innovations(form, z, u):
+    """K nu[t] through scipy's ss2tf and lfilter, on the system innovations
+    builds: state x_hat(t-1|t-1), inputs (z[t], u[t-1]), output nu[t]."""
+    A, b, C = form.A, form.B[:, 0], form.C
+    K = kalman_design(form).K
+    M = np.eye(len(A)) - np.outer(K, C)
+    system = (M @ A, np.column_stack([K, M @ b]), -(C @ A)[None, :],
+              np.array([[1.0, -float(C @ b)]]))
+    num, den = ss2tf(*system, input=0)
+    nu = lfilter(num[0], den, z[1:])
+    if u is not None:
+        num, den = ss2tf(*system, input=1)
+        nu = nu + lfilter(num[0], den, u[:-1])
+    return np.outer(nu, K)
+
+
+def test_innovations_equal_scipy_composition_on_two_state_plant():
+    form = PartialPlant(A=[[0.9, 1.0], [0.0, 0.8]], B=[1.0, 0.5], C=[1.0, 0.0],
+                        sigma_w2=1.0, sigma_n2=1.0).kernel
+    rng = np.random.default_rng(23)
+    z, u = signed_zero_input(rng, 400), signed_zero_input(rng, 400)
+    for uu in (u, None):
+        assert innovations(form, z, uu).tobytes() == scipy_innovations(form, z, uu).tobytes()
 
 
 # ---------------------------------------------------------------------------
