@@ -58,23 +58,17 @@ def rational_filter(b, a, x: np.ndarray) -> np.ndarray:
     a[0] (so a padded tap is -0.0 when a[0] < 0), and the delay line
     Z_0..Z_{n-2}, at rest at +0.0, runs y = Z_0 + b_0 x,
     Z_{k-1} = (Z_k + b_k x) - a_k y, Z_{n-2} = b_{n-1} x - a_{n-1} y.
+    Like lfilter, it refuses a[0] == 0 with a ``ValueError``.
     """
+    if a[0] == 0.0:
+        raise ValueError("rational_filter: a[0] must be nonzero")
     x = np.asarray(x, dtype=float)
     if len(a) == 1:
         return np.convolve(np.asarray(b, dtype=float) / a[0], x)[: len(x)]
     n = max(len(a), len(b))
     b = np.pad(np.asarray(b, dtype=float), (0, n - len(b))) / a[0]
     a = (np.pad(np.asarray(a, dtype=float), (0, n - len(a))) / a[0]).tolist()
-    bx = [bk * x for bk in b]
-    if n == 2:
-        # Every shipped IIR filter has one delay.  Looping over the state
-        # alone, Z[t] = b_1 x[t] - a_1 (b_0 x[t] + Z[t-1]), halves the cost
-        # per step; y = b_0 x + Z[t-1] is then one vector sum of the same
-        # operands.
-        a1, z = a[1], 0.0
-        zs = [z := b1x - a1 * (b0x + z) for b0x, b1x in zip(bx[0].tolist(), bx[1].tolist())]
-        return bx[0] + np.array([0.0] + zs[:-1])
-    bx = [v.tolist() for v in bx]
+    bx = [(bk * x).tolist() for bk in b]
     inner, a_last = range(1, n - 1), a[-1]
     delay = [0.0] * (n - 1)
     y = []

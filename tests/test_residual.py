@@ -57,6 +57,13 @@ def test_rational_filter_runs_lfilter_otherwise():
         assert rational_filter(b, a, x).tobytes() == lfilter(b, a, x).tobytes()
 
 
+
+@pytest.mark.parametrize("a", [(0.0, 0.5), (-0.0, 0.5, 0.2), (0.0,)])
+def test_rational_filter_refuses_zero_leading_denominator_tap(a):
+    """lfilter refuses a[0] == 0; dividing by it would return inf or nan."""
+    with pytest.raises(ValueError, match="a\\[0\\] must be nonzero"):
+        rational_filter((1.0, 0.3), a, np.ones(5))
+
 def signed_zero_input(rng, T=240):
     """Normal draws with scattered -0.0 and +0.0 cells, a leading run of
     -0.0 (the filter at rest) and inner runs of each zero."""
