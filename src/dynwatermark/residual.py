@@ -53,30 +53,45 @@ def lag_filter(coeffs, x: np.ndarray, delay: int = 0) -> np.ndarray:
 def rational_filter(b, a, x: np.ndarray) -> np.ndarray:
     """y with A(q^-1) y = B(q^-1) x for 1-D x, at rest: lfilter(b, a, x) bit for bit.
 
-    A one-tap ``a`` is scipy's FIR path, a convolution with b / a[0].
-    Otherwise b and a are zero-padded to one length n and then divided by
-    a[0] (so a padded tap is -0.0 when a[0] < 0), and the delay line
-    Z_0..Z_{n-2}, at rest at +0.0, runs y = Z_0 + b_0 x,
-    Z_{k-1} = (Z_k + b_k x) - a_k y, Z_{n-2} = b_{n-1} x - a_{n-1} y.
-    Like lfilter, it refuses a[0] == 0 with a ``ValueError``.
+    A one-tap ``a`` is scipy's FIR path, a convolution with b / a[0]; any
+    other runs :func:`_iir`.  Like lfilter, it refuses a[0] == 0 with a
+    ``ValueError``.
     """
     if a[0] == 0.0:
         raise ValueError("rational_filter: a[0] must be nonzero")
-    x = np.asarray(x, dtype=float)
     if len(a) == 1:
-        return np.convolve(np.asarray(b, dtype=float) / a[0], x)[: len(x)]
-    n = max(len(a), len(b))
-    b = np.pad(np.asarray(b, dtype=float), (0, n - len(b))) / a[0]
-    a = (np.pad(np.asarray(a, dtype=float), (0, n - len(a))) / a[0]).tolist()
-    bx = [(bk * x).tolist() for bk in b]
-    inner, a_last = range(1, n - 1), a[-1]
-    delay = [0.0] * (n - 1)
-    y = []
-    for t, (b0x, b_last_x) in enumerate(zip(bx[0], bx[-1])):
-        yt = delay[0] + b0x
+        return np.convolve(np.asarray(b, dtype=float) / a[0], np.asarray(x, dtype=float))[: len(x)]
+    return _iir(a, b, x)
+
+
+def _iir(a, b, x, c=None, v=None) -> np.ndarray:
+    """lfilter(b, a, x), plus lfilter(c, a, v) added at each step if ``c``
+    (as long as ``b``) is given: one pass over t, one delay line per input.
+
+    b, c and a are zero-padded to one length n, then divided by a[0] (so a
+    padded tap is -0.0 when a[0] < 0).  Each delay line Z_0..Z_{n-2}, at rest
+    at +0.0, runs y = Z_0 + b_0 x, Z_{k-1} = (Z_k + b_k x) - a_k y and
+    Z_{n-2} = b_{n-1} x - a_{n-1} y.
+    """
+    two, n, a0 = c is not None, max(len(a), len(b)), a[0]
+    b, c, a = (
+        (np.pad(np.asarray(p, dtype=float), (0, n - len(p))) / a0).tolist()
+        for p in (b, c if two else b, a)
+    )
+    inner, b0, b_last, c0, c_last, a_last = range(1, n - 1), b[0], b[-1], c[0], c[-1], a[-1]
+    zb, zc, y = [0.0] * (n - 1), [0.0] * (n - 1), []
+    x = np.asarray(x, dtype=float).tolist()
+    for xt, vt in zip(x, np.asarray(v, dtype=float).tolist() if two else x):
+        yt = zb[0] + b0 * xt
         for k in inner:
-            delay[k - 1] = (delay[k] + bx[k][t]) - a[k] * yt
-        delay[-1] = b_last_x - a_last * yt
+            zb[k - 1] = (zb[k] + b[k] * xt) - a[k] * yt
+        zb[-1] = b_last * xt - a_last * yt
+        if two:
+            wt = zc[0] + c0 * vt
+            for k in inner:
+                zc[k - 1] = (zc[k] + c[k] * vt) - a[k] * wt
+            zc[-1] = c_last * vt - a_last * wt
+            yt += wt
         y.append(yt)
     return np.array(y)
 
@@ -164,10 +179,11 @@ def innovations(form: StateSpaceForm, z: np.ndarray, u: np.ndarray | None) -> np
     # state x_hat(t-1|t-1), inputs (z[t], u[t-1]), output nu[t]
     system = (M @ A, np.column_stack([K, M @ b]), -(C @ A)[None, :],
               np.array([[1.0, -float(C @ b)]]))
-    nu = rational_filter(*_ss2tf(*system, 0), z[1:])
-    if u is not None:
-        nu = nu + rational_filter(*_ss2tf(*system, 1), u[:-1])
-    return np.outer(nu, K)
+    num_z, den = _ss2tf(*system, 0)
+    if u is None:
+        return np.outer(rational_filter(num_z, den, z[1:]), K)
+    # the z and u filters share den, so they run in one pass
+    return np.outer(_iir(den, num_z, z[1:], _ss2tf(*system, 1)[0], u[:-1]), K)
 
 
 def _ss2tf(A, B, C, D, j: int):

@@ -13,6 +13,7 @@ from dynwatermark.linsys import (
     ScalarPlant,
 )
 from dynwatermark.residual import (
+    _iir,
     _ss2tf,
     innovations,
     kalman_design,
@@ -99,6 +100,25 @@ def test_rational_filter_equals_lfilter_on_random_iir_filters(order, b_len):
         b, a = random_filter(rng, order, int(nb))
         x = signed_zero_input(rng)
         assert rational_filter(b, a, x).tobytes() == lfilter(b, a, x).tobytes(), (b, a)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("b_len", ["shorter", "equal", "longer"])
+def test_two_input_pass_equals_the_sum_of_lfilters(order, b_len):
+    """One pass over two inputs sharing a denominator adds, at each step, the
+    outputs lfilter gives each; with a[0] < 0 the padded taps are -0.0."""
+    rng = np.random.default_rng([order, len(b_len), 2])
+    signs = set()
+    for _ in range(25):
+        nb = {"shorter": rng.integers(1, order + 1), "equal": order + 1,
+              "longer": rng.integers(order + 2, order + 4)}[b_len]
+        b, a = random_filter(rng, order, int(nb))
+        c, _ = random_filter(rng, 0, int(nb))
+        x, v = signed_zero_input(rng), signed_zero_input(rng)
+        want = lfilter(b, a, x) + lfilter(c, a, v)
+        assert _iir(a, b, x, c, v).tobytes() == want.tobytes(), (b, c, a)
+        signs.add(bool(a[0] < 0))
+    assert signs == {False, True}
 
 
 def test_rational_filter_equals_lfilter_on_random_fir_filters():
