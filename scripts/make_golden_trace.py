@@ -15,8 +15,11 @@ TRACE_SCHEMA_VERSION and rerun this, then eyeball the diff before
 committing.  ``--check`` exports each trace into a temporary directory and
 prints, per file, whether it is byte-identical to the stored one, and for a
 file that differs, each differing column with its largest absolute change
-relative to the stored column's largest magnitude; it exits 1 if any file
-differs or is missing.
+relative to the stored column's largest magnitude.  It also imports each
+stored file, which recomputes its statistics exactly, and prints the import
+error, or that the imported trace is not the fresh run, under the file's
+verdict.  It exits 1 if any file differs, is missing or does not import as
+the fresh run.
 """
 import argparse
 import filecmp
@@ -31,7 +34,12 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tests")
 
 from test_harness import golden_config, reference_configs  # noqa: E402
 
-from dynwatermark.harness import export_trace, run_scenario  # noqa: E402
+from dynwatermark.harness import (  # noqa: E402
+    export_trace,
+    import_trace,
+    run_scenario,
+    trace_equal,
+)
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "tests" / "data"
 
@@ -82,11 +90,12 @@ def main(argv=None) -> int:
             export_trace(run_scenario(cfg), DATA / name)
             print(f"wrote {DATA / name}")
         return 0
-    differing = 0
+    failed = 0
     with tempfile.TemporaryDirectory() as tmp:
         for name, cfg in targets.items():
             fresh = pathlib.Path(tmp) / name
-            export_trace(run_scenario(cfg), fresh)
+            trace = run_scenario(cfg)
+            export_trace(trace, fresh)
             stored = DATA / name
             if not stored.is_file():
                 verdict = "missing"
@@ -94,12 +103,21 @@ def main(argv=None) -> int:
                 verdict = "identical"
             else:
                 verdict = "differs"
-            differing += verdict != "identical"
             print(f"{name}: {verdict}")
             if verdict == "differs":
                 for column, rel in column_deltas(fresh, stored):
                     print(f"  {column} max|delta|/max|column| = {rel:.3g}")
-    return 1 if differing else 0
+            problem = None
+            if stored.is_file():
+                try:
+                    if not trace_equal(import_trace(stored, cfg), trace):
+                        problem = "imports, but not as the fresh run"
+                except ValueError as exc:
+                    problem = str(exc)
+                if problem:
+                    print(f"  import: {problem}")
+            failed += verdict != "identical" or problem is not None
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

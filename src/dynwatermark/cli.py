@@ -37,13 +37,6 @@ def _thresholds_dict(thresholds) -> dict:
     return {name: dataclasses.asdict(th) for name, th in thresholds.items()}
 
 
-def _require_channels(source, channels, thresholds) -> None:
-    """Refuse to judge ``channels`` that ``source`` holds no thresholds for."""
-    missing = sorted(set(channels) - set(thresholds))
-    if missing:
-        raise ValueError(f"{source} lacks channels {missing}")
-
-
 def _cmd_run(args) -> int:
     config = load_scenario(args.scenario)
     seed = args.seed if args.seed is not None else config.seed
@@ -97,7 +90,6 @@ def _cmd_detect(args) -> int:
     seed = args.seed if args.seed is not None else trace.seed
     thresholds = calibrate_detector(config, seed=seed)
     channels = trace.channel_names
-    _require_channels(args.scenario, channels, thresholds)
     series = {ch: stat_series(trace, ch) for ch in channels}
     flags = {ch: thresholds[ch].exceeded(v, channel=ch, end_t=t) for ch, (t, v) in series.items()}
     alarms = [
@@ -156,7 +148,9 @@ def _threshold_bands(run_dir: Path, config, seed, channels) -> dict:
             hashes = {name: th.get("scenario_sha256") for name, th in stored.items()}
         except (AttributeError, KeyError, TypeError) as exc:
             raise ValueError(f"{path} is not a map from channel to thresholds") from exc
-        _require_channels(path, channels, bands)
+        missing = sorted(set(channels) - set(bands))
+        if missing:
+            raise ValueError(f"{path} lacks channels {missing}")
         digest = scenario_sha256(config)
         for name, got in hashes.items():
             if got != digest:

@@ -455,20 +455,17 @@ def _window_ends(T: int, start: int, burn: int, l: int) -> np.ndarray:
     return np.arange(start + burn + l - 1, T, l)
 
 
-def _detect_pass(
-    config: ScenarioConfig,
-    streams: dict,
-    specs: list[ChannelSpec],
-    thresholds: dict[str, Threshold],
-) -> tuple[np.ndarray, dict[str, np.ndarray], dict[str, np.ndarray]]:
-    """Ends, statistics and alarm flags of every complete window, evaluated
-    from the joint scatters in one batch per channel and thresholded in one call."""
+def _window_stats(
+    config: ScenarioConfig, streams: dict, specs: list[ChannelSpec]
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Ends and statistics of every complete window, evaluated from the joint
+    scatters in one batch per channel."""
     l = config.detector.window_len
     start, burn = streams["start"], streams["burn"]
     ends = _window_ends(start + len(streams["e"]), start, burn, l)
     n_win = len(ends)
     if not n_win:
-        return ends, {}, {}
+        return ends, {}
     span = slice(burn, burn + n_win * l)
     stats: dict[str, np.ndarray] = {}
     for spec in specs:
@@ -479,6 +476,13 @@ def _detect_pass(
         stats[spec.name] = _detect._batch_values(
             spec.kind, Z, l, len(blocks) - 1, target=spec.target, Sigma0=spec.Sigma0
         )
+    return ends, stats
+
+
+def _detect_pass(config: ScenarioConfig, streams: dict, specs, thresholds: dict):
+    """:func:`_window_stats`, refused if not finite, and each channel's
+    alarm flags, thresholded in one call."""
+    ends, stats = _window_stats(config, streams, specs)
     _detect._require_finite(ends, stats)
     alarms = {ch: thresholds[ch].exceeded(v, channel=ch, end_t=ends) for ch, v in stats.items()}
     return ends, stats, alarms
@@ -719,11 +723,11 @@ def export_trace(trace: Trace, path) -> None:
             ]))
 
 
-def _parse_floats(path, name: str, cells: list[str], ts) -> np.ndarray:
-    """Parse the cells of column ``name`` at steps ``ts``, naming the first
-    one that is not a number."""
+def _parse_steps(path, name: str, cells: list[str], ts) -> np.ndarray:
+    """Parse the cells of step column ``name`` at steps ``ts``, naming the
+    first one that is not a finite number."""
     try:
-        return np.array(cells, dtype=float)
+        values = np.array(cells, dtype=float)
     except ValueError:
         for cell, t in zip(cells, ts):
             try:
@@ -733,11 +737,6 @@ def _parse_floats(path, name: str, cells: list[str], ts) -> np.ndarray:
                     f"{path}: column {name} holds {cell!r} at t={t}, not a number"
                 ) from None
         raise
-
-
-def _parse_steps(path, name: str, cells: list[str], ts) -> np.ndarray:
-    """Parse step cells, which must all be finite numbers."""
-    values = _parse_floats(path, name, cells, ts)
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         raise ValueError(f"{path}: column {name} holds {cells[bad[0]]!r} at t={ts[bad[0]]}")
@@ -784,14 +783,16 @@ def _meta_int(path, meta: dict[str, str], key: str) -> int:
 def import_trace(path, config: ScenarioConfig) -> Trace:
     """Rebuild a :class:`Trace` from exported text (inverse of export).
 
-    Thresholds are not serialized; the returned trace carries an empty
-    threshold map and each window's values from its last row.  Rows are read
-    and parsed in blocks of ``_CHUNK_ROWS`` into preallocated arrays, and the
-    window columns are kept as runs of equal cells, so memory beyond the
-    returned arrays does not grow with the horizon.  Every step cell must be
-    a finite number.  The window columns must be what export writes for the
-    layout of the metadata and ``window_len``, with finite statistics, and
-    the stored step data must hold the plant recursion.
+    Statistics are not read but recomputed from the step data as
+    :func:`run_scenario` computes them, and each row's ``window_id``,
+    ``stat_*`` and ``alarm`` cells must be exactly what export writes for
+    them: a statistic cell must be the ``repr`` of the recomputed value, with
+    no tolerance, which a trace written by this code meets because its step
+    data round-trips bit-exactly.  The returned trace carries the stored
+    alarm flags (one per window, ``"any"``) and no thresholds.  Rows are
+    parsed in blocks of ``_CHUNK_ROWS``.  Every step cell must be a finite
+    number, ``residual_start`` and ``burn_in`` the scenario's, the ``stat_*``
+    columns its channels, and the step data must hold the plant recursion.
     """
     with open(path, "r", encoding="utf-8") as fh:
         meta_line = fh.readline().strip()
@@ -812,10 +813,6 @@ def import_trace(path, config: ScenarioConfig) -> Trace:
             raise ValueError(
                 f"trace was recorded for a {meta['plant']} plant, "
                 f"scenario has {config.plant.kind}"
-            )
-        if start < 0 or burn < 0:
-            raise ValueError(
-                f"{path}: trace metadata has residual_start={start}, burn_in={burn}"
             )
         T, K = config.horizon, len(header)
         index = {name: j for j, name in enumerate(header)}
@@ -868,32 +865,19 @@ def import_trace(path, config: ScenarioConfig) -> Trace:
     if data["y"] is None:
         data["y"] = data["x"]
     l = config.detector.window_len
-    counts: dict[int, int] = {}
-    t = 0
-    for cell, count in stored["window_id"]:
-        try:
-            wid = int(cell)
-        except ValueError:
-            raise ValueError(
-                f"{path}: column window_id holds {cell!r} at t={t}, not an integer"
-            ) from None
-        if wid >= 0:
-            counts[wid] = counts.get(wid, 0) + count
-        t += count
-    wrong = sorted(wid for wid, count in counts.items() if count != l)
-    if wrong:
+    spans = sum(count for cell, count in stored["window_id"] if cell == "0")
+    if spans and spans != l:
+        raise ValueError(f"{path}: window 0 spans {spans} rows, scenario window_len is {l}")
+    res = _residual_streams(config, config.plant.build(), data)
+    if (start, burn) != (res["start"], res["burn"]):
+        raise ValueError(f"{path}: trace metadata has residual_start={start}, burn_in={burn}")
+    ends, stats = _window_stats(config, res, channel_specs(config))
+    have = sorted(h[len("stat_") :] for h in stored if h.startswith("stat_"))
+    if have != sorted(stats):
         raise ValueError(
-            f"{path}: window {wrong[0]} spans {counts[wrong[0]]} rows, "
-            f"scenario window_len is {l}"
+            f"{path}: trace holds statistics {have}, the scenario computes {sorted(stats)}"
         )
-    ends = _window_ends(T, start, burn, l)
-    ends_l = ends.tolist()
-    stats = {
-        h[len("stat_") :]: _parse_floats(path, h, _cells_at(runs, ends_l), ends_l)
-        for h, runs in stored.items() if h.startswith("stat_")
-    }
-    _detect._require_finite(ends, stats)
-    alarms = np.array(_cells_at(stored["alarm"], ends_l), dtype=str) == "1"
+    alarms = np.array(_cells_at(stored["alarm"], ends.tolist()), dtype=str) == "1"
     trace = Trace(
         config=config, seed=seed, **data, window_ends=ends,
         window_stats=stats, window_alarms={"any": alarms},

@@ -16,7 +16,7 @@ from dynwatermark.scenario import (
 )
 
 from conftest import make_scenario
-from test_harness import reference_configs
+from test_harness import TAMPERINGS, all_class_configs, reference_configs, tampered
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -457,8 +457,31 @@ def test_detect_rejects_channels_the_scenario_does_not_calibrate(
     assert code == 1
     assert out == ""
     assert err.splitlines() == [
-        f"error: {other_path} lacks channels ['cross_corr', 'nll', 'variance_raw']"
+        f"error: {out_dir / 'trace.csv'}: trace holds statistics "
+        "['cross_corr', 'nll', 'variance_raw', 'variance_wm'], "
+        "the scenario computes ['variance_wm']"
     ]
+
+
+@pytest.mark.parametrize("how", TAMPERINGS)
+@pytest.mark.parametrize("kind", ["scalar", "arx", "armax", "partial", "mimo"])
+def test_report_and_detect_refuse_a_tampered_trace(kind, how, tmp_path, capsys):
+    """Each refusal of import is one error line and exit code 1 through both
+    commands that read a trace."""
+    scenario = tmp_path / "scenario.yaml"
+    save_scenario(all_class_configs()[kind], scenario)
+    out_dir = tmp_path / "out"
+    run_cli(capsys, "run", "--scenario", str(scenario), "--out", str(out_dir))
+    path = out_dir / "trace.csv"
+    cfg = load_scenario(scenario)
+    lines = tampered(path.read_text().splitlines(), import_trace(path, cfg), how)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as refusal:
+        import_trace(path, cfg)
+    for argv in (["report", "--run", str(out_dir)],
+                 ["detect", "--trace", str(path), "--scenario", str(scenario)]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err.splitlines()) == (1, "", [f"error: {refusal.value}"])
 
 
 def test_run_rejects_singular_detection_window(tmp_path, capsys):
@@ -516,10 +539,10 @@ def test_detect_rejects_non_finite_statistic(scenario_file, tmp_path, capsys):
     lines = trace.read_text().splitlines()
     header = lines[1].split(",")
     col = header.index("stat_cross_corr")
-    # the statistic is read from the last row of a window
+    # the last row of the last window
     row = max(i for i in range(2, len(lines)) if lines[i].split(",")[col])
     fields = lines[row].split(",")
-    fields[col] = "nan"
+    cell, fields[col] = fields[col], "nan"
     lines[row] = ",".join(fields)
     trace.write_text("\n".join(lines) + "\n")
     code, _, err = run_cli(
@@ -527,8 +550,10 @@ def test_detect_rejects_non_finite_statistic(scenario_file, tmp_path, capsys):
     )
     assert code == 1
     assert len(err.splitlines()) == 1
-    assert err.startswith("error: non-finite statistic nan on channel cross_corr")
-    assert f"t={fields[0]}" in err
+    assert err.splitlines() == [
+        f"error: {trace}: column stat_cross_corr holds 'nan' at t={fields[0]}, "
+        f"where its window layout gives {cell!r}"
+    ]
 
 
 def test_report_rejects_non_finite_statistic(tmp_path, capsys):
@@ -541,14 +566,14 @@ def test_report_rejects_non_finite_statistic(tmp_path, capsys):
     col = lines[1].split(",").index("stat_cross_corr")
     row = max(i for i in range(2, len(lines)) if lines[i].split(",")[col])
     fields = lines[row].split(",")
-    fields[col] = "nan"
+    cell, fields[col] = fields[col], "nan"
     lines[row] = ",".join(fields)
     trace.write_text("\n".join(lines) + "\n")
     code, out, err = run_cli(capsys, "report", "--run", str(out_dir))
     assert code == 1
     assert out == ""
     assert err.splitlines() == [
-        f"error: non-finite statistic nan on channel cross_corr, "
-        f"window ending at t={fields[0]}"
+        f"error: {trace}: column stat_cross_corr holds 'nan' at t={fields[0]}, "
+        f"where its window layout gives {cell!r}"
     ]
     assert (out_dir / "report.json").read_text() == report

@@ -2,6 +2,7 @@ import dataclasses
 import importlib.util
 import json
 import pathlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -643,6 +644,14 @@ def test_import_golden_file():
     assert trace_equal(trace, run_scenario(golden_config()))
 
 
+@pytest.mark.parametrize("kind", ["arx", "armax", "partial", "mimo"])
+def test_import_reference_file(kind):
+    """Each stored reference trace imports, its statistics recomputed exactly."""
+    cfg = reference_configs()[kind]
+    trace = import_trace(DATA / f"reference_{kind}_trace.csv", cfg)
+    assert trace_equal(trace, run_scenario(cfg))
+
+
 def test_import_rejects_tampered_state(tmp_path):
     cfg = make_scenario(horizon=400)
     path = tmp_path / "trace.csv"
@@ -665,6 +674,11 @@ def arx_additive_export(tmp_path_factory):
     path = tmp_path_factory.mktemp("arx") / "trace.csv"
     export_trace(run_scenario(cfg), path)
     return cfg, path.read_text().splitlines()
+
+
+def _cell(lines, t, name):
+    """The text of column ``name`` at step ``t`` of an exported trace's lines."""
+    return lines[2 + t].split(",")[lines[1].split(",").index(name)]
 
 
 def _edit_cells(lines, path, edits):
@@ -701,8 +715,8 @@ def test_import_checks_every_row_of_a_window(arx_additive_export, tmp_path):
 
 
 def test_import_rejects_non_finite_statistic(arx_additive_export, tmp_path):
-    """The earliest window holding a non-finite statistic is named, then its
-    first channel in header order."""
+    """Statistics are recomputed and compared column by column in header
+    order: the first column that differs is named at its first differing row."""
     cfg, lines = arx_additive_export
     path = tmp_path / "trace.csv"
     # rows 500 and 1000 end windows 0 and 1
@@ -713,8 +727,87 @@ def test_import_rejects_non_finite_statistic(arx_additive_export, tmp_path):
     with pytest.raises(ValueError) as err:
         import_trace(path, cfg)
     assert str(err.value) == (
-        "non-finite statistic -inf on channel variance_raw, window ending at t=500"
+        f"{path}: column stat_cross_corr holds 'nan' at t=1000, "
+        f"where its window layout gives {_cell(lines, 1000, 'stat_cross_corr')!r}"
     )
+
+
+TAMPERINGS = ("statistic", "report", "excitation", "residual_start")
+
+
+def tampered(lines, trace, how):
+    """The lines of ``trace``'s export with one edit that import refuses:
+    window 1's first statistic raised by 0.25 on each of its rows, a report
+    (z or z_0) or raw excitation (e_raw or e_raw_0) cell inside window 1
+    raised by 1.0, or residual_start raised by 1."""
+    out = list(lines)
+    if how == "residual_start":
+        start = trace.residual_start
+        out[0] = out[0].replace(f"residual_start={start} ", f"residual_start={start + 1} ")
+        return out
+    end, l = int(trace.window_ends[1]), trace.config.detector.window_len
+    if how == "statistic":
+        ch = trace.channel_names[0]
+        text = repr(float(trace.window_stats[ch][1]) + 0.25)
+        edits = {(t, f"stat_{ch}"): text for t in range(end - l + 1, end + 1)}
+    else:
+        name = {"report": "z", "excitation": "e_raw"}[how]
+        name += "" if trace.z.ndim == 1 else "_0"
+        edits = {(end - 10, name): repr(float(_cell(lines, end - 10, name)) + 1.0)}
+    header = out[1].split(",")
+    for (t, name), text in edits.items():
+        row = out[2 + t].split(",")
+        row[header.index(name)] = text
+        out[2 + t] = ",".join(row)
+    return out
+
+
+@pytest.fixture(scope="module")
+def class_exports(tmp_path_factory):
+    """Each plant class's run and its exported trace's lines."""
+    out = {}
+    for kind, cfg in all_class_configs().items():
+        path = tmp_path_factory.mktemp(kind) / "trace.csv"
+        trace = run_scenario(cfg)
+        export_trace(trace, path)
+        out[kind] = trace, path.read_text().splitlines()
+    return out
+
+
+@pytest.mark.parametrize("how", TAMPERINGS)
+@pytest.mark.parametrize("kind", ["scalar", "arx", "armax", "partial", "mimo"])
+def test_import_refuses_statistics_the_step_data_does_not_give(
+    kind, how, class_exports, tmp_path
+):
+    """Statistics are recomputed from the step data: an edited statistic, or
+    an edited step cell outside the plant recursion, is refused at the first
+    row of the window whose statistics it changes, in the first statistic
+    column in header order that it changes."""
+    trace, lines = class_exports[kind]
+    path = tmp_path / "trace.csv"
+    out = tampered(lines, trace, how)
+    path.write_text("\n".join(out) + "\n")
+    with pytest.raises(ValueError) as err:
+        import_trace(path, trace.config)
+    if how == "residual_start":
+        assert str(err.value) == (
+            f"{path}: trace metadata has residual_start={trace.residual_start + 1}, "
+            f"burn_in={trace.burn_in}"
+        )
+        return
+    t = int(trace.window_ends[1]) - trace.config.detector.window_len + 1
+    if how == "statistic":
+        ch = trace.channel_names[0]
+        assert str(err.value) == (
+            f"{path}: column stat_{ch} holds {_cell(out, t, f'stat_{ch}')!r} at t={t}, "
+            f"where its window layout gives {repr(float(trace.window_stats[ch][1]))!r}"
+        )
+    else:
+        assert re.fullmatch(
+            rf"{re.escape(str(path))}: column stat_(\w+) holds '(.*)' at t={t}, "
+            r"where its window layout gives '(.*)'",
+            str(err.value),
+        )
 
 
 def test_window_records_view_the_arrays():
@@ -806,13 +899,17 @@ def test_import_names_the_cell_that_is_not_a_number(arx_additive_export, tmp_pat
 
 
 def test_import_names_the_statistic_that_is_not_a_number(arx_additive_export, tmp_path):
-    """A statistic is read from its window's last row; row 500 ends window 0."""
+    """A statistic cell is compared as text with the recomputed value's repr;
+    row 500 ends window 0."""
     cfg, lines = arx_additive_export
     path = tmp_path / "trace.csv"
     _edit_cells(lines, path, {(500, "stat_nll"): "abc"})
     with pytest.raises(ValueError) as err:
         import_trace(path, cfg)
-    assert str(err.value) == f"{path}: column stat_nll holds 'abc' at t=500, not a number"
+    assert str(err.value) == (
+        f"{path}: column stat_nll holds 'abc' at t=500, "
+        f"where its window layout gives {_cell(lines, 500, 'stat_nll')!r}"
+    )
 
 
 def test_import_names_the_window_id_that_is_not_an_integer(arx_additive_export, tmp_path):
@@ -822,7 +919,7 @@ def test_import_names_the_window_id_that_is_not_an_integer(arx_additive_export, 
     with pytest.raises(ValueError) as err:
         import_trace(path, cfg)
     assert str(err.value) == (
-        f"{path}: column window_id holds '1.0' at t=600, not an integer"
+        f"{path}: column window_id holds '1.0' at t=600, where its window layout gives '1'"
     )
 
 
