@@ -484,6 +484,27 @@ def test_report_and_detect_refuse_a_tampered_trace(kind, how, tmp_path, capsys):
         assert (code, out, err.splitlines()) == (1, "", [f"error: {refusal.value}"])
 
 
+@pytest.mark.filterwarnings("error")
+def test_report_refuses_an_overflowing_report_cell_in_one_line(tmp_path, capsys):
+    """A finite report cell whose square overflows makes an infinite
+    statistic; import refuses it without printing numpy's warnings."""
+    scenario = tmp_path / "scenario.yaml"
+    save_scenario(all_class_configs()["arx"], scenario)
+    out_dir = tmp_path / "out"
+    run_cli(capsys, "run", "--scenario", str(scenario), "--out", str(out_dir))
+    path = out_dir / "trace.csv"
+    lines = path.read_text().splitlines()
+    col = lines[1].split(",").index("z")
+    row = lines[2 + 150].split(",")
+    row[col] = "1e300"
+    lines[2 + 150] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(capsys, "report", "--run", str(out_dir))
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1
+    assert err.endswith("where its window layout gives 'inf'\n")
+
+
 def test_run_rejects_singular_detection_window(tmp_path, capsys):
     """A sensor that reports zeros makes the MIMO residual vanish: the first
     window wholly after the onset, ending at t=300, has a singular scatter,
