@@ -792,7 +792,8 @@ def import_trace(path, config: ScenarioConfig) -> Trace:
     alarm flags (one per window, ``"any"``) and no thresholds.  Rows are
     parsed in blocks of ``_CHUNK_ROWS``.  Every step cell must be a finite
     number, ``residual_start`` and ``burn_in`` the scenario's, the ``stat_*``
-    columns its channels, and the step data must hold the plant recursion.
+    columns its channels, every recomputed statistic finite, and the step
+    data must hold the plant recursion.
     """
     with open(path, "r", encoding="utf-8") as fh:
         meta_line = fh.readline().strip()
@@ -868,7 +869,7 @@ def import_trace(path, config: ScenarioConfig) -> Trace:
     spans = sum(count for cell, count in stored["window_id"] if cell == "0")
     if spans and spans != l:
         raise ValueError(f"{path}: window 0 spans {spans} rows, scenario window_len is {l}")
-    # A huge finite cell can overflow a statistic; the comparison refuses it.
+    # A huge finite cell can overflow a statistic; the checks below refuse it.
     with np.errstate(over="ignore", invalid="ignore"):
         res = _residual_streams(config, config.plant.build(), data)
         ends, stats = _window_stats(config, res, channel_specs(config))
@@ -896,6 +897,8 @@ def import_trace(path, config: ScenarioConfig) -> Trace:
                 f"{path}: column {name} holds {got!r} at t={t}, "
                 f"where its window layout gives {want!r}"
             )
+    # run_scenario refuses non-finite statistics, so no trace it wrote holds one
+    _detect._require_finite(ends, stats)
     _self_check(trace)
     return trace
 

@@ -17,7 +17,9 @@ from dynwatermark.harness import (
     _oracle_distortion,
     _residual_streams,
     _Streams,
+    _window_stats,
     calibrate_detector,
+    channel_specs,
     export_trace,
     import_trace,
     oracle_metrics,
@@ -808,6 +810,25 @@ def test_import_refuses_statistics_the_step_data_does_not_give(
             r"where its window layout gives '(.*)'",
             str(err.value),
         )
+
+
+def test_import_refuses_a_non_finite_statistic_its_step_data_gives(tmp_path):
+    """A finite report cell whose square overflows gives non-finite
+    statistics; stored cells that match them are still refused."""
+    cfg = all_class_configs()["arx"]
+    trace = run_scenario(cfg)
+    z = trace.z.copy()
+    z[150] = 1e300
+    hand = dataclasses.replace(trace, z=z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, stats = _window_stats(cfg, residual_streams_of(hand), channel_specs(cfg))
+    path = tmp_path / "trace.csv"
+    export_trace(dataclasses.replace(hand, window_stats=stats), path)
+    end = int(trace.window_ends[np.searchsorted(trace.window_ends, 150)])
+    with pytest.raises(ValueError, match=(
+        rf"^non-finite statistic (inf|nan) on channel \w+, window ending at t={end}$"
+    )):
+        import_trace(path, cfg)
 
 
 def test_window_records_view_the_arrays():
