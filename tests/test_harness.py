@@ -683,15 +683,20 @@ def _cell(lines, t, name):
     return lines[2 + t].split(",")[lines[1].split(",").index(name)]
 
 
-def _edit_cells(lines, path, edits):
-    """Write ``lines`` to ``path`` with cells replaced: {(t, column): text}."""
+def _edited(lines, edits):
+    """``lines`` with cells replaced: {(t, column): text}."""
     header = lines[1].split(",")
     out = list(lines)
     for (t, name), text in edits.items():
         row = out[2 + t].split(",")
         row[header.index(name)] = text
         out[2 + t] = ",".join(row)
-    path.write_text("\n".join(out) + "\n")
+    return out
+
+
+def _edit_cells(lines, path, edits):
+    """Write ``lines`` to ``path`` with cells replaced: {(t, column): text}."""
+    path.write_text("\n".join(_edited(lines, edits)) + "\n")
 
 
 def test_import_rejects_swapped_window_ids(arx_additive_export, tmp_path):
@@ -742,11 +747,10 @@ def tampered(lines, trace, how):
     window 1's first statistic raised by 0.25 on each of its rows, a report
     (z or z_0) or raw excitation (e_raw or e_raw_0) cell inside window 1
     raised by 1.0, or residual_start raised by 1."""
-    out = list(lines)
     if how == "residual_start":
         start = trace.residual_start
-        out[0] = out[0].replace(f"residual_start={start} ", f"residual_start={start + 1} ")
-        return out
+        meta = lines[0].replace(f"residual_start={start} ", f"residual_start={start + 1} ")
+        return [meta, *lines[1:]]
     end, l = int(trace.window_ends[1]), trace.config.detector.window_len
     if how == "statistic":
         ch = trace.channel_names[0]
@@ -756,12 +760,7 @@ def tampered(lines, trace, how):
         name = {"report": "z", "excitation": "e_raw"}[how]
         name += "" if trace.z.ndim == 1 else "_0"
         edits = {(end - 10, name): repr(float(_cell(lines, end - 10, name)) + 1.0)}
-    header = out[1].split(",")
-    for (t, name), text in edits.items():
-        row = out[2 + t].split(",")
-        row[header.index(name)] = text
-        out[2 + t] = ",".join(row)
-    return out
+    return _edited(lines, edits)
 
 
 @pytest.fixture(scope="module")
