@@ -5,7 +5,11 @@
   byte for byte by the test suite;
 * reference_<kind>_trace.csv: one short attacked run per other plant class
   (``reference_configs``), compared column by column within 1e-12 of each
-  column's scale.
+  column's scale;
+* reference_thresholds.json: every channel's calibrated threshold of each
+  ``threshold_configs`` scenario, compared exactly: trace files store
+  statistics and alarms only, so a last-bit change in calibration shows
+  here first.
 
     python scripts/make_golden_trace.py          # rewrite the files
     python scripts/make_golden_trace.py --check  # compare, write nothing there
@@ -18,11 +22,14 @@ file that differs, each differing column with its largest absolute change
 relative to the stored column's largest magnitude.  It also imports each
 stored file, which recomputes its statistics exactly, and prints the import
 error, or that the imported trace is not the fresh run, under the file's
-verdict.  It exits 1 if any file differs, is missing or does not import as
+verdict.  For the thresholds file it names each scenario whose thresholds
+differ.  It exits 1 if any file differs, is missing or does not import as
 the fresh run.
 """
 import argparse
+import dataclasses
 import filecmp
+import json
 import math
 import pathlib
 import sys
@@ -32,9 +39,14 @@ import numpy as np
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tests"))
 
-from test_harness import golden_config, reference_configs  # noqa: E402
+from test_harness import (  # noqa: E402
+    golden_config,
+    reference_configs,
+    threshold_configs,
+)
 
 from dynwatermark.harness import (  # noqa: E402
+    calibrate_detector,
     export_trace,
     import_trace,
     run_scenario,
@@ -42,6 +54,20 @@ from dynwatermark.harness import (  # noqa: E402
 )
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "tests" / "data"
+THRESHOLDS = "reference_thresholds.json"
+
+
+def reference_thresholds() -> dict[str, dict[str, dict]]:
+    """{scenario: {channel: threshold fields}} of ``threshold_configs``."""
+    return {
+        name: {ch: dataclasses.asdict(th) for ch, th in calibrate_detector(cfg).items()}
+        for name, cfg in threshold_configs().items()
+    }
+
+
+def thresholds_text(pinned: dict) -> str:
+    """JSON text of ``reference_thresholds``; its floats round-trip exactly."""
+    return json.dumps(pinned, indent=2) + "\n"
 
 
 def _columns(path: pathlib.Path) -> tuple[str, dict[str, list[str]]]:
@@ -89,6 +115,8 @@ def main(argv=None) -> int:
         for name, cfg in targets.items():
             export_trace(run_scenario(cfg), DATA / name)
             print(f"wrote {DATA / name}")
+        (DATA / THRESHOLDS).write_text(thresholds_text(reference_thresholds()))
+        print(f"wrote {DATA / THRESHOLDS}")
         return 0
     failed = 0
     with tempfile.TemporaryDirectory() as tmp:
@@ -117,6 +145,21 @@ def main(argv=None) -> int:
                 if problem:
                     print(f"  import: {problem}")
             failed += verdict != "identical" or problem is not None
+    pinned = reference_thresholds()
+    stored = DATA / THRESHOLDS
+    if not stored.is_file():
+        verdict = "missing"
+    elif stored.read_text(encoding="utf-8") == thresholds_text(pinned):
+        verdict = "identical"
+    else:
+        verdict = "differs"
+    print(f"{THRESHOLDS}: {verdict}")
+    if verdict == "differs":
+        ref = json.loads(stored.read_text(encoding="utf-8"))
+        for name in sorted(set(ref) | set(pinned)):
+            if ref.get(name) != pinned.get(name):
+                print(f"  {name} thresholds differ")
+    failed += verdict != "identical"
     return 1 if failed else 0
 
 

@@ -39,6 +39,7 @@ from dynwatermark.watermark import draw_iid
 from conftest import make_scenario
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
+SCENARIOS = DATA.parent.parent / "scenarios"
 
 
 def residual_streams_of(trace):
@@ -104,6 +105,38 @@ def reference_configs():
             attack={"kind": "additive_estimated", "onset": 200},
         ),
     }
+
+
+def threshold_configs():
+    """Scenarios whose calibrated thresholds tests/data/reference_thresholds.json
+    pins bit for bit: the five shipped scenarios, and one small Laplace-w
+    config per null shape (scalar, matrix, decoupled), which calibrates from
+    raw draws of every channel the class allows."""
+    out = {p.stem: load_scenario(p) for p in sorted(SCENARIOS.glob("*.yaml"))}
+    det = {"window_len": 50, "alpha": 0.01, "n_cal": 2000}
+    out["laplace-scalar"] = make_scenario(
+        name="laplace-scalar", horizon=400,
+        plant={"kind": "scalar", "a": 0.5, "b": 1.0, "sigma_w2": 1.0,
+               "w_family": "laplace"},
+        detector={**det, "tests": ["variance_wm", "variance_raw", "cross_corr", "nll"]},
+    )
+    out["laplace-mimo"] = make_scenario(
+        name="laplace-mimo", horizon=400,
+        plant={"kind": "mimo", "A": [[0.5, 0.1], [0.0, 0.4]],
+               "B": [[1.0, 0.0], [0.2, 1.0]], "sigma_w2": 1.0, "w_family": "laplace"},
+        policy={"kind": "zero"},
+        watermark={"sigma_e2": 0.5},
+        detector={**det, "tests": ["cov", "cross_corr", "nll", "cov_entries"]},
+    )
+    out["laplace-partial"] = make_scenario(
+        name="laplace-partial", horizon=400,
+        plant={"kind": "partial", "A": [[0.9]], "B": [1.0], "C": [1.0],
+               "sigma_w2": 1.0, "sigma_n2": 1.0, "w_family": "laplace"},
+        policy={"kind": "zero"},
+        watermark={"sigma_e2": 1.0},
+        detector={**det, "tests": ["cross_corr", "cov_entries", "cov", "nll"]},
+    )
+    return out
 
 
 def all_class_configs(horizon=400):
@@ -622,6 +655,25 @@ def test_golden_trace_check_writes_nothing(capsys):
     assert set(verdicts) == set(before)
     assert verdicts["golden_scalar_trace.csv"] == "identical"
     assert {p.name: (p.stat().st_mtime_ns, p.read_bytes()) for p in DATA.iterdir()} == before
+
+
+def test_calibrated_thresholds_match_the_pinned_file():
+    """Every threshold of ``threshold_configs`` is bit-equal to the stored one."""
+    module = _golden_script()
+    fresh = module.thresholds_text(module.reference_thresholds())
+    assert fresh == (DATA / module.THRESHOLDS).read_text(encoding="utf-8")
+
+
+def test_golden_trace_check_fails_on_a_threshold_one_bit_off(monkeypatch, capsys):
+    module = _golden_script()
+    pinned = module.reference_thresholds()
+    th = pinned["laplace-mimo"]["cov"]
+    th["hi"] = float(np.nextafter(th["hi"], np.inf))
+    monkeypatch.setattr(module, "reference_thresholds", lambda: pinned)
+    assert module.main(["--check"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert f"{module.THRESHOLDS}: differs" in lines
+    assert "  laplace-mimo thresholds differ" in lines
 
 
 def test_golden_trace_check_names_differing_columns(tmp_path):
