@@ -53,11 +53,15 @@ STAT_KINDS = ("variance", "cross_corr", "cov", "cov_entries", "nll")
 class ResidualNull:
     """Generator for honest-window residuals, shared by all plant classes.
 
-    Coupled modes (scalar/matrix ``gain``): r = gain*e + w with e the public
-    watermark and w the process noise.  Decoupled mode (vector ``gain`` plus
-    ``innovation_var``): r = gain * nu with nu a Gaussian innovation
-    independent of the excitation stream — the partially-observed null, where
-    the watermark is swallowed by the filter prediction.
+    Every null is one law, r = G e + H v: e holds the m public excitation
+    samples of a step (variance ``sigma_e2``, family ``e_family``) and v a
+    noise independent of it.  A scalar or matrix ``gain`` is the coupled
+    null, G = gain, H = I and v = w the process noise (``sigma_w2``,
+    ``w_family``).  A vector ``gain`` with ``innovation_var`` is the
+    decoupled, partially-observed null, G = 0, H = gain as a column and v a
+    Gaussian innovation of that variance: the watermark is swallowed by the
+    filter prediction.  ``mode`` names which ("scalar", "matrix" or
+    "decoupled").
     """
 
     gain: object = 0.0
@@ -68,22 +72,23 @@ class ResidualNull:
     innovation_var: float | None = None
 
     def __post_init__(self) -> None:
-        g = self.gain
-        if np.ndim(g) == 0:
-            mode = "scalar"
-            g = float(g)
-        elif np.ndim(g) == 1:
-            mode = "decoupled"
-            g = np.asarray(g, dtype=float)
+        nd = np.ndim(self.gain)
+        if nd > 2:
+            raise ValueError("gain must be scalar, vector or matrix")
+        g = np.asarray(self.gain, dtype=float) if nd else float(self.gain)
+        if nd == 1:  # decoupled: G = 0, H = gain, v the innovation
             if self.innovation_var is None:
                 raise ValueError("vector gain requires innovation_var")
-        elif np.ndim(g) == 2:
-            mode = "matrix"
-            g = np.asarray(g, dtype=float)
-        else:
-            raise ValueError("gain must be scalar, vector or matrix")
-        object.__setattr__(self, "gain", g)
-        object.__setattr__(self, "mode", mode)
+            G, H = np.zeros((g.size, 1)), g[:, None]
+            v_family, sigma_v2 = "gaussian", self.innovation_var
+        else:  # coupled: G = gain, H = I, v = w
+            G = np.atleast_2d(g)
+            H = np.eye(G.shape[0])
+            v_family, sigma_v2 = self.w_family, self.sigma_w2
+        mode = ("scalar", "decoupled", "matrix")[nd]
+        law = dict(gain=g, mode=mode, G=G, H=H, v_family=v_family, sigma_v2=sigma_v2)
+        for name, value in law.items():
+            object.__setattr__(self, name, value)
 
     @property
     def gaussian(self) -> bool:
@@ -91,57 +96,43 @@ class ResidualNull:
 
     @property
     def dim(self) -> int:
-        if self.mode == "scalar":
-            return 1
-        return self.gain.shape[0]
+        return self.G.shape[0]
 
     def variance_target(self) -> float:
-        if self.mode != "scalar":
+        if np.ndim(self.gain):
             raise ValueError("variance target is defined for scalar residuals")
-        return self.gain * self.gain * self.sigma_e2 + self.sigma_w2
+        return float(self.sigma0()[0, 0])
 
     def sigma0(self) -> np.ndarray:
-        """Nominal second-moment matrix of the residual vector."""
-        if self.mode == "scalar":
-            return np.array([[self.variance_target()]])
-        if self.mode == "matrix":
-            G = self.gain
-            return self.sigma_e2 * (G @ G.T) + self.sigma_w2 * np.eye(G.shape[0])
-        return self.innovation_var * np.outer(self.gain, self.gain)
+        """Nominal second-moment matrix of the residual vector,
+        sigma_e2 G G' + sigma_v2 H H'."""
+        G, H = self.G, self.H
+        return self.sigma_e2 * (G @ G.T) + self.sigma_v2 * (H @ H.T)
 
-    def cross_target(self, e_index: int = 0):
-        """Nominal mean of e_i[k] * r[k] for actuator ``e_index``."""
-        if self.mode == "scalar":
-            return self.gain * self.sigma_e2
-        if self.mode == "matrix":
-            return self.sigma_e2 * self.gain[:, e_index]
-        return np.zeros(self.gain.shape[0])
+    def cross_target(self, e_index: int = 0) -> np.ndarray:
+        """Nominal mean of e_i[k] * r[k] for actuator ``e_index``: sigma_e2 G[:, i]."""
+        return self.sigma_e2 * self.G[:, e_index]
 
     def loading(self) -> np.ndarray:
         """M with z = (e, r) = M xi, xi ~ N(0, I), under Gaussian families."""
-        se, sw = math.sqrt(self.sigma_e2), math.sqrt(self.sigma_w2)
-        if self.mode == "decoupled":
-            nu = math.sqrt(self.innovation_var) * self.gain[:, None]
-            return np.block([[se, 0.0], [np.zeros_like(nu), nu]])
-        G = np.atleast_2d(self.gain)
-        n, m = G.shape
-        top = [se * np.eye(m), np.zeros((m, n))]
-        return np.block([top, [se * G, sw * np.eye(n)]])
+        se, sv = math.sqrt(self.sigma_e2), math.sqrt(self.sigma_v2)
+        m, k = self.G.shape[1], self.H.shape[1]
+        return np.block([[se * np.eye(m), np.zeros((m, k))], [se * self.G, sv * self.H]])
 
     def simulate(self, rng: np.random.Generator, n_windows: int, l: int):
-        """Draw (e_block, r_block) of null windows; shapes (n_windows, l[, dim])."""
-        if self.mode == "scalar":
-            e = draw_iid(self.e_family, self.sigma_e2, rng, (n_windows, l))
-            w = draw_iid(self.w_family, self.sigma_w2, rng, (n_windows, l))
-            return e, self.gain * e + w
-        if self.mode == "matrix":
-            n, m = self.gain.shape
-            e = draw_iid(self.e_family, self.sigma_e2, rng, (n_windows, l, m))
-            w = draw_iid(self.w_family, self.sigma_w2, rng, (n_windows, l, n))
-            return e, e @ self.gain.T + w
-        e = draw_iid(self.e_family, self.sigma_e2, rng, (n_windows, l))
-        nu = draw_iid("gaussian", self.innovation_var, rng, (n_windows, l))
-        return e, nu[:, :, None] * self.gain
+        """Draw (e_block, r_block) of null windows, shapes (n_windows, l, m)
+        and (n_windows, l, dim): e first, then v."""
+        m, k = self.G.shape[1], self.H.shape[1]
+        e = draw_iid(self.e_family, self.sigma_e2, rng, (n_windows, l, m))
+        v = draw_iid(self.v_family, self.sigma_v2, rng, (n_windows, l, k))
+        if self.mode == "decoupled":  # G = 0
+            return e, _times(v, self.H)
+        return e, _times(e, self.G) + v  # H = I
+
+
+def _times(x: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """x @ M.T over the last axis; a one-column M is a plain product."""
+    return x * M[:, 0] if M.shape[1] == 1 else x @ M.T
 
 
 def _wishart_scatter(M: np.ndarray, l: int, n_windows: int, rng) -> np.ndarray:
@@ -230,6 +221,15 @@ def _batch_values(
     return np.where(sign > 0, value, np.inf)
 
 
+def _null_targets(kind: str, null: ResidualNull, e_index: int = 0) -> dict:
+    """The targets :func:`_batch_values` compares ``kind`` with under ``null``."""
+    if kind == "cross_corr":
+        return {"target": null.cross_target(e_index)}
+    if kind in ("cov", "cov_entries", "nll"):
+        return {"Sigma0": null.sigma0()}
+    return {}
+
+
 def simulate_null_stats(
     kind: str,
     l: int,
@@ -242,8 +242,7 @@ def simulate_null_stats(
 ) -> np.ndarray:
     """Monte-Carlo sample of the statistic under the null, in memory chunks:
     Wishart window scatters for Gaussian nulls, raw draws otherwise."""
-    target = null.cross_target(e_index) if kind == "cross_corr" else None
-    Sigma0 = null.sigma0() if kind in ("cov", "cov_entries", "nll") else None
+    targets = _null_targets(kind, null, e_index)
     M = null.loading()
     n_e = M.shape[0] - null.dim
     exact = null.gaussian and l >= M.shape[1]  # Bartlett needs l >= p
@@ -257,9 +256,7 @@ def simulate_null_stats(
             Z = _wishart_scatter(M, l, take, rng)
         else:
             Z = _joint_scatter(*null.simulate(rng, take, l))
-        out[done : done + take] = _batch_values(
-            kind, Z, l, n_e, target=target, Sigma0=Sigma0, e_index=e_index
-        )
+        out[done : done + take] = _batch_values(kind, Z, l, n_e, e_index=e_index, **targets)
         done += take
     return out
 

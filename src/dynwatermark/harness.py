@@ -21,7 +21,6 @@ from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from functools import partial
 from itertools import accumulate, chain, groupby, islice, repeat, starmap
-from typing import Any
 
 import numpy as np
 
@@ -171,8 +170,6 @@ class ChannelSpec:
 
     name: str
     kind: str
-    target: Any = None
-    Sigma0: Any = None
     null: ResidualNull = None
     e_index: int = 0
 
@@ -393,17 +390,12 @@ def channel_specs(config: ScenarioConfig) -> list[ChannelSpec]:
         cross = ["cross_corr"]
     specs: list[ChannelSpec] = []
     for name in tests:
-        if name == "variance_wm":
-            specs.append(ChannelSpec(name, "variance", null_wm.variance_target(), null=null_wm))
+        if name == "cross_corr":
+            specs += [ChannelSpec(label, name, null, i) for i, label in enumerate(cross)]
         elif name == "variance_raw":
-            specs.append(ChannelSpec(name, "variance", null.variance_target(), null=null))
-        elif name == "cross_corr":
-            for i, label in enumerate(cross):
-                specs.append(
-                    ChannelSpec(label, name, null.cross_target(i), null=null, e_index=i)
-                )
-        else:
-            specs.append(ChannelSpec(name, name, Sigma0=null_wm.sigma0(), null=null_wm))
+            specs.append(ChannelSpec(name, "variance", null))
+        else:  # the other channels judge the wm-removed residual
+            specs.append(ChannelSpec(name, name.removesuffix("_wm"), null_wm))
     return specs
 
 
@@ -473,9 +465,9 @@ def _window_stats(
             b[span].reshape(n_win, l, *b.shape[1:]) for b in _channel_samples(spec, streams)
         ]
         Z = _detect._joint_scatter(*blocks)
-        stats[spec.name] = _detect._batch_values(
-            spec.kind, Z, l, len(blocks) - 1, target=spec.target, Sigma0=spec.Sigma0
-        )
+        # a window's blocks hold only the channel's own excitation column
+        targets = _detect._null_targets(spec.kind, spec.null, spec.e_index)
+        stats[spec.name] = _detect._batch_values(spec.kind, Z, l, len(blocks) - 1, **targets)
     return ends, stats
 
 

@@ -213,7 +213,7 @@ def test_null_simulate_shapes_and_moments():
     rng = np.random.default_rng(30)
     null = ResidualNull(gain=2.0, sigma_e2=0.25, sigma_w2=1.0)
     e, r = null.simulate(rng, 2000, 50)
-    assert e.shape == (2000, 50) and r.shape == (2000, 50)
+    assert e.shape == (2000, 50, 1) and r.shape == (2000, 50, 1)
     assert float(np.mean(r * r)) == pytest.approx(2.0, rel=0.02)
     assert float(np.mean(e * r)) == pytest.approx(0.5, rel=0.05)
 
@@ -224,7 +224,7 @@ def test_null_decoupled_excitation_independent_of_residual():
         gain=np.array([0.6]), sigma_e2=1.0, innovation_var=2.0
     )
     e, r = null.simulate(rng, 4000, 25)
-    corr = float(np.mean(e * r[:, :, 0]))
+    corr = float(np.mean(e[:, :, 0] * r[:, :, 0]))
     assert abs(corr) < 0.02
 
 
