@@ -20,7 +20,7 @@ import json
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from functools import partial
-from itertools import accumulate, chain, groupby, islice, repeat, starmap
+from itertools import accumulate, chain, groupby, islice, repeat, starmap, zip_longest
 
 import numpy as np
 
@@ -840,6 +840,11 @@ def import_trace(path, config: ScenarioConfig) -> Trace:
             rows = rows[: T - t0]
             flat = _fields(rows)
             ts = range(t0, t0 + len(rows))
+            if "t" in index and flat[index["t"] :: K] != list(map(str, ts)):
+                cell, t = next(
+                    (c, t) for c, t in zip(flat[index["t"] :: K], ts) if c != str(t)
+                )
+                raise ValueError(f"{path}: column t holds {cell!r} at t={t}, not its step")
             parsed: list[tuple[list[str], np.ndarray]] = []
             for j, dest in targets:
                 cells = flat[j::K]
@@ -878,7 +883,13 @@ def import_trace(path, config: ScenarioConfig) -> Trace:
         window_stats=stats, window_alarms={"any": alarms},
         thresholds={}, residual_start=start, burn_in=burn,
     )
-    for name, runs in _window_columns(trace):
+    windows = _window_columns(trace)
+    want = ["t", *(name for name, _ in _step_columns(trace)), *(name for name, _ in windows)]
+    if header != want:
+        j = next(j for j, (a, b) in enumerate(zip_longest(header, want)) if a != b)
+        got, exp = (repr(h[j]) if j < len(h) else "nothing" for h in (header, want))
+        raise ValueError(f"{path}: header field {j + 1} is {got}, where export writes {exp}")
+    for name, runs in windows:
         if stored[name] != runs:
             t, got, want = next(
                 (t, got, want)

@@ -463,7 +463,7 @@ def test_detect_rejects_channels_the_scenario_does_not_calibrate(
     ]
 
 
-@pytest.mark.parametrize("how", TAMPERINGS)
+@pytest.mark.parametrize("how", [*TAMPERINGS, "t"])
 @pytest.mark.parametrize("kind", ["scalar", "arx", "armax", "partial", "mimo"])
 def test_report_and_detect_refuse_a_tampered_trace(kind, how, tmp_path, capsys):
     """Each refusal of import is one error line and exit code 1 through both

@@ -798,12 +798,15 @@ def tampered(lines, trace, how):
     """The lines of ``trace``'s export with one edit that import refuses:
     window 1's first statistic raised by 0.25 on each of its rows, a report
     (z or z_0) or raw excitation (e_raw or e_raw_0) cell inside window 1
-    raised by 1.0, or residual_start raised by 1."""
+    raised by 1.0, residual_start raised by 1, or ("t") a step cell inside
+    window 1 that is not its row's step."""
     if how == "residual_start":
         start = trace.residual_start
         meta = lines[0].replace(f"residual_start={start} ", f"residual_start={start + 1} ")
         return [meta, *lines[1:]]
     end, l = int(trace.window_ends[1]), trace.config.detector.window_len
+    if how == "t":
+        return _edited(lines, {(end - 10, "t"): "banana"})
     if how == "statistic":
         ch = trace.channel_names[0]
         text = repr(float(trace.window_stats[ch][1]) + 0.25)
@@ -849,6 +852,8 @@ def test_import_refuses_statistics_the_step_data_does_not_give(
         )
         return
     t = int(trace.window_ends[1]) - trace.config.detector.window_len + 1
+    if how == "t":
+        return _edited(lines, {(end - 10, "t"): "banana"})
     if how == "statistic":
         ch = trace.channel_names[0]
         assert str(err.value) == (
@@ -993,6 +998,60 @@ def test_import_names_the_window_id_that_is_not_an_integer(arx_additive_export, 
     assert str(err.value) == (
         f"{path}: column window_id holds '1.0' at t=600, where its window layout gives '1'"
     )
+
+
+def test_import_refuses_a_step_cell_that_is_not_its_row(arx_additive_export, tmp_path):
+    cfg, lines = arx_additive_export
+    path = tmp_path / "trace.csv"
+    _edit_cells(lines, path, {(1000, "t"): "banana"})
+    with pytest.raises(ValueError) as err:
+        import_trace(path, cfg)
+    assert str(err.value) == f"{path}: column t holds 'banana' at t=1000, not its step"
+
+
+def _header_edited(lines, path, edit):
+    """Write ``lines`` to ``path`` with ``edit`` applied to the header and
+    every row, each as a list of cells."""
+    path.write_text("\n".join([lines[0], *(",".join(edit(ln.split(","))) for ln in lines[1:])]))
+
+
+def test_import_refuses_a_column_export_never_writes(arx_additive_export, tmp_path):
+    cfg, lines = arx_additive_export
+    path = tmp_path / "trace.csv"
+    n_fields = len(lines[1].split(","))
+    _header_edited(lines, path, lambda cells: cells + ["foo" if cells[0] == "t" else "1.0"])
+    with pytest.raises(ValueError) as err:
+        import_trace(path, cfg)
+    assert str(err.value) == (
+        f"{path}: header field {n_fields + 1} is 'foo', where export writes nothing"
+    )
+
+
+def test_import_refuses_a_renamed_step_header(arx_additive_export, tmp_path):
+    cfg, lines = arx_additive_export
+    path = tmp_path / "trace.csv"
+    _header_edited(lines, path, lambda cells: ["step" if c == "t" else c for c in cells])
+    with pytest.raises(ValueError) as err:
+        import_trace(path, cfg)
+    assert str(err.value) == f"{path}: header field 1 is 'step', where export writes 't'"
+
+
+def test_import_refuses_swapped_columns(arx_additive_export, tmp_path):
+    """z and u_g swapped in the header and every row still name their own
+    data, but not in the order export writes them."""
+    cfg, lines = arx_additive_export
+    path = tmp_path / "trace.csv"
+    header = lines[1].split(",")
+    i, j = header.index("z"), header.index("u_g")
+
+    def swap(cells):
+        cells[i], cells[j] = cells[j], cells[i]
+        return cells
+
+    _header_edited(lines, path, swap)
+    with pytest.raises(ValueError) as err:
+        import_trace(path, cfg)
+    assert str(err.value) == f"{path}: header field {i + 1} is 'u_g', where export writes 'z'"
 
 
 def _block_config(horizon):
