@@ -83,11 +83,10 @@ class ResidualNull:
             v_family, sigma_v2 = "gaussian", self.innovation_var
         else:  # coupled: G = gain, H = I, v = w
             G = np.atleast_2d(g)
-            H = np.eye(G.shape[0])
-            v_family, sigma_v2 = self.w_family, self.sigma_w2
+            H, v_family, sigma_v2 = np.eye(len(G)), self.w_family, self.sigma_w2
         mode = ("scalar", "decoupled", "matrix")[nd]
-        law = dict(gain=g, mode=mode, G=G, H=H, v_family=v_family, sigma_v2=sigma_v2)
-        for name, value in law.items():
+        for name, value in dict(gain=g, mode=mode, G=G, H=H, v_family=v_family,
+                                sigma_v2=sigma_v2).items():
             object.__setattr__(self, name, value)
 
     @property
@@ -106,8 +105,7 @@ class ResidualNull:
     def sigma0(self) -> np.ndarray:
         """Nominal second-moment matrix of the residual vector,
         sigma_e2 G G' + sigma_v2 H H'."""
-        G, H = self.G, self.H
-        return self.sigma_e2 * (G @ G.T) + self.sigma_v2 * (H @ H.T)
+        return self.sigma_e2 * (self.G @ self.G.T) + self.sigma_v2 * (self.H @ self.H.T)
 
     def cross_target(self, e_index: int = 0) -> np.ndarray:
         """Nominal mean of e_i[k] * r[k] for actuator ``e_index``: sigma_e2 G[:, i]."""

@@ -782,7 +782,8 @@ def import_trace(path, config: ScenarioConfig) -> Trace:
     no tolerance, which a trace written by this code meets because its step
     data round-trips bit-exactly.  The returned trace carries the stored
     alarm flags (one per window, ``"any"``) and no thresholds.  Rows are
-    parsed in blocks of ``_CHUNK_ROWS``.  Every step cell must be a finite
+    parsed in blocks of ``_CHUNK_ROWS``.  The header must be the one export
+    writes, every ``t`` cell its row's step, every step cell a finite
     number, ``residual_start`` and ``burn_in`` the scenario's, the ``stat_*``
     columns its channels, every recomputed statistic finite, and the step
     data must hold the plant recursion.
@@ -841,9 +842,7 @@ def import_trace(path, config: ScenarioConfig) -> Trace:
             flat = _fields(rows)
             ts = range(t0, t0 + len(rows))
             if "t" in index and flat[index["t"] :: K] != list(map(str, ts)):
-                cell, t = next(
-                    (c, t) for c, t in zip(flat[index["t"] :: K], ts) if c != str(t)
-                )
+                cell, t = next((c, t) for c, t in zip(flat[index["t"] :: K], ts) if c != str(t))
                 raise ValueError(f"{path}: column t holds {cell!r} at t={t}, not its step")
             parsed: list[tuple[list[str], np.ndarray]] = []
             for j, dest in targets:
