@@ -394,7 +394,7 @@ def channel_specs(config: ScenarioConfig) -> list[ChannelSpec]:
             specs += [ChannelSpec(label, name, null, i) for i, label in enumerate(cross)]
         elif name == "variance_raw":
             specs.append(ChannelSpec(name, "variance", null))
-        else:  # the other channels judge the wm-removed residual
+        else:  # variance_wm and the scatter kinds: the wm-removed residual's null
             specs.append(ChannelSpec(name, name.removesuffix("_wm"), null_wm))
     return specs
 
@@ -883,10 +883,10 @@ def import_trace(path, config: ScenarioConfig) -> Trace:
         thresholds={}, residual_start=start, burn_in=burn,
     )
     windows = _window_columns(trace)
-    want = ["t", *(name for name, _ in _step_columns(trace)), *(name for name, _ in windows)]
-    if header != want:
-        j = next(j for j, (a, b) in enumerate(zip_longest(header, want)) if a != b)
-        got, exp = (repr(h[j]) if j < len(h) else "nothing" for h in (header, want))
+    layout = ["t", *(name for name, _ in _step_columns(trace)), *(name for name, _ in windows)]
+    if header != layout:
+        j = next(j for j, (a, b) in enumerate(zip_longest(header, layout)) if a != b)
+        got, exp = (repr(h[j]) if j < len(h) else "nothing" for h in (header, layout))
         raise ValueError(f"{path}: header field {j + 1} is {got}, where export writes {exp}")
     for name, runs in windows:
         if stored[name] != runs:

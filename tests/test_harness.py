@@ -724,7 +724,7 @@ def test_import_rejects_tampered_state(tmp_path):
 def arx_additive_export(tmp_path_factory):
     """The shipped arx_additive scenario (window_len 500) and its exported
     trace's lines."""
-    cfg = load_scenario(DATA.parent.parent / "scenarios" / "arx_additive.yaml")
+    cfg = load_scenario(SCENARIOS / "arx_additive.yaml")
     path = tmp_path_factory.mktemp("arx") / "trace.csv"
     export_trace(run_scenario(cfg), path)
     return cfg, path.read_text().splitlines()
