@@ -91,7 +91,9 @@ class ResidualNull:
 
     @property
     def gaussian(self) -> bool:
-        return self.e_family == "gaussian" and self.w_family == "gaussian"
+        """Whether both e and v are Gaussian, so a window's joint (e, r)
+        scatter is Wishart; a decoupled null's v is Gaussian whatever w is."""
+        return self.e_family == "gaussian" and self.v_family == "gaussian"
 
     @property
     def dim(self) -> int:

@@ -228,6 +228,24 @@ def test_null_decoupled_excitation_independent_of_residual():
     assert abs(corr) < 0.02
 
 
+def test_decoupled_null_with_laplace_w_is_gaussian():
+    """The decoupled residual carries the Gaussian innovation, never w."""
+    null = ResidualNull(
+        gain=np.array([0.6]), sigma_e2=1.0, sigma_w2=1.0, w_family="laplace",
+        innovation_var=2.0,
+    )
+    assert null.gaussian
+    assert not ResidualNull(
+        gain=np.array([0.6]), sigma_e2=1.0, e_family="laplace", innovation_var=2.0
+    ).gaussian
+
+
+@pytest.mark.parametrize("gain", [0.5, np.eye(2)])
+def test_coupled_null_with_laplace_w_is_not_gaussian(gain):
+    null = ResidualNull(gain=gain, sigma_e2=1.0, sigma_w2=1.0, w_family="laplace")
+    assert not null.gaussian
+
+
 # ---------------------------------------------------------------------------
 # batch evaluation of joint scatters is pinned to the per-window reference
 # ---------------------------------------------------------------------------

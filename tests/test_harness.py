@@ -110,8 +110,10 @@ def reference_configs():
 def threshold_configs():
     """Scenarios whose calibrated thresholds tests/data/reference_thresholds.json
     pins bit for bit: the five shipped scenarios, and one small Laplace-w
-    config per null shape (scalar, matrix, decoupled), which calibrates from
-    raw draws of every channel the class allows."""
+    config per null shape (scalar, matrix, decoupled), and a partial config
+    with Laplace excitation.  Laplace w calibrates the scalar and matrix
+    shapes from raw draws, but not the decoupled one, whose v is the Gaussian
+    innovation; Laplace e keeps that shape on raw draws."""
     out = {p.stem: load_scenario(p) for p in sorted(SCENARIOS.glob("*.yaml"))}
     det = {"window_len": 50, "alpha": 0.01, "n_cal": 2000}
     out["laplace-scalar"] = make_scenario(
@@ -134,6 +136,14 @@ def threshold_configs():
                "sigma_w2": 1.0, "sigma_n2": 1.0, "w_family": "laplace"},
         policy={"kind": "zero"},
         watermark={"sigma_e2": 1.0},
+        detector={**det, "tests": ["cross_corr", "cov_entries", "cov", "nll"]},
+    )
+    out["laplace-e-partial"] = make_scenario(
+        name="laplace-e-partial", horizon=400,
+        plant={"kind": "partial", "A": [[0.9]], "B": [1.0], "C": [1.0],
+               "sigma_w2": 1.0, "sigma_n2": 1.0},
+        policy={"kind": "zero"},
+        watermark={"sigma_e2": 1.0, "family": "laplace"},
         detector={**det, "tests": ["cross_corr", "cov_entries", "cov", "nll"]},
     )
     return out
