@@ -135,19 +135,20 @@ class NoiseSimAttack(AttackStrategy):
         self._x_sim: list[float] | None = None
 
     def _predraw(self, form, w_family: str):
-        """Noise of every attack step, one row per step, or None if the steps
-        draw their own: w' for a lag plant or a measured state, (w', n') for
-        a noisy output."""
+        """Noise of every attack step, or None if the steps draw their own:
+        w' for a lag plant or a measured state, (w', n') for a noisy output.
+        A measured state's block has one row per step; the blocks the float
+        loops read are memoryviews of the drawn array, flat for (w', n')."""
         steps = self._horizon - self.onset
         if isinstance(form, LagForm):
-            return draw_iid(w_family, form.sigma_w2, self._rng, steps).tolist()
+            return memoryview(draw_iid(w_family, form.sigma_w2, self._rng, steps))
         p = form.A.shape[0]
         if form.C is None:
             return draw_iid(w_family, form.sigma_w2, self._rng, (steps, p))
         if w_family != "gaussian":
             return None
         scales = [math.sqrt(form.sigma_w2)] * p + [math.sqrt(form.sigma_n2)]
-        return self._rng.normal(0.0, scales, (steps, p + 1)).tolist()
+        return memoryview(self._rng.normal(0.0, scales, (steps, p + 1)).reshape(-1))
 
     def _attack(self, view: SensorView):
         form = view.plant.kernel
@@ -180,7 +181,8 @@ class NoiseSimAttack(AttackStrategy):
             w = draw_iid(view.w_family, form.sigma_w2, self._rng, p).tolist()
             n = float(draw_iid("gaussian", form.sigma_n2, self._rng))
         else:
-            *w, n = noise[step]
+            i = step * (p + 1)
+            w, n = noise[i : i + p], noise[i + p]
         rows, b, c = form.float_rows
         x = self._x_sim or [0.0] * p
         x = self._x_sim = advance(rows, b, x, float(u_g[t - 1]), w)

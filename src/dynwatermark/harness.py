@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
-from functools import partial
 from itertools import accumulate, chain, groupby, islice, repeat, starmap, zip_longest
 
 import numpy as np
@@ -27,7 +26,7 @@ import numpy as np
 from . import detect as _detect
 from .adversary import SensorView
 from .detect import ResidualNull, Threshold
-from .linsys import LagForm, advance, dot
+from .linsys import LagForm, dot
 from .residual import innovations, kalman_design, lag_filter, prediction_errors
 from .scenario import (
     ScenarioConfig,
@@ -227,67 +226,62 @@ def _simulate_lag(form: LagForm, plant, law, attack, wm, w_family, streams, T):
     At each t the output sums the AR terms, then the delayed input terms,
     then C(q^-1) w[t]; the sensor reports it, the control law ``law`` (see
     :func:`_policy_data`) sums its z terms, then its u_g terms, then divides
-    by ub[0], and the shaped excitation is added to the nominal input.
+    by ub[0], and the shaped excitation is added to the nominal input.  Each
+    signal is one zero-padded array, read and written through a memoryview;
+    its unpadded part is both the sensor's history and the trace array.
     """
     w = np.asarray(draw_iid(w_family, form.sigma_w2, streams.process, T))
     w[: form.start] = 0.0
     e = np.asarray(draw_iid(wm.family, wm.sigma_e2, streams.excitation[0], T))
     s = e if wm.shaper == "none" else shape(e, form.b, form.c, form.gain)
-    cw = lag_filter(form.c, w).tolist()
-    s_l = s.tolist()
+    cw, s_v = memoryview(lag_filter(form.c, w)), memoryview(s)
     ar = [(ak, 1 + k) for k, ak in enumerate(form.a)]
     br = [(bk, form.delay + k) for k, bk in enumerate(form.b)]
     za, ub = law if law is not None else ((), ())
     zr = [(am, m) for m, am in enumerate(za) if m]
     gr = [(ubr, r) for r, ubr in enumerate(ub) if r]
     pad = max(lag for _, lag in ar + br + zr + gr)
-    y_pad = [0.0] * (pad + T)
-    u_pad = [0.0] * (pad + T)
-    z_pad = [0.0] * (pad + T)
-    g_pad = [0.0] * (pad + T)
-    y_l = [0.0] * T
-    z_l = [0.0] * T
-    ug_l = [0.0] * T
-    view = SensorView(0, y_l, z_l, ug_l, plant, wm.sigma_e2, wm.family, w_family)
+    y, u, z, u_g = (np.zeros(pad + T) for _ in range(4))
+    y_v, u_v, z_v, g_v = map(memoryview, (y, u, z, u_g))
+    view = SensorView(0, y_v[pad:], z_v[pad:], g_v[pad:], plant, wm.sigma_e2, wm.family,
+                      w_family)
     report = attack.report
-    for t in range(T):
+    for t, (cw_t, s_t) in enumerate(zip(cw, s_v)):
         i = pad + t
         acc = 0.0
         for ak, lag in ar:
-            acc -= ak * y_pad[i - lag]
+            acc -= ak * y_v[i - lag]
         for bk, lag in br:
-            acc += bk * u_pad[i - lag]
-        acc += cw[t]
-        y_pad[i] = y_l[t] = acc
+            acc += bk * u_v[i - lag]
+        y_v[i] = acc + cw_t
         view.t = t
-        z = z_l[t] = z_pad[i] = float(report(view))
-        if law is None:
-            g = 0.0
-        else:
+        z_v[i] = zt = float(report(view))
+        g = 0.0  # the zero law leaves u_g at its fill
+        if law is not None:
             # Start from the first product: f*z keeps its sign at zero.
-            g = za[0] * z
+            g = za[0] * zt
             for am, m in zr:
-                g += am * z_pad[i - m]
+                g += am * z_v[i - m]
             for ubr, r in gr:
-                g -= ubr * g_pad[i - r]
-            g /= ub[0]
-        ug_l[t] = g_pad[i] = g
-        u_pad[i] = g + s_l[t]
-    y = np.asarray(y_l)
+                g -= ubr * g_v[i - r]
+            g_v[i] = g = g / ub[0]
+        u_v[i] = g + s_t
+    y = y[pad:]
     return dict(
-        x=y, y=y, z=np.asarray(z_l), u_g=np.asarray(ug_l), u=np.asarray(u_pad[pad:]),
-        e_raw=e, e_shaped=s, w=w, n=None,
+        x=y, y=y, z=z[pad:], u_g=u_g[pad:], u=u[pad:], e_raw=e, e_shaped=s, w=w, n=None
     )
 
 
 def _simulate_ss(form, plant, law, attack, wm, w_family, streams, T):
-    """Closed loop of a state-space plant.
+    """Closed loop of a state-space plant, writing each step into
+    preallocated, zero-filled arrays.
 
     A measured state is reported as a vector and the inputs are m-vectors,
-    so that loop steps numpy arrays and u_g = F @ z.  A noisy scalar output
-    y = C x + n and its single input are floats, and that loop steps lists of
-    Python floats (:func:`.linsys.advance`) with u_g = f * z.  ``law`` is None
-    for the zero input.
+    so that loop steps numpy rows, u_g = F @ z, each result written into its
+    row.  A noisy scalar output y = C x + n and its single input are floats,
+    and that loop steps Python floats read and written through memoryviews
+    (the state row by row, as :func:`.linsys.advance` does) with u_g = f * z.
+    ``law`` is None for the zero input.
     """
     A, B, C = form.A, form.B, form.C
     p = A.shape[0]
@@ -296,49 +290,51 @@ def _simulate_ss(form, plant, law, attack, wm, w_family, streams, T):
     e = np.column_stack(
         [draw_iid(wm.family, wm.sigma_e2, rng, T) for rng in streams.excitation]
     )
-    x_l: list = [None] * T
-    y_l: list = [None] * T
-    z_l: list = [None] * T
-    ug_l: list = [None] * T
-    u_l: list = [None] * T
-    view = SensorView(0, y_l, z_l, ug_l, plant, wm.sigma_e2, wm.family, w_family)
+    x = np.zeros((T, p))
     report = attack.report
     last = T - 1
     if C is None:
         n = None
-        cast = partial(np.asarray, dtype=float)
-        e_l = list(e)
-        x = np.zeros(p)
-        zero = np.zeros(form.n_inputs)
+        y = x
+        z, u_g, u = np.zeros((T, p)), np.zeros((T, form.n_inputs)), np.zeros(e.shape)
+        view = SensorView(0, x, z, u_g, plant, wm.sigma_e2, wm.family, w_family)
         for t in range(T):
-            x_l[t] = y_l[t] = x
             view.t = t
-            z = z_l[t] = cast(report(view))
-            g = ug_l[t] = zero if law is None else law @ z
-            u = u_l[t] = g + e_l[t]
+            z_t = np.asarray(report(view), dtype=float)
+            if z_t.shape != (p,):
+                raise ValueError(
+                    f"report at t={t} has shape {z_t.shape}, the plant outputs ({p},)"
+                )
+            z[t] = z_t
+            if law is not None:
+                np.matmul(law, z_t, out=u_g[t])
+            u_t = np.add(u_g[t], e[t], out=u[t])
             if t < last:
-                x = A @ x + B @ u + w[t + 1]
+                x_next = np.matmul(A, x[t], out=x[t + 1])
+                x_next += B @ u_t
+                x_next += w[t + 1]
     else:
         n = np.asarray(draw_iid("gaussian", form.sigma_n2, streams.measurement, T))
         e = e[:, 0]
         rows, b, c = form.float_rows
-        n_l, e_l, w_l = n.tolist(), e.tolist(), w.tolist()
-        x = [0.0] * p
-        for t in range(T):
-            x_l[t] = x
-            y_l[t] = dot(c, x) + n_l[t]
+        y, z, u_g, u = (np.zeros(T) for _ in range(4))
+        y_v, z_v, g_v, u_v, n_v, e_v = map(memoryview, (y, z, u_g, u, n, e))
+        x_v, w_v = memoryview(x.reshape(-1)), memoryview(w.reshape(-1))
+        view = SensorView(0, y_v, z_v, g_v, plant, wm.sigma_e2, wm.family, w_family)
+        for t, (n_t, e_t) in enumerate(zip(n_v, e_v)):
+            i = t * p
+            x_t = x_v[i : i + p]
+            y_v[t] = dot(c, x_t) + n_t
             view.t = t
-            z = z_l[t] = float(report(view))
-            g = ug_l[t] = 0.0 if law is None else law * z
-            u = u_l[t] = g + e_l[t]
+            z_v[t] = zt = float(report(view))
+            g_v[t] = g = 0.0 if law is None else law * zt
+            u_v[t] = ut = g + e_t
             if t < last:
-                x = advance(rows, b, x, u, w_l[t + 1])
-    x_hist = np.array(x_l)
-    y = x_hist if C is None else np.asarray(y_l)
-    return dict(
-        x=x_hist, y=y, z=np.asarray(z_l), u_g=np.asarray(ug_l), u=np.asarray(u_l),
-        e_raw=e, e_shaped=e, w=w, n=n,
-    )
+                k = i + p
+                for row, bj, wj in zip(rows, b, w_v[k : k + p]):
+                    x_v[k] = dot(row, x_t) + bj * ut + wj
+                    k += 1
+    return dict(x=x, y=y, z=z, u_g=u_g, u=u, e_raw=e, e_shaped=e, w=w, n=n)
 
 
 # ---------------------------------------------------------------------------
@@ -346,14 +342,17 @@ def _simulate_ss(form, plant, law, attack, wm, w_family, streams, T):
 # ---------------------------------------------------------------------------
 
 
+def _start_burn(config: ScenarioConfig, form) -> tuple[int, int]:
+    """First residual step and detector burn-in of the scenario."""
+    burn = config.detector.burn_in
+    return form.start, form.burn_in if burn is None else burn
+
+
 def _residual_streams(config: ScenarioConfig, plant, arrays) -> dict:
     """Aligned residual/excitation streams, their first step and burn-in."""
     form = plant.kernel
     z, ug, e = arrays["z"], arrays["u_g"], arrays["e_raw"]
-    burn = config.detector.burn_in
-    if burn is None:
-        burn = form.burn_in
-    start = form.start
+    start, burn = _start_burn(config, form)
     if isinstance(form, LagForm):
         r_raw = prediction_errors(form, z, ug)[start:]
         e_lag = lag_filter((1.0,), e, form.delay)[start:]
@@ -755,11 +754,48 @@ def _row_blocks(fh, path, K: int):
                 )
         line_no += len(lines)
         yield [ln for ln in lines if ln.strip()] if odd else lines
+        del lines  # released before the next block is read
 
 
 def _fields(rows: list[str]) -> list[str]:
     """The fields of rows of K fields each: field j of row i is at i*K + j."""
     return ",".join(rows).replace("\n", "").split(",")
+
+
+def _step_widths(form) -> list[tuple[str, int]]:
+    """(field, width) of the step columns export writes for a run of the
+    kernel ``form``, in column order: width 0 is the one column ``field``,
+    width k the columns ``field_0`` .. ``field_{k-1}``."""
+    if isinstance(form, LagForm):
+        return [(name, 0) for name in ("y", *_ALWAYS_STEP_FIELDS)]
+    p, m = form.A.shape[0], form.n_inputs
+    if form.C is None:
+        return [("x", p), ("z", p), ("u_g", m), ("u", m), ("e_raw", m), ("e_shaped", m),
+                ("w", p)]
+    return [("x", p), ("y", 0), ("z", 0), ("u_g", 0), ("u", 0), ("e_raw", 0), ("e_shaped", 0),
+            ("w", p), ("n", 0)]
+
+
+def _read_block(path, header, flat, t0: int, targets, window_runs) -> None:
+    """Parse the fields ``flat`` of the rows from step ``t0`` on: check the
+    ``t`` cells, write each step column into its ``targets`` destination and
+    append each window column's cells to its run-length ``window_runs``."""
+    K = len(header)
+    ts = range(t0, t0 + len(flat) // K)
+    if flat[::K] != list(map(str, ts)):
+        cell, t = next((c, t) for c, t in zip(flat[::K], ts) if c != str(t))
+        raise ValueError(f"{path}: column t holds {cell!r} at t={t}, not its step")
+    parsed: list[tuple[list[str], np.ndarray]] = []
+    for j, dest in targets:
+        cells = flat[j::K]
+        values = next((v for c, v in parsed if c == cells), None)
+        if values is None:
+            values = _parse_steps(path, header[j], cells, ts)
+            parsed.append((cells, values))
+        dest[t0 : t0 + len(ts)] = values
+    for j, runs in enumerate(window_runs, K - len(window_runs)):
+        for cell, group in groupby(flat[j::K]):
+            _add_run(runs, cell, len(list(group)))
 
 
 def _meta_int(path, meta: dict[str, str], key: str) -> int:
@@ -781,13 +817,17 @@ def import_trace(path, config: ScenarioConfig) -> Trace:
     them: a statistic cell must be the ``repr`` of the recomputed value, with
     no tolerance, which a trace written by this code meets because its step
     data round-trips bit-exactly.  The returned trace carries the stored
-    alarm flags (one per window, ``"any"``) and no thresholds.  Rows are
-    parsed in blocks of ``_CHUNK_ROWS``.  The header must be the one export
-    writes, every ``t`` cell its row's step, every step cell a finite
-    number, ``residual_start`` and ``burn_in`` the scenario's, the ``stat_*``
-    columns its channels, every recomputed statistic finite, and the step
-    data must hold the plant recursion.
+    alarm flags (one per window, ``"any"``) and no thresholds.  Before any
+    row is read, ``residual_start`` and ``burn_in`` must be the scenario's,
+    the ``stat_*`` columns its channels, and the header the one export writes
+    for its plant (state and input widths included).  Rows are then parsed
+    in blocks of ``_CHUNK_ROWS``, each released before the next is read:
+    every ``t`` cell must be its row's step, every step cell a finite number,
+    every recomputed statistic finite, and the step data must hold the plant
+    recursion.
     """
+    plant = config.plant.build()
+    T, l = config.horizon, config.detector.window_len
     with open(path, "r", encoding="utf-8") as fh:
         meta_line = fh.readline().strip()
         if not meta_line.startswith("# dynwatermark-trace "):
@@ -808,87 +848,64 @@ def import_trace(path, config: ScenarioConfig) -> Trace:
                 f"trace was recorded for a {meta['plant']} plant, "
                 f"scenario has {config.plant.kind}"
             )
-        T, K = config.horizon, len(header)
-        index = {name: j for j, name in enumerate(header)}
-        data: dict[str, np.ndarray | None] = {}
+        if (start, burn) != _start_burn(config, plant.kernel):
+            raise ValueError(
+                f"{path}: trace metadata has residual_start={start}, burn_in={burn}"
+            )
+        # a run with no complete window computes no statistics
+        channels = sorted(s.name for s in channel_specs(config))
+        if not len(_window_ends(T, start, burn, l)):
+            channels = []
+        have = sorted(h[len("stat_") :] for h in header if h.startswith("stat_"))
+        if have != channels:
+            raise ValueError(
+                f"{path}: trace holds statistics {have}, the scenario computes {channels}"
+            )
+        data: dict[str, np.ndarray | None] = dict.fromkeys(_STEP_FIELDS)
+        steps: list[str] = []
         # (header index, destination) of each step column
         targets: list[tuple[int, np.ndarray]] = []
-        for key in _STEP_FIELDS:
-            if key in index:
-                data[key] = np.empty(T)
-                targets.append((index[key], data[key]))
-                continue
-            parts = []
-            while f"{key}_{len(parts)}" in index:
-                parts.append(index[f"{key}_{len(parts)}"])
-            data[key] = np.empty((T, len(parts))) if parts else None
-            targets += [(j, data[key][:, c]) for c, j in enumerate(parts)]
-        absent = [key for key in _ALWAYS_STEP_FIELDS if data[key] is None]
-        absent += [key for key in ("window_id", "alarm") if key not in index]
-        if data["x"] is None and data["y"] is None:
-            absent.insert(0, "y")
-        if absent:
-            raise ValueError(f"{path}: trace lacks columns {absent}")
-        stored: dict[str, list[tuple[str, int]]] = {
-            h: [] for h in header if h in ("window_id", "alarm") or h.startswith("stat_")
-        }
+        for key, width in _step_widths(plant.kernel):
+            data[key] = column = np.empty((T, width) if width else T)
+            if not width:
+                steps.append(key)
+                targets.append((len(steps), column))
+            for c in range(width):
+                steps.append(f"{key}_{c}")
+                targets.append((len(steps), column[:, c]))
+        layout = ["t", *steps, "window_id", *(f"stat_{ch}" for ch in channels), "alarm"]
+        if header != layout:
+            j = next(j for j, (a, b) in enumerate(zip_longest(header, layout)) if a != b)
+            got, exp = (repr(h[j]) if j < len(h) else "nothing" for h in (header, layout))
+            raise ValueError(f"{path}: header field {j + 1} is {got}, where export writes {exp}")
+        window_runs: list[list[tuple[str, int]]] = [[] for _ in layout[1 + len(steps) :]]
         n_rows = 0
-        for rows in _row_blocks(fh, path, K):
-            t0 = n_rows
-            n_rows += len(rows)
-            if t0 >= T:
-                continue  # only count the rows beyond the horizon
-            rows = rows[: T - t0]
-            flat = _fields(rows)
-            ts = range(t0, t0 + len(rows))
-            if "t" in index and flat[index["t"] :: K] != list(map(str, ts)):
-                cell, t = next((c, t) for c, t in zip(flat[index["t"] :: K], ts) if c != str(t))
-                raise ValueError(f"{path}: column t holds {cell!r} at t={t}, not its step")
-            parsed: list[tuple[list[str], np.ndarray]] = []
-            for j, dest in targets:
-                cells = flat[j::K]
-                values = next((v for c, v in parsed if c == cells), None)
-                if values is None:
-                    values = _parse_steps(path, header[j], cells, ts)
-                    parsed.append((cells, values))
-                dest[t0 : t0 + len(rows)] = values
-            for h, runs in stored.items():
-                for cell, group in groupby(flat[index[h] :: K]):
-                    _add_run(runs, cell, len(list(group)))
+        for rows in _row_blocks(fh, path, len(layout)):
+            t0, n_rows = n_rows, n_rows + len(rows)
+            if t0 < T:  # rows beyond the horizon are only counted
+                _read_block(path, layout, _fields(rows[: T - t0]), t0, targets, window_runs)
+            del rows  # released before the next block is read
     if n_rows != T:
         raise ValueError(f"trace has {n_rows} steps, scenario horizon is {T}")
+    stored = dict(zip(layout[1 + len(steps) :], window_runs))
     if data["x"] is None:
         data["x"] = data["y"]
     if data["y"] is None:
         data["y"] = data["x"]
-    l = config.detector.window_len
     spans = sum(count for cell, count in stored["window_id"] if cell == "0")
     if spans and spans != l:
         raise ValueError(f"{path}: window 0 spans {spans} rows, scenario window_len is {l}")
     # A huge finite cell can overflow a statistic; the checks below refuse it.
     with np.errstate(over="ignore", invalid="ignore"):
-        res = _residual_streams(config, config.plant.build(), data)
+        res = _residual_streams(config, plant, data)
         ends, stats = _window_stats(config, res, channel_specs(config))
-    if (start, burn) != (res["start"], res["burn"]):
-        raise ValueError(f"{path}: trace metadata has residual_start={start}, burn_in={burn}")
-    have = sorted(h[len("stat_") :] for h in stored if h.startswith("stat_"))
-    if have != sorted(stats):
-        raise ValueError(
-            f"{path}: trace holds statistics {have}, the scenario computes {sorted(stats)}"
-        )
     alarms = np.array(_cells_at(stored["alarm"], ends.tolist()), dtype=str) == "1"
     trace = Trace(
         config=config, seed=seed, **data, window_ends=ends,
         window_stats=stats, window_alarms={"any": alarms},
         thresholds={}, residual_start=start, burn_in=burn,
     )
-    windows = _window_columns(trace)
-    layout = ["t", *(name for name, _ in _step_columns(trace)), *(name for name, _ in windows)]
-    if header != layout:
-        j = next(j for j, (a, b) in enumerate(zip_longest(header, layout)) if a != b)
-        got, exp = (repr(h[j]) if j < len(h) else "nothing" for h in (header, layout))
-        raise ValueError(f"{path}: header field {j + 1} is {got}, where export writes {exp}")
-    for name, runs in windows:
+    for name, runs in _window_columns(trace):
         if stored[name] != runs:
             t, got, want = next(
                 (t, got, want)

@@ -71,7 +71,8 @@ def _iir(a, b, x, c=None, v=None) -> np.ndarray:
     b, c and a are zero-padded to one length n, then divided by a[0] (so a
     padded tap is -0.0 when a[0] < 0).  Each delay line Z_0..Z_{n-2}, at rest
     at +0.0, runs y = Z_0 + b_0 x, Z_{k-1} = (Z_k + b_k x) - a_k y and
-    Z_{n-2} = b_{n-1} x - a_{n-1} y.
+    Z_{n-2} = b_{n-1} x - a_{n-1} y.  The inputs are read, and y written,
+    through memoryviews of float arrays.
     """
     two, n, a0 = c is not None, max(len(a), len(b)), a[0]
     b, c, a = (
@@ -79,9 +80,12 @@ def _iir(a, b, x, c=None, v=None) -> np.ndarray:
         for p in (b, c if two else b, a)
     )
     inner, b0, b_last, c0, c_last, a_last = range(1, n - 1), b[0], b[-1], c[0], c[-1], a[-1]
-    zb, zc, y = [0.0] * (n - 1), [0.0] * (n - 1), []
-    x = np.asarray(x, dtype=float).tolist()
-    for xt, vt in zip(x, np.asarray(v, dtype=float).tolist() if two else x):
+    zb, zc = [0.0] * (n - 1), [0.0] * (n - 1)
+    x = memoryview(np.ascontiguousarray(x, dtype=float))
+    v = memoryview(np.ascontiguousarray(v, dtype=float)) if two else x
+    y = np.zeros(len(x))
+    y_v = memoryview(y)
+    for t, (xt, vt) in enumerate(zip(x, v)):
         yt = zb[0] + b0 * xt
         for k in inner:
             zb[k - 1] = (zb[k] + b[k] * xt) - a[k] * yt
@@ -92,8 +96,8 @@ def _iir(a, b, x, c=None, v=None) -> np.ndarray:
                 zc[k - 1] = (zc[k] + c[k] * vt) - a[k] * wt
             zc[-1] = c_last * vt - a_last * wt
             yt += wt
-        y.append(yt)
-    return np.array(y)
+        y_v[t] = yt
+    return y
 
 
 def prediction_errors(form: LagForm, z: np.ndarray, u_g: np.ndarray) -> np.ndarray:

@@ -484,6 +484,42 @@ def test_report_and_detect_refuse_a_tampered_trace(kind, how, tmp_path, capsys):
         assert (code, out, err.splitlines()) == (1, "", [f"error: {refusal.value}"])
 
 
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        ("add x_2", "header field 4 is 'x_2', where export writes 'z_0'"),
+        ("drop u_1", "header field 9 is 'e_raw_0', where export writes 'u_1'"),
+    ],
+)
+def test_report_and_detect_refuse_a_vector_column_the_plant_lacks(
+    edit, message, tmp_path, capsys
+):
+    """The header is checked against the plant's state and input widths
+    before any row is parsed: a MIMO export (2 states, 2 inputs) with an
+    extra state column, or without its second input column, is refused in
+    one line naming the column."""
+    scenario = tmp_path / "scenario.yaml"
+    save_scenario(all_class_configs()["mimo"], scenario)
+    out_dir = tmp_path / "out"
+    run_cli(capsys, "run", "--scenario", str(scenario), "--out", str(out_dir))
+    path = out_dir / "trace.csv"
+    meta, *table = path.read_text().splitlines()
+    rows = [line.split(",") for line in table]
+    if edit == "add x_2":
+        j = rows[0].index("x_1") + 1
+        for k, row in enumerate(rows):
+            row.insert(j, "x_2" if k == 0 else row[j - 1])
+    else:
+        j = rows[0].index("u_1")
+        for row in rows:
+            del row[j]
+    path.write_text("\n".join([meta, *map(",".join, rows)]) + "\n")
+    for argv in (["report", "--run", str(out_dir)],
+                 ["detect", "--trace", str(path), "--scenario", str(scenario)]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err.splitlines()) == (1, "", [f"error: {path}: {message}"])
+
+
 @pytest.mark.filterwarnings("error")
 def test_report_refuses_an_overflowing_report_cell_in_one_line(tmp_path, capsys):
     """A finite report cell whose square overflows makes an infinite

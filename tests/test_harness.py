@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dynwatermark.adversary import register_attack
 from dynwatermark.detect import Threshold
 from dynwatermark.harness import (
     _CHUNK_ROWS,
@@ -29,6 +30,7 @@ from dynwatermark.harness import (
 )
 from dynwatermark.linsys import PARTIAL_BURN_IN
 from dynwatermark.scenario import (
+    AttackConfig,
     PolicyConfig,
     ScenarioError,
     load_scenario,
@@ -1178,6 +1180,86 @@ def test_trace_io_memory_does_not_grow_with_the_horizon(tmp_path):
     assert import_16 <= 1.25 * import_4
 
 
+def _returned_bytes(trace) -> int:
+    """Bytes of the distinct arrays a trace holds."""
+    arrays = [trace.x, trace.y, trace.z, trace.u_g, trace.u, trace.e_raw, trace.e_shaped,
+              trace.w, trace.n, trace.window_ends, *trace.window_stats.values(),
+              *trace.window_alarms.values()]
+    return sum({id(a): a.nbytes for a in arrays if a is not None}.values())
+
+
+def test_run_memory_stays_near_the_arrays_it_returns():
+    """run_scenario's traced peak is at most 2.5x the bytes of the arrays it
+    returns, for every class honest and attacked: the closed loops write
+    each step into preallocated arrays and keep no per-step objects."""
+    T = 20_000
+    configs = {f"{kind}/honest": cfg for kind, cfg in all_class_configs(T).items()}
+    for kind, cfg in reference_configs().items():
+        attack = dataclasses.replace(cfg.attack, onset=T // 2)
+        configs[f"{kind}/{attack.kind}"] = dataclasses.replace(cfg, horizon=T, attack=attack)
+    table = {}
+    for name, cfg in configs.items():
+        peak, trace = _traced_peak(run_scenario, cfg, None, calibrate_detector(cfg))
+        table[name] = (peak / T, _returned_bytes(trace) / T)
+    rows = [
+        f"{name:24} peak {peak:6.1f} B/step, returned {kept:5.1f} B/step, "
+        f"ratio {peak / kept:.2f}"
+        for name, (peak, kept) in table.items()
+    ]
+    assert all(peak <= 2.5 * kept for peak, kept in table.values()), "\n".join(rows)
+
+
+_VIEW_LOG: list = []
+
+
+@register_attack("record_view_test")
+def _record_view(view, rng):
+    """Report honestly, logging what the view holds at each step."""
+    t = view.t
+    y_t = view.y[t]
+    _VIEW_LOG.append((
+        t, type(y_t), y_t, np.copy(y_t), *(np.copy(h[t - 1]) for h in (view.z, view.u_g)),
+        {type(view.z[t - 1]), type(view.u_g[t - 1])},
+    ))
+    return np.copy(y_t) if isinstance(y_t, np.ndarray) else y_t
+
+
+@pytest.mark.parametrize("kind", ["scalar", "arx", "armax", "partial", "mimo"])
+def test_sensor_view_reads_the_trace_arrays(kind):
+    """A custom attack sees floats, or float rows of a vector plant, equal to
+    the final trace's rows; a row it holds is never written again."""
+    cfg = dataclasses.replace(
+        all_class_configs()[kind], attack=AttackConfig(kind="record_view_test", onset=1)
+    )
+    _VIEW_LOG.clear()
+    trace = run_scenario(cfg)
+    assert [entry[0] for entry in _VIEW_LOG] == list(range(1, cfg.horizon))
+    element = np.ndarray if kind == "mimo" else float
+    for t, cls, held, y_t, z_prev, ug_prev, history_types in _VIEW_LOG:
+        assert cls is element and history_types == {element}
+        assert np.asarray(held).dtype == np.float64
+        np.testing.assert_array_equal(held, y_t)
+        np.testing.assert_array_equal(y_t, trace.y[t])
+        np.testing.assert_array_equal(z_prev, trace.z[t - 1])
+        np.testing.assert_array_equal(ug_prev, trace.u_g[t - 1])
+    assert trace_equal(trace, run_scenario(all_class_configs()[kind]))
+
+
+def test_vector_report_of_the_wrong_shape_is_refused():
+    """A measured-state report must be one row of the state: a scalar would
+    otherwise be broadcast into the preallocated report row."""
+
+    @register_attack("scalar_report_test")
+    def scalar_report(view, rng):
+        return 0.0
+
+    cfg = dataclasses.replace(
+        all_class_configs()["mimo"], attack=AttackConfig(kind="scalar_report_test", onset=5)
+    )
+    with pytest.raises(ValueError, match=r"report at t=5 has shape \(\), the plant outputs \(2,\)"):
+        run_scenario(cfg)
+
+
 def test_burn_in_partial_default():
     trace = run_scenario(all_class_configs()["partial"])
     assert trace.burn_in == PARTIAL_BURN_IN
@@ -1197,3 +1279,4 @@ def test_detector_burn_in_override():
     trace = run_scenario(cfg)
     assert trace.burn_in == 300
     assert trace.windows[0].end_t == 300 + 500  # first window covers [801, 1300]
+
