@@ -60,7 +60,6 @@ _META_KEYS = {"schema_version", "seed", "plant", "residual_start", "burn_in"}
 # Per-step fields of a Trace, in column order.  x and y carry the measured
 # output (either may stand for both) and only a noisy-output plant has n.
 _STEP_FIELDS = ("x", "y", "z", "u_g", "u", "e_raw", "e_shaped", "w", "n")
-_ALWAYS_STEP_FIELDS = _STEP_FIELDS[2:-1]
 
 
 # ---------------------------------------------------------------------------
@@ -594,24 +593,29 @@ def stat_series(trace: Trace, channel: str) -> tuple[np.ndarray, np.ndarray]:
 _CHUNK_ROWS = 4096
 
 
-def _step_columns(trace: Trace) -> list[tuple[str, np.ndarray]]:
-    """(header name, values) of the per-step columns."""
-    # A measured output is written once: as y when it is the scalar output of
-    # a lag-polynomial plant, as x when it is the state vector.
-    if trace.x.ndim == 1:
-        names = ["y"]
-    else:
-        names = ["x"] if trace.n is None else ["x", "y"]
-    names += _ALWAYS_STEP_FIELDS
-    if trace.n is not None:
-        names.append("n")
+def _step_widths(form) -> list[tuple[str, int]]:
+    """(field, width) of the step columns export writes for a run of the
+    kernel ``form``, in column order: width 0 is the one column ``field``,
+    width k the columns ``field_0`` .. ``field_{k-1}``.  A measured output
+    is written once: as y when it is the scalar output of a lag-polynomial
+    plant, as x when it is the state vector."""
+    if isinstance(form, LagForm):
+        return [(name, 0) for name in ("y", "z", "u_g", "u", "e_raw", "e_shaped", "w")]
+    p, m = form.A.shape[0], form.n_inputs
+    if form.C is None:
+        return [("x", p), ("z", p), ("u_g", m), ("u", m), ("e_raw", m), ("e_shaped", m),
+                ("w", p)]
+    return [("x", p), ("y", 0), ("z", 0), ("u_g", 0), ("u", 0), ("e_raw", 0), ("e_shaped", 0),
+            ("w", p), ("n", 0)]
+
+
+def _step_columns(form, arrays: dict) -> list[tuple[str, np.ndarray]]:
+    """(header name, column) of each per-step column of ``arrays``, a dict
+    by field, in the layout :func:`_step_widths` gives the kernel ``form``."""
     cols: list[tuple[str, np.ndarray]] = []
-    for name in names:
-        arr = np.asarray(getattr(trace, name), dtype=float)
-        if arr.ndim == 1:
-            cols.append((name, arr))
-        else:
-            cols.extend((f"{name}_{j}", arr[:, j]) for j in range(arr.shape[1]))
+    for key, width in _step_widths(form):
+        a = arrays[key]
+        cols += [(f"{key}_{j}", a[:, j]) for j in range(width)] if width else [(key, a)]
     return cols
 
 
@@ -692,7 +696,7 @@ def export_trace(trace: Trace, path) -> None:
     ``_CHUNK_ROWS``, so memory does not grow with the horizon; within a
     block, repeated columns are formatted once (:func:`_format_block`).
     """
-    steps = _step_columns(trace)
+    steps = _step_columns(trace.config.plant.build().kernel, vars(trace))
     windows = _window_columns(trace)
     header = ["t", *(name for name, _ in steps), *(name for name, _ in windows)]
     meta = (
@@ -760,20 +764,6 @@ def _row_blocks(fh, path, K: int):
 def _fields(rows: list[str]) -> list[str]:
     """The fields of rows of K fields each: field j of row i is at i*K + j."""
     return ",".join(rows).replace("\n", "").split(",")
-
-
-def _step_widths(form) -> list[tuple[str, int]]:
-    """(field, width) of the step columns export writes for a run of the
-    kernel ``form``, in column order: width 0 is the one column ``field``,
-    width k the columns ``field_0`` .. ``field_{k-1}``."""
-    if isinstance(form, LagForm):
-        return [(name, 0) for name in ("y", *_ALWAYS_STEP_FIELDS)]
-    p, m = form.A.shape[0], form.n_inputs
-    if form.C is None:
-        return [("x", p), ("z", p), ("u_g", m), ("u", m), ("e_raw", m), ("e_shaped", m),
-                ("w", p)]
-    return [("x", p), ("y", 0), ("z", 0), ("u_g", 0), ("u", 0), ("e_raw", 0), ("e_shaped", 0),
-            ("w", p), ("n", 0)]
 
 
 def _read_block(path, header, flat, t0: int, targets, window_runs) -> None:
@@ -852,28 +842,22 @@ def import_trace(path, config: ScenarioConfig) -> Trace:
             raise ValueError(
                 f"{path}: trace metadata has residual_start={start}, burn_in={burn}"
             )
+        specs = channel_specs(config)
         # a run with no complete window computes no statistics
-        channels = sorted(s.name for s in channel_specs(config))
-        if not len(_window_ends(T, start, burn, l)):
-            channels = []
+        channels = sorted(s.name for s in specs) if len(_window_ends(T, start, burn, l)) else []
         have = sorted(h[len("stat_") :] for h in header if h.startswith("stat_"))
         if have != channels:
             raise ValueError(
                 f"{path}: trace holds statistics {have}, the scenario computes {channels}"
             )
         data: dict[str, np.ndarray | None] = dict.fromkeys(_STEP_FIELDS)
-        steps: list[str] = []
-        # (header index, destination) of each step column
-        targets: list[tuple[int, np.ndarray]] = []
         for key, width in _step_widths(plant.kernel):
-            data[key] = column = np.empty((T, width) if width else T)
-            if not width:
-                steps.append(key)
-                targets.append((len(steps), column))
-            for c in range(width):
-                steps.append(f"{key}_{c}")
-                targets.append((len(steps), column[:, c]))
-        layout = ["t", *steps, "window_id", *(f"stat_{ch}" for ch in channels), "alarm"]
+            data[key] = np.empty((T, width) if width else T)
+        steps = _step_columns(plant.kernel, data)
+        # (header index, destination) of each step column
+        targets = list(enumerate((column for _, column in steps), 1))
+        layout = ["t", *(name for name, _ in steps), "window_id",
+                  *(f"stat_{ch}" for ch in channels), "alarm"]
         if header != layout:
             j = next(j for j, (a, b) in enumerate(zip_longest(header, layout)) if a != b)
             got, exp = (repr(h[j]) if j < len(h) else "nothing" for h in (header, layout))
@@ -898,7 +882,7 @@ def import_trace(path, config: ScenarioConfig) -> Trace:
     # A huge finite cell can overflow a statistic; the checks below refuse it.
     with np.errstate(over="ignore", invalid="ignore"):
         res = _residual_streams(config, plant, data)
-        ends, stats = _window_stats(config, res, channel_specs(config))
+        ends, stats = _window_stats(config, res, specs)
     alarms = np.array(_cells_at(stored["alarm"], ends.tolist()), dtype=str) == "1"
     trace = Trace(
         config=config, seed=seed, **data, window_ends=ends,
