@@ -44,7 +44,9 @@ class SensorView:
     convenience only: the policy is a public LTI map of the reports with no
     secret state, so an attacker who runs it on the reports reproduces u_g
     exactly, and carrying it adds no information.  Only the excitation is
-    private.
+    private.  The histories are views of the run's own arrays: their
+    elements are floats for a scalar-output plant and float ndarray rows for
+    a measured state, and entries the loop has not reached read zero.
     """
 
     t: int
