@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -135,18 +136,29 @@ def _times(x: np.ndarray, M: np.ndarray) -> np.ndarray:
     return x * M[:, 0] if M.shape[1] == 1 else x @ M.T
 
 
-def _wishart_scatter(M: np.ndarray, l: int, n_windows: int, rng) -> np.ndarray:
-    """Joint scatters z'z/l of windows of l i.i.d. z = M xi, xi ~ N(0, I_p):
-    Bartlett's lower-triangular A, with A_ii = sqrt(chi2_{l-i}) and N(0, 1)
-    below the diagonal, has A A' ~ Wishart(l, I_p); needs l >= p."""
-    p = M.shape[1]
+def _bartlett_draws(p: int, l: int, n_windows: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """The variates of ``n_windows`` Bartlett factors of Wishart(l, I_p):
+    the N(0, 1) entries below the diagonal, then the chi2_{l-i} whose square
+    roots are the diagonal; needs l >= p."""
+    normals = rng.standard_normal((n_windows, p * (p - 1) // 2))
+    return normals, rng.chisquare(l - np.arange(p), (n_windows, p))
+
+
+def _wishart_scatter(M: np.ndarray, l: int, normals, chi2, out=None) -> np.ndarray:
+    """Joint scatters z'z/l of windows of l i.i.d. z = M xi, xi ~ N(0, I_p),
+    from the variates of their Bartlett factors (:func:`_bartlett_draws`):
+    A lower-triangular with A_ii = sqrt(chi2_{l-i}) has A A' ~ Wishart(l, I_p),
+    and the scatter is M A A' M' / l, written into ``out`` if given."""
+    n_windows, p = chi2.shape
     A = np.zeros((n_windows, p, p))
     rows, cols = np.tril_indices(p, -1)
-    A[:, rows, cols] = rng.standard_normal((n_windows, rows.size))
+    A[:, rows, cols] = normals
     d = np.arange(p)
-    A[:, d, d] = np.sqrt(rng.chisquare(l - d, (n_windows, p)))
-    MA = M @ A
-    return MA @ MA.transpose(0, 2, 1) / l
+    A[:, d, d] = np.sqrt(chi2)
+    MA = np.matmul(M, A, out=np.empty((n_windows, len(M), p)))
+    Z = np.matmul(MA, MA.transpose(0, 2, 1), out=out)
+    Z /= l
+    return Z
 
 
 def _joint_scatter(*blocks) -> np.ndarray:
@@ -230,6 +242,12 @@ def _null_targets(kind: str, null: ResidualNull, e_index: int = 0) -> dict:
     return {}
 
 
+# Windows per sub-block of a Gaussian calibration chunk: a chunk's variates
+# are drawn at once, then turned into scatters and statistics this many
+# windows at a time, so the scatters never span the whole chunk.
+_SUB_WINDOWS = 1024
+
+
 def simulate_null_stats(
     kind: str,
     l: int,
@@ -241,23 +259,31 @@ def simulate_null_stats(
     chunk_elems: int = 2**22,
 ) -> np.ndarray:
     """Monte-Carlo sample of the statistic under the null, in memory chunks:
-    Wishart window scatters for Gaussian nulls, raw draws otherwise."""
-    targets = _null_targets(kind, null, e_index)
+    Wishart window scatters for Gaussian nulls, raw draws otherwise.
+
+    A Gaussian chunk draws its Bartlett variates at once and reduces them in
+    sub-blocks of ``_SUB_WINDOWS`` windows; every step works per window, so
+    the statistics do not depend on the sub-block size.
+    """
+    reduce = partial(_batch_values, kind, l=l, n_e=null.G.shape[1], e_index=e_index,
+                     **_null_targets(kind, null, e_index))
     M = null.loading()
-    n_e = M.shape[0] - null.dim
-    exact = null.gaussian and l >= M.shape[1]  # Bartlett needs l >= p
-    per_window = M.shape[0] ** 2 if exact else l * max(null.dim, 1)
-    step = max(int(chunk_elems // per_window), 1)
+    p = M.shape[1]
+    exact = null.gaussian and l >= p  # Bartlett needs l >= p
+    step = max(int(chunk_elems // (len(M) ** 2 if exact else l * max(null.dim, 1))), 1)
     out = np.empty(n_cal)
-    done = 0
-    while done < n_cal:
+    if exact:
+        Z = np.empty((min(_SUB_WINDOWS, n_cal), len(M), len(M)))
+    for done in range(0, n_cal, step):
         take = min(step, n_cal - done)
-        if exact:
-            Z = _wishart_scatter(M, l, take, rng)
-        else:
-            Z = _joint_scatter(*null.simulate(rng, take, l))
-        out[done : done + take] = _batch_values(kind, Z, l, n_e, e_index=e_index, **targets)
-        done += take
+        if not exact:
+            out[done : done + take] = reduce(_joint_scatter(*null.simulate(rng, take, l)))
+            continue
+        normals, chi2 = _bartlett_draws(p, l, take, rng)
+        for a in range(0, take, _SUB_WINDOWS):
+            b = min(a + _SUB_WINDOWS, take)
+            scatters = _wishart_scatter(M, l, normals[a:b], chi2[a:b], Z[: b - a])
+            out[done + a : done + b] = reduce(scatters)
     return out
 
 

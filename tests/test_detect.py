@@ -6,6 +6,7 @@ from scipy.special import multigammaln
 from scipy.stats import chi2, ks_2samp, wishart
 
 from dynwatermark.detect import (
+    _SUB_WINDOWS,
     ResidualNull,
     Threshold,
     _batch_values,
@@ -381,6 +382,46 @@ def test_wishart_calibration_holds_on_raw_null_windows(mode, kind, e_index):
     fresh = _brute_stats(kind, null, n_fresh, l, np.random.default_rng(91), e_index)
     rate = float(np.mean([th.exceeded(v) for v in fresh]))
     assert abs(rate - alpha) < 4.0 * np.sqrt(alpha * (1 - alpha) / n_fresh)
+
+
+@pytest.mark.parametrize(
+    "mode,kind,e_index",
+    [
+        ("matrix", "cov", 0),
+        ("matrix", "cov_entries", 0),
+        ("matrix", "nll", 0),
+        ("matrix", "cross_corr", 1),
+        ("scalar", "cross_corr", 0),
+        ("decoupled", "cov_entries", 0),
+    ],
+)
+def test_sub_block_reduction_equals_one_shot_reduction(mode, kind, e_index):
+    """A Gaussian calibration run of several chunks, each reduced in
+    sub-blocks (a partial one at the end of every chunk), gives bit for bit
+    the statistics of each chunk's scatters M A A' M' / l formed at once
+    from the same Bartlett draws."""
+    null, l = _KS_NULLS[mode], 30
+    M = null.loading()
+    p, chunk = M.shape[1], 2 * _SUB_WINDOWS + 452
+    n_cal = 2 * chunk + 1337
+    assert n_cal % _SUB_WINDOWS and chunk % _SUB_WINDOWS
+    got = simulate_null_stats(kind, l, null, n_cal, np.random.default_rng(70),
+                              e_index=e_index, chunk_elems=len(M) ** 2 * chunk)
+    rng, want = np.random.default_rng(70), []
+    rows, cols = np.tril_indices(p, -1)
+    d = np.arange(p)
+    for done in range(0, n_cal, chunk):
+        take = min(chunk, n_cal - done)
+        A = np.zeros((take, p, p))
+        A[:, rows, cols] = rng.standard_normal((take, rows.size))
+        A[:, d, d] = np.sqrt(rng.chisquare(l - d, (take, p)))
+        MA = M @ A
+        Z = MA @ MA.transpose(0, 2, 1) / l
+        targets = ({"target": null.cross_target(e_index)} if kind == "cross_corr"
+                   else {"Sigma0": null.sigma0()})
+        want.append(_batch_values(kind, Z, l, M.shape[0] - null.dim, e_index=e_index,
+                                  **targets))
+    assert np.array_equal(got, np.concatenate(want))
 
 
 def test_short_windows_fall_back_to_raw_draws():

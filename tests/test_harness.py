@@ -1180,6 +1180,21 @@ def test_trace_io_memory_does_not_grow_with_the_horizon(tmp_path):
     assert import_16 <= 1.25 * import_4
 
 
+def test_calibration_memory_stays_near_its_draws():
+    """calibrate_detector's traced peak, beyond one channel's Bartlett
+    variates and its statistic vector, does not grow with n_cal: the
+    scatters and statistics are formed in fixed-size sub-blocks."""
+    cfg = load_scenario(SCENARIOS / "mimo_replay.yaml")
+    rest = []
+    for n_cal in (20_000, 80_000):
+        cal = dataclasses.replace(cfg, detector=dataclasses.replace(cfg.detector, n_cal=n_cal))
+        peak, _ = _traced_peak(calibrate_detector, cal)
+        p = max(spec.null.loading().shape[1] for spec in channel_specs(cal))
+        variates = n_cal * (p * (p - 1) // 2 + p) * 8  # normals and chi-squares
+        rest.append(peak - variates - n_cal * 8)
+    assert 0 < rest[1] <= 1.25 * rest[0], rest
+
+
 def _returned_bytes(trace) -> int:
     """Bytes of the distinct arrays a trace holds."""
     arrays = [trace.x, trace.y, trace.z, trace.u_g, trace.u, trace.e_raw, trace.e_shaped,
