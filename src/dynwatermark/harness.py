@@ -587,10 +587,15 @@ def stat_series(trace: Trace, channel: str) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-# Rows per block of trace export and import.  Each block is formatted or
-# parsed on its own, so the memory both take is bounded by a block, not by
-# the horizon.
-_CHUNK_ROWS = 4096
+# Cells per block of trace export and import.  Each block is formatted or
+# parsed on its own, so the memory both take is bounded by a block of about
+# this many cells, whatever the horizon and the row width.
+_BLOCK_CELLS = 2**15
+
+
+def _block_rows(width: int) -> int:
+    """Rows per block of a trace whose rows hold ``width`` fields."""
+    return max(_BLOCK_CELLS // width, 1)
 
 
 def _step_widths(form) -> list[tuple[str, int]]:
@@ -693,8 +698,8 @@ def export_trace(trace: Trace, path) -> None:
     One row per step: its step columns, then its :func:`_window_columns`
     cells.  A single header comment line carries the schema metadata needed
     to re-import standalone.  Rows are formatted and written in blocks of
-    ``_CHUNK_ROWS``, so memory does not grow with the horizon; within a
-    block, repeated columns are formatted once (:func:`_format_block`).
+    :func:`_block_rows` rows, so memory does not grow with the horizon; within
+    a block, repeated columns are formatted once (:func:`_format_block`).
     """
     steps = _step_columns(trace.config.plant.build().kernel, vars(trace))
     windows = _window_columns(trace)
@@ -707,10 +712,11 @@ def export_trace(trace: Trace, path) -> None:
     )
     T = trace.horizon
     window_cells = [_expand(runs) for _, runs in windows]
+    rows = _block_rows(len(header))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{meta}\n{','.join(header)}\n")
-        for a in range(0, T, _CHUNK_ROWS):
-            b = min(a + _CHUNK_ROWS, T)
+        for a in range(0, T, rows):
+            b = min(a + rows, T)
             fh.write(_rows([
                 map(str, range(a, b)),
                 *_format_block([values[a:b] for _, values in steps]),
@@ -745,10 +751,10 @@ def _cells_at(runs: list[tuple[str, int]], ts) -> list[str]:
 
 
 def _row_blocks(fh, path, K: int):
-    """The non-blank rows of a trace body, up to ``_CHUNK_ROWS`` physical
+    """The non-blank rows of a trace body, up to :func:`_block_rows` physical
     lines at a time, each checked to hold ``K`` fields."""
-    line_no = 2
-    while lines := list(islice(fh, _CHUNK_ROWS)):
+    line_no, rows = 2, _block_rows(K)
+    while lines := list(islice(fh, rows)):
         odd = [k for k, ln in enumerate(lines) if ln.count(",") != K - 1]
         for k in odd:
             if lines[k].strip():
@@ -811,10 +817,10 @@ def import_trace(path, config: ScenarioConfig) -> Trace:
     row is read, ``residual_start`` and ``burn_in`` must be the scenario's,
     the ``stat_*`` columns its channels, and the header the one export writes
     for its plant (state and input widths included).  Rows are then parsed
-    in blocks of ``_CHUNK_ROWS``, each released before the next is read:
-    every ``t`` cell must be its row's step, every step cell a finite number,
-    every recomputed statistic finite, and the step data must hold the plant
-    recursion.
+    in blocks of :func:`_block_rows` rows, each released before the next is
+    read: every ``t`` cell must be its row's step, every step cell a finite
+    number, every recomputed statistic finite, and the step data must hold
+    the plant recursion.
     """
     plant = config.plant.build()
     T, l = config.horizon, config.detector.window_len

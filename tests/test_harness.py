@@ -11,12 +11,13 @@ import pytest
 from dynwatermark.adversary import register_attack
 from dynwatermark.detect import Threshold
 from dynwatermark.harness import (
-    _CHUNK_ROWS,
     ChannelSpec,
     Trace,
+    _block_rows,
     _detect_pass,
     _oracle_distortion,
     _residual_streams,
+    _step_widths,
     _Streams,
     _window_stats,
     calibrate_detector,
@@ -1072,8 +1073,22 @@ def _block_config(horizon):
     )
 
 
+def _row_width(cfg) -> int:
+    """Fields per exported row of ``cfg``: t, the step columns, window_id,
+    one stat_* per channel and alarm."""
+    steps = sum(max(width, 1) for _, width in _step_widths(cfg.plant.build().kernel))
+    return 3 + steps + len(channel_specs(cfg))
+
+
+# Rows per block of _block_config's traces (14 fields a row).
+_BLOCK = _block_rows(_row_width(_block_config(1000)))
+
+
+# Horizons at the edges of a block, and at the edges of 4,096-row blocks,
+# which now end inside a block.
 @pytest.mark.parametrize(
-    "horizon", [_CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 1]
+    "horizon",
+    [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 4095, 4096, 4097, 8193],
 )
 def test_roundtrip_at_block_boundaries(horizon, tmp_path):
     cfg = _block_config(horizon)
@@ -1086,23 +1101,33 @@ def test_roundtrip_at_block_boundaries(horizon, tmp_path):
     assert again_path.read_bytes() == path.read_bytes()
 
 
+def test_block_rows_follow_the_row_width():
+    """Blocks hold about the same number of cells whatever the row width."""
+    assert [_block_rows(k) for k in (1, 11, 14, 20, 2**15, 2**16)] == [
+        2**15, 2978, 2340, 1638, 1, 1,
+    ]
+    assert _BLOCK == 2340
+
+
 @pytest.fixture(scope="module")
 def two_block_export(tmp_path_factory):
-    """A run of two blocks and one row, with t=_CHUNK_ROWS inside a window
-    but not its last row."""
-    cfg = _block_config(2 * _CHUNK_ROWS + 1)
+    """A run of two blocks and one row, with t=_BLOCK inside a window but
+    not its last row."""
+    cfg = _block_config(2 * _BLOCK + 1)
     trace = run_scenario(cfg)
     ends = trace.window_ends
-    assert _CHUNK_ROWS not in ends and ends[0] < _CHUNK_ROWS < ends[-1]
+    assert _BLOCK not in ends and ends[0] < _BLOCK < ends[-1]
     path = tmp_path_factory.mktemp("blocks") / "trace.csv"
     export_trace(trace, path)
-    return cfg, path.read_text().splitlines()
+    lines = path.read_text().splitlines()
+    assert len(lines[1].split(",")) == _row_width(cfg)
+    return cfg, lines
 
 
 def test_import_checks_the_first_row_of_a_later_block(two_block_export, tmp_path):
     cfg, lines = two_block_export
     path = tmp_path / "trace.csv"
-    t = _CHUNK_ROWS
+    t = _BLOCK
     cell = lines[2 + t].split(",")[lines[1].split(",").index("stat_variance_wm")]
     _edit_cells(lines, path, {(t, "stat_variance_wm"): "0.5"})
     with pytest.raises(ValueError) as err:
@@ -1119,11 +1144,11 @@ def test_import_names_the_line_of_a_short_row_in_a_later_block(two_block_export,
     lines = list(lines)
     n_fields = len(lines[1].split(","))
     # row t is physical line t + 3, after the metadata and header lines
-    lines[2 + _CHUNK_ROWS] = ",".join(lines[2 + _CHUNK_ROWS].split(",")[:3])
+    lines[2 + _BLOCK] = ",".join(lines[2 + _BLOCK].split(",")[:3])
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError) as err:
         import_trace(path, cfg)
-    assert str(err.value) == f"{path} line {_CHUNK_ROWS + 3}: expected {n_fields} fields, got 3"
+    assert str(err.value) == f"{path} line {_BLOCK + 3}: expected {n_fields} fields, got 3"
 
 
 def test_export_reuses_cells_of_equal_bits_only(tmp_path):
@@ -1160,13 +1185,17 @@ def _traced_peak(fn, *args):
 def test_trace_io_memory_does_not_grow_with_the_horizon(tmp_path):
     """Export's peak, and import's peak beyond the arrays it returns, are
     set by the block size, not by the number of rows."""
-    peaks = []
-    for blocks in (4, 16):
-        cfg = make_scenario(
-            horizon=blocks * _CHUNK_ROWS, policy={"kind": "zero"},
+    def config(horizon):
+        return make_scenario(
+            horizon=horizon, policy={"kind": "zero"},
             detector={"window_len": 500, "alpha": 0.05, "n_cal": 200,
                       "tests": ["variance_wm"]},
         )
+
+    rows = _block_rows(_row_width(config(1000)))  # the width does not depend on the horizon
+    peaks = []
+    for blocks in (4, 16):
+        cfg = config(blocks * rows)
         path = tmp_path / f"trace{blocks}.csv"
         trace = run_scenario(cfg)
         export_peak, _ = _traced_peak(export_trace, trace, path)
