@@ -30,6 +30,7 @@ __all__ = [
     "CustomAttack",
     "register_attack",
     "estimate_noise_arx",
+    "additive_noise_gain",
     "additive_attack_step",
     "BUILTIN_ATTACKS",
 ]
@@ -222,11 +223,20 @@ def estimate_noise_arx(view: SensorView, plant) -> float:
     return sw2 / (g * g * view.sigma_e2 + sw2) * s
 
 
-def additive_attack_step(view: SensorView, n_t) -> tuple[Any, Any]:
+def additive_noise_gain(form, sigma_e2: float) -> np.ndarray:
+    """The gain K = sigma_w2 (sigma_e2 B B' + sigma_w2 I)^-1 of a measured
+    state, whose innovation s = B e + w gives E[w | s] = K s."""
+    gram = sigma_e2 * (form.B @ form.B.T) + form.sigma_w2 * np.eye(len(form.A))
+    return form.sigma_w2 * np.linalg.inv(gram)
+
+
+def additive_attack_step(view: SensorView, n_t, gain=None) -> tuple[Any, Any]:
     """One step of the estimated-noise additive attack: returns (v[t], z[t]).
 
     v[t] = n[t] - w_hat[t]; the sensor adds fresh fake noise and subtracts its
     best estimate of the real noise, aiming z at the attack-free output law.
+    A measured state estimates w_hat[t] = K s[t] with ``gain`` K, computed
+    from the view by :func:`additive_noise_gain` if not given.
     """
     form = view.plant.kernel
     if _is_equation_error(form):
@@ -236,14 +246,14 @@ def additive_attack_step(view: SensorView, n_t) -> tuple[Any, Any]:
         raise TypeError(
             "additive_estimated attack is defined for scalar, ARX and MIMO plants only"
         )
+    if gain is None:
+        gain = additive_noise_gain(form, view.sigma_e2)
     t = view.t
     A, B = form.A, form.B
     y_prev = np.asarray(view.y[t - 1], dtype=float) if t >= 1 else np.zeros(len(A))
     ug_prev = np.asarray(view.u_g[t - 1], dtype=float) if t >= 1 else np.zeros(B.shape[1])
     s = np.asarray(view.y[t], dtype=float) - A @ y_prev - B @ ug_prev
-    gram = view.sigma_e2 * (B @ B.T) + form.sigma_w2 * np.eye(len(A))
-    w_hat = form.sigma_w2 * np.linalg.solve(gram, s)
-    v = np.asarray(n_t, dtype=float) - w_hat
+    v = np.asarray(n_t, dtype=float) - gain @ s
     return v, np.asarray(view.y[t], dtype=float) + v
 
 
@@ -253,19 +263,32 @@ class AdditiveEstimatedAttack(AttackStrategy):
     Power-neutral by construction: the report follows the honest output law
     exactly in variance, but the residual part of the real noise that the
     estimate misses stays in, which shifts the watermark-removed variance.
+
+    The attack steps run from ``onset`` to ``horizon - 1``.  Their fake noise
+    is drawn in one block at onset, in the order per-step draws would take
+    it, and a measured state's noise gain is computed once, at onset.
     """
 
     kind = "additive_estimated"
 
-    def __init__(self, onset: int, rng: np.random.Generator):
+    def __init__(self, onset: int, rng: np.random.Generator, horizon: int):
         super().__init__(onset)
         self._rng = rng
+        self._horizon = horizon
+        self._noise = None
+        self._gain = None
 
     def _attack(self, view: SensorView):
         form = view.plant.kernel
-        size = None if isinstance(form, LagForm) else form.A.shape[0]
-        n_t = draw_iid(view.w_family, form.sigma_w2, self._rng, size)
-        _, z_t = additive_attack_step(view, n_t)
+        step = view.t - self.onset
+        if step == 0:
+            steps = self._horizon - self.onset
+            lag = isinstance(form, LagForm)
+            shape = steps if lag else (steps, form.A.shape[0])
+            self._noise = draw_iid(view.w_family, form.sigma_w2, self._rng, shape)
+            if not lag and form.C is None:
+                self._gain = additive_noise_gain(form, view.sigma_e2)
+        _, z_t = additive_attack_step(view, self._noise[step], self._gain)
         return z_t
 
 

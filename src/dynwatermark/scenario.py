@@ -524,7 +524,7 @@ def build_attack(config: ScenarioConfig, rng: np.random.Generator) -> adversary.
     if ac.kind == "noise_sim":
         return adversary.NoiseSimAttack(ac.onset, rng, config.horizon)
     if ac.kind == "additive_estimated":
-        return adversary.AdditiveEstimatedAttack(ac.onset, rng)
+        return adversary.AdditiveEstimatedAttack(ac.onset, rng, config.horizon)
     return adversary.CustomAttack(ac.kind, ac.onset, rng, ac.params)
 
 

@@ -268,6 +268,38 @@ def test_additive_attack_step_hand_simulation_mimo():
         np.testing.assert_allclose(z_t, y[t] + v, atol=1e-12)
 
 
+ADDITIVE_PLANTS = {
+    "scalar": {"kind": "scalar", "a": 0.5, "b": 1.0, "sigma_w2": 0.8},
+    "arx": {"kind": "arx", "a": [0.7, 0.2], "b": [1.0, 0.5], "sigma_w2": 0.8},
+    "mimo": NOISE_SIM_PLANTS["mimo"],
+}
+
+
+@pytest.mark.parametrize("w_family", FAMILIES)
+@pytest.mark.parametrize("kind", sorted(ADDITIVE_PLANTS))
+def test_additive_block_draws_equal_per_step_draws(kind, w_family):
+    """The fake noise, drawn in one block at onset, is the sequence one draw
+    per attacked step gives, and the gain computed once is the one each step
+    would compute: every report is reproduced bit for bit by a per-step
+    ``additive_attack_step`` on the trace's own histories."""
+    seed, onset = 4, 300
+    cfg = make_scenario(
+        seed=seed, horizon=700, plant=dict(ADDITIVE_PLANTS[kind], w_family=w_family),
+        policy={"kind": "zero"}, attack={"kind": "additive_estimated", "onset": onset},
+        detector={"window_len": 200, "alpha": 0.05, "n_cal": 200},
+    )
+    trace = run_scenario(cfg)
+    own_rng = _Streams(seed).attack
+    plant = cfg.plant.build()
+    size = 2 if kind == "mimo" else None
+    for t in range(onset, cfg.horizon):
+        n_t = draw_iid(w_family, plant.kernel.sigma_w2, own_rng, size)
+        view = SensorView(t, trace.y, trace.z, trace.u_g, plant,
+                          cfg.watermark.sigma_e2, w_family=w_family)
+        _, z_t = additive_attack_step(view, n_t)
+        assert np.array_equal(trace.z[t], z_t), t
+
+
 def test_additive_attack_keeps_report_power_near_honest():
     """The attacked report stays close to the honest second moment.
 
@@ -318,6 +350,8 @@ def test_additive_attack_rejects_unsupported_plant():
         a_coeffs=(0.5,), b_coeffs=(1.0,), c_coeffs=(1.0,), delay=1, sigma_w2=1.0
     )
     view = view_for(plant, [1.0], [1.0], [0.0], t=0)
-    attack = AdditiveEstimatedAttack(onset=0 + 1, rng=np.random.default_rng(0))
     with pytest.raises(TypeError, match="additive"):
         additive_attack_step(view, 0.0)
+    attack = AdditiveEstimatedAttack(onset=1, rng=np.random.default_rng(0), horizon=3)
+    with pytest.raises(TypeError, match="additive"):
+        attack.report(view_for(plant, [1.0, 1.0], [1.0], [0.0], t=1))
