@@ -490,10 +490,18 @@ def scenario_from_dict(d: dict) -> ScenarioConfig:
     )
 
 
+# libyaml's safe parser and emitter when PyYAML was built with them, several
+# times faster than the pure-Python ones.  Both read every shipped scenario to
+# the same dict and write a scenario as the same text; libyaml also accepts a
+# tab after a value, which the pure-Python scanner refuses.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
+
 def load_scenario(path) -> ScenarioConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=_YAML_LOADER)
         except yaml.YAMLError as exc:
             raise ScenarioError("scenario", f"not parseable YAML ({exc})") from exc
     return scenario_from_dict(raw)
@@ -501,7 +509,7 @@ def load_scenario(path) -> ScenarioConfig:
 
 def save_scenario(config: ScenarioConfig, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(config.to_dict(), fh, sort_keys=False)
+        yaml.dump(config.to_dict(), fh, Dumper=_YAML_DUMPER, sort_keys=False)
 
 
 def scenario_sha256(config: ScenarioConfig) -> str:
