@@ -30,7 +30,6 @@ __all__ = [
     "CustomAttack",
     "register_attack",
     "estimate_noise_arx",
-    "additive_noise_gain",
     "additive_attack_step",
     "BUILTIN_ATTACKS",
 ]
@@ -223,7 +222,7 @@ def estimate_noise_arx(view: SensorView, plant) -> float:
     return sw2 / (g * g * view.sigma_e2 + sw2) * s
 
 
-def additive_noise_gain(form, sigma_e2: float) -> np.ndarray:
+def _additive_gain(form, sigma_e2: float) -> np.ndarray:
     """The gain K = sigma_w2 (sigma_e2 B B' + sigma_w2 I)^-1 of a measured
     state, whose innovation s = B e + w gives E[w | s] = K s."""
     gram = sigma_e2 * (form.B @ form.B.T) + form.sigma_w2 * np.eye(len(form.A))
@@ -235,8 +234,9 @@ def additive_attack_step(view: SensorView, n_t, gain=None) -> tuple[Any, Any]:
 
     v[t] = n[t] - w_hat[t]; the sensor adds fresh fake noise and subtracts its
     best estimate of the real noise, aiming z at the attack-free output law.
-    A measured state estimates w_hat[t] = K s[t] with ``gain`` K, computed
-    from the view by :func:`additive_noise_gain` if not given.
+    A measured state estimates w_hat[t] = K s[t] with ``gain``
+    K = sigma_w2 (sigma_e2 B B' + sigma_w2 I)^-1, computed from the view if
+    not given.
     """
     form = view.plant.kernel
     if _is_equation_error(form):
@@ -247,7 +247,7 @@ def additive_attack_step(view: SensorView, n_t, gain=None) -> tuple[Any, Any]:
             "additive_estimated attack is defined for scalar, ARX and MIMO plants only"
         )
     if gain is None:
-        gain = additive_noise_gain(form, view.sigma_e2)
+        gain = _additive_gain(form, view.sigma_e2)
     t = view.t
     A, B = form.A, form.B
     y_prev = np.asarray(view.y[t - 1], dtype=float) if t >= 1 else np.zeros(len(A))
@@ -286,8 +286,8 @@ class AdditiveEstimatedAttack(AttackStrategy):
             lag = isinstance(form, LagForm)
             shape = steps if lag else (steps, form.A.shape[0])
             self._noise = draw_iid(view.w_family, form.sigma_w2, self._rng, shape)
-            if not lag and form.C is None:
-                self._gain = additive_noise_gain(form, view.sigma_e2)
+            if not lag:
+                self._gain = _additive_gain(form, view.sigma_e2)
         _, z_t = additive_attack_step(view, self._noise[step], self._gain)
         return z_t
 

@@ -144,11 +144,11 @@ def _bartlett_draws(p: int, l: int, n_windows: int, rng) -> tuple[np.ndarray, np
     return normals, rng.chisquare(l - np.arange(p), (n_windows, p))
 
 
-def _wishart_scatter(M: np.ndarray, l: int, normals, chi2, out=None) -> np.ndarray:
+def _wishart_scatter(M: np.ndarray, l: int, normals, chi2, out) -> np.ndarray:
     """Joint scatters z'z/l of windows of l i.i.d. z = M xi, xi ~ N(0, I_p),
     from the variates of their Bartlett factors (:func:`_bartlett_draws`):
     A lower-triangular with A_ii = sqrt(chi2_{l-i}) has A A' ~ Wishart(l, I_p),
-    and the scatter is M A A' M' / l, written into ``out`` if given."""
+    and the scatter is M A A' M' / l, written into ``out``."""
     n_windows, p = chi2.shape
     A = np.zeros((n_windows, p, p))
     rows, cols = np.tril_indices(p, -1)
