@@ -245,7 +245,7 @@ def _null_targets(kind: str, null: ResidualNull, e_index: int = 0) -> dict:
 # Windows per sub-block of a Gaussian calibration chunk: a chunk's variates
 # are drawn at once, then turned into scatters and statistics this many
 # windows at a time, so the scatters never span the whole chunk.
-_SUB_WINDOWS = 1024
+_SUB_WINDOWS = 2048
 
 
 def simulate_null_stats(
