@@ -242,9 +242,10 @@ def _null_targets(kind: str, null: ResidualNull, e_index: int = 0) -> dict:
     return {}
 
 
-# Windows per sub-block of a Gaussian calibration chunk: a chunk's variates
-# are drawn at once, then turned into scatters and statistics this many
-# windows at a time, so the scatters never span the whole chunk.
+# Windows per sub-block of a Gaussian calibration chunk.  A chunk's variates
+# are drawn at once, since their order fixes the thresholds; its scatters and
+# statistics are formed this many windows at a time, so their buffers do not
+# grow with n_cal.
 _SUB_WINDOWS = 2048
 
 
@@ -265,8 +266,8 @@ def simulate_null_stats(
     sub-blocks of ``_SUB_WINDOWS`` windows; every step works per window, so
     the statistics do not depend on the sub-block size.
     """
-    reduce = partial(_batch_values, kind, l=l, n_e=null.G.shape[1], e_index=e_index,
-                     **_null_targets(kind, null, e_index))
+    stats_of = partial(_batch_values, kind, l=l, n_e=null.G.shape[1], e_index=e_index,
+                       **_null_targets(kind, null, e_index))
     M = null.loading()
     p = M.shape[1]
     exact = null.gaussian and l >= p  # Bartlett needs l >= p
@@ -277,13 +278,13 @@ def simulate_null_stats(
     for done in range(0, n_cal, step):
         take = min(step, n_cal - done)
         if not exact:
-            out[done : done + take] = reduce(_joint_scatter(*null.simulate(rng, take, l)))
+            out[done : done + take] = stats_of(_joint_scatter(*null.simulate(rng, take, l)))
             continue
         normals, chi2 = _bartlett_draws(p, l, take, rng)
         for a in range(0, take, _SUB_WINDOWS):
             b = min(a + _SUB_WINDOWS, take)
             scatters = _wishart_scatter(M, l, normals[a:b], chi2[a:b], Z[: b - a])
-            out[done + a : done + b] = reduce(scatters)
+            out[done + a : done + b] = stats_of(scatters)
     return out
 
 
