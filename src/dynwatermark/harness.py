@@ -590,7 +590,7 @@ def stat_series(trace: Trace, channel: str) -> tuple[np.ndarray, np.ndarray]:
 # Cells per block of trace export and import.  Each block is formatted or
 # parsed on its own, so the memory both take is bounded by a block of about
 # this many cells, whatever the horizon and the row width.
-_BLOCK_CELLS = 2**15
+_BLOCK_CELLS = 2**12
 
 
 def _block_rows(width: int) -> int:

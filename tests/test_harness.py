@@ -1084,11 +1084,12 @@ def _row_width(cfg) -> int:
 _BLOCK = _block_rows(_row_width(_block_config(1000)))
 
 
-# Horizons at the edges of a block, and at the edges of 4,096-row blocks,
-# which now end inside a block.
+# Horizons at the edges of a block, at the edges of 4,096-row blocks, and at
+# the edges of 2,340-row blocks (2**15 cells), which now end inside a block.
 @pytest.mark.parametrize(
     "horizon",
-    [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 4095, 4096, 4097, 8193],
+    [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 2339, 2340, 2341, 4681,
+     4095, 4096, 4097, 8193],
 )
 def test_roundtrip_at_block_boundaries(horizon, tmp_path):
     cfg = _block_config(horizon)
@@ -1103,10 +1104,10 @@ def test_roundtrip_at_block_boundaries(horizon, tmp_path):
 
 def test_block_rows_follow_the_row_width():
     """Blocks hold about the same number of cells whatever the row width."""
-    assert [_block_rows(k) for k in (1, 11, 14, 20, 2**15, 2**16)] == [
-        2**15, 2978, 2340, 1638, 1, 1,
+    assert [_block_rows(k) for k in (1, 11, 14, 20, 2**12, 2**13)] == [
+        2**12, 372, 292, 204, 1, 1,
     ]
-    assert _BLOCK == 2340
+    assert _BLOCK == 292
 
 
 @pytest.fixture(scope="module")
