@@ -164,16 +164,19 @@ def _wishart_scatter(M: np.ndarray, l: int, normals, chi2, out) -> np.ndarray:
 def _joint_scatter(*blocks) -> np.ndarray:
     """Joint scatters z'z/l of z = (blocks...), from (windows, l[, dim]) blocks.
 
-    Entry (i, j) is the mean of z_i z_j over each window, reduced along a
-    contiguous time axis: a window's entry is bit-equal to ``np.mean`` of its
-    own products.
+    Entry (i, j) is the mean of z_i z_j over each window.  The coordinates are
+    views of the blocks, never a stacked copy; each product is written
+    C-ordered, so it is reduced along a contiguous time axis and a window's
+    entry is bit-equal to ``np.mean`` of its own products.
     """
-    z = np.concatenate([np.moveaxis(np.atleast_3d(b), 2, 0) for b in blocks])
-    p = z.shape[0]
-    Z = np.empty((z.shape[1], p, p))
+    z = [c for b in blocks for c in np.moveaxis(np.atleast_3d(b), 2, 0)]
+    if len({c.shape for c in z}) > 1:
+        raise ValueError(f"blocks of unequal (windows, l): {[np.shape(b) for b in blocks]}")
+    p = len(z)
+    Z = np.empty((len(z[0]), p, p))
     for i in range(p):
         for j in range(i + 1):
-            Z[:, i, j] = Z[:, j, i] = np.mean(z[i] * z[j], axis=-1)
+            Z[:, i, j] = Z[:, j, i] = np.mean(np.multiply(z[i], z[j], order="C"), axis=-1)
     return Z
 
 

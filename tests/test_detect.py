@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -75,6 +76,51 @@ def test_cross_corr_stat_vector():
 def test_cross_corr_stat_rejects_misalignment():
     with pytest.raises(ValueError):
         _joint_scatter(np.ones((1, 3)), np.ones((1, 4)))
+    with pytest.raises(ValueError):  # would broadcast to two windows
+        _joint_scatter(np.ones((2, 3)), np.ones((1, 3)))
+
+
+def stacked_scatter(*blocks):
+    """Reference joint scatter, formed from one stacked copy of every
+    coordinate of the blocks."""
+    z = np.concatenate([np.moveaxis(np.atleast_3d(b), 2, 0) for b in blocks])
+    p = z.shape[0]
+    Z = np.empty((z.shape[1], p, p))
+    for i in range(p):
+        for j in range(i + 1):
+            Z[:, i, j] = Z[:, j, i] = np.mean(z[i] * z[j], axis=-1)
+    return Z
+
+
+def _scatter_cases():
+    """(blocks, n_e, null, e_index) of three block layouts: scalar (windows, l)
+    blocks, (windows, l, dim) blocks, and a strided MIMO excitation column
+    cut into windows as detection cuts it."""
+    rng, n_win, l = np.random.default_rng(8), 40, 301
+    scalar = ResidualNull(gain=1.5, sigma_e2=0.5, sigma_w2=1.0, w_family="laplace")
+    matrix = ResidualNull(gain=np.array([[1.0, 0.0], [0.3, 1.0]]), sigma_e2=0.5,
+                          sigma_w2=1.0, w_family="laplace")
+    e, r = scalar.simulate(rng, n_win, l)
+    yield [e[..., 0], r[..., 0]], 1, scalar, 0
+    e, r = matrix.simulate(rng, n_win, l)
+    yield [e, r], 2, matrix, 0
+    column = e.reshape(-1, 2)[:, 1].reshape(n_win, l)
+    assert not column.flags.c_contiguous
+    yield [column, r], 1, matrix, 1
+
+
+@pytest.mark.parametrize("kind", ["variance", "cross_corr", "cov", "cov_entries", "nll"])
+def test_pairwise_scatter_equals_the_stacked_one(kind):
+    """Scatters formed from the blocks' own views give, bit for bit, the
+    statistics of scatters formed from a stacked copy."""
+    for blocks, n_e, null, e_index in _scatter_cases():
+        targets = {"target": null.cross_target(e_index), "Sigma0": null.sigma0()}
+        l = blocks[0].shape[1]
+        got = _joint_scatter(*blocks)
+        want = stacked_scatter(*blocks)
+        assert np.array_equal(got, want)
+        assert np.array_equal(_batch_values(kind, got, l, n_e, **targets),
+                              _batch_values(kind, want, l, n_e, **targets))
 
 
 def exact_scatter_residuals(Sigma, l):
@@ -431,6 +477,26 @@ def test_short_windows_fall_back_to_raw_draws():
     brute = _brute_stats("cross_corr", null, 2000, 3, np.random.default_rng(6))
     assert np.all(np.isfinite(stats))
     assert ks_2samp(stats, brute).pvalue > 1e-3
+
+
+def test_raw_draw_calibration_holds_one_chunk_of_draws():
+    """A raw-draw chunk holds its e, v and r draws and one pairwise product
+    at a time, beside the output and the chunk's scatters: no room for a
+    stacked copy of its (e, r) coordinates."""
+    null = ResidualNull(gain=np.array([[1.0, 0.0], [0.3, 1.0]]), sigma_e2=0.5,
+                        sigma_w2=1.0, w_family="laplace")
+    l, take, n_cal = 500, 400, 2000  # five chunks
+    m, k, dim = null.G.shape[1], null.H.shape[1], null.dim
+    product = take * l * 8
+    bound = product * (m + k + dim + 1) + n_cal * 8 + take * (m + dim) ** 2 * 8
+    tracemalloc.start()
+    try:
+        simulate_null_stats("cov", l, null, n_cal, np.random.default_rng(3),
+                            chunk_elems=take * l * dim)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
 
 
 # ---------------------------------------------------------------------------
