@@ -86,6 +86,19 @@ def test_load_rejects_malformed_yaml(tmp_path):
         load_scenario(path)
 
 
+def test_load_parses_as_the_pure_python_safe_loader(tmp_path, monkeypatch):
+    """A scenario text is parsed the same way whether or not PyYAML was built
+    with libyaml, whose parser accepts a tab after a value and reads a bare
+    ``!`` tag as '' where the pure-Python one reads None."""
+    path = tmp_path / "s.yaml"
+    path.write_text("a: 1\t\n")
+    with pytest.raises(ScenarioError, match="YAML"):
+        load_scenario(path)
+    path.write_text("a: !\n")
+    monkeypatch.setattr("dynwatermark.scenario.scenario_from_dict", lambda raw: raw)
+    assert load_scenario(path) == {"a": None}
+
+
 # ---------------------------------------------------------------------------
 # validation errors carry a field path and render on one line
 # ---------------------------------------------------------------------------
