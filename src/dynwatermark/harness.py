@@ -521,17 +521,15 @@ def run_scenario(
 # ---------------------------------------------------------------------------
 
 
-def _oracle_distortion(config: ScenarioConfig, plant, trace: Trace, d=None) -> np.ndarray:
+def _oracle_distortion(plant, d: np.ndarray) -> np.ndarray:
     """Per-step distortion v: the report error d = z - y through the plant's
-    output-error filter; ``d`` is that error when the caller holds it already.
+    output-error filter.
 
     For a lag-polynomial plant v = A(q^-1) d, the term the reports add to the
     plant equation; for a state-space plant it is the correction d forces on
     the state prediction.  Honest runs give an exactly zero stream.
     """
     form = plant.kernel
-    if d is None:
-        d = trace.z - trace.y
     if isinstance(form, LagForm):
         return lag_filter((1.0,) + form.a, d)[form.start :]
     return innovations(form, d, None)
@@ -547,7 +545,7 @@ def oracle_metrics(trace: Trace) -> RunReport:
     config = trace.config
     plant = config.plant.build()
     d = trace.z - trace.y
-    v = _oracle_distortion(config, plant, trace, d)
+    v = _oracle_distortion(plant, d)
     onset = config.attack.onset
     alarms = trace.window_ends[trace.any_alarm].tolist()
     if onset is None:

@@ -296,7 +296,7 @@ def test_ac08_mimo_distortion_implies_alarm():
         eligible = caught = 0
         for seed in range(50):
             trace = run_scenario(cfg, seed=seed, thresholds=thresholds)
-            v = _oracle_distortion(cfg, plant, trace)
+            v = _oracle_distortion(plant, trace.z - trace.y)
             power = float(np.mean(np.sum(v[1999:] ** 2, axis=1)))
             if power < 0.1:  # 0.1 * sigma_w2
                 continue

@@ -341,7 +341,7 @@ def test_honest_distortion_is_numerically_zero(kind):
     # honest run leaves only accumulation-order noise (<< 1e-10)
     cfg = all_class_configs()[kind]
     trace = run_scenario(cfg)
-    v = _oracle_distortion(cfg, cfg.plant.build(), trace)
+    v = _oracle_distortion(cfg.plant.build(), trace.z - trace.y)
     assert float(np.max(np.abs(v))) <= 1e-10
 
 
@@ -371,7 +371,7 @@ def test_attacked_distortion_is_nonzero_and_post_onset_only():
         horizon=600, attack={"kind": "replay", "onset": 300, "record_len": 100}
     )
     trace = run_scenario(cfg)
-    v = _oracle_distortion(cfg, cfg.plant.build(), trace)
+    v = _oracle_distortion(cfg.plant.build(), trace.z - trace.y)
     # v[k] covers the step k -> k+1; reports differ from t=onset on
     assert float(np.max(np.abs(v[: 300 - 1]))) <= 1e-12
     assert float(np.mean(v[300:] ** 2)) > 0.01
@@ -383,7 +383,7 @@ def test_scalar_report_error_follows_distortion_recursion():
     )
     trace = run_scenario(cfg)
     plant = cfg.plant.build()
-    v = _oracle_distortion(cfg, plant, trace)
+    v = _oracle_distortion(plant, trace.z - trace.y)
     d = trace.z - trace.x
     # d[k+1] = a d[k] + v[k+1-1] with d[0] = 0
     pred = np.empty_like(d)
