@@ -7,25 +7,16 @@ bound the distortion any consistent attacker can still add.
 
 Layers: ``linsys`` (the five plant classes and their two canonical kernels,
 lag polynomial and state space), ``watermark`` (excitation and the shaping
-filter), ``adversary`` (sensor attack strategies, one path per kernel),
-``residual`` (prediction-error and Kalman-innovation filters run on recorded
-data), ``detect`` (window statistics, calibration, thresholds),
-``scenario``/``harness`` (config files, one closed-loop simulator per kernel
-that applies the policy inline, oracle metrics, trace export), ``cli``
-(command-line front end).
+filter), ``adversary`` (the sensor threat model: built-in attacks as kernel
+data, a registry of custom attacks), ``residual`` (prediction-error and
+Kalman-innovation filters run on recorded data), ``detect`` (window
+statistics, calibration, thresholds), ``scenario``/``harness`` (config files,
+one closed-loop simulator per kernel that applies the policy and the
+built-in attacks inline, oracle metrics, trace export), ``cli`` (command-line
+front end).
 """
 
-from .adversary import (
-    AttackStrategy,
-    AdditiveEstimatedAttack,
-    BUILTIN_ATTACKS,
-    CustomAttack,
-    HonestSensor,
-    NoiseSimAttack,
-    ReplayAttack,
-    SensorView,
-    register_attack,
-)
+from .adversary import BUILTIN_ATTACKS, SensorView, register_attack
 from .detect import (
     STAT_KINDS,
     ResidualNull,

@@ -1,12 +1,19 @@
 """Sensor-side attack models.
 
-The sensor decides what the controller gets to see.  Every strategy here is a
-deterministic function of a :class:`SensorView` plus an attack-private RNG
-stream.  The view carries exactly what a compromised sensor could know: the
-true measurements so far, its own past reports, the nominal inputs (which are
+The sensor decides what the controller gets to see: it reports z[t] in place
+of the measurement y[t].  Every strategy is a deterministic function of what
+a compromised sensor could know plus an attack-private RNG stream: the true
+measurements so far, its own past reports, the nominal inputs (which are
 recomputable from the reports and the public policy), and the public plant
 and watermark parameters.  The watermark realization and the true process
-noise are structurally absent — there are no such fields.
+noise are not among them.
+
+The built-in strategies (``honest``, ``replay``, ``noise_sim`` and
+``additive_estimated``) are translated once, by :func:`_attack_data`, into
+data that each closed-loop kernel applies inline.  A custom strategy,
+registered by name with :func:`register_attack`, is called at each attacked
+step with a :class:`SensorView`, which carries exactly the information above:
+it has no fields for the excitation or the true noise.
 """
 
 from __future__ import annotations
@@ -17,27 +24,17 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .linsys import LagForm, advance, dot
+from .linsys import LagForm
 from .watermark import draw_iid
 
-__all__ = [
-    "SensorView",
-    "AttackStrategy",
-    "HonestSensor",
-    "ReplayAttack",
-    "NoiseSimAttack",
-    "AdditiveEstimatedAttack",
-    "CustomAttack",
-    "register_attack",
-    "estimate_noise_arx",
-    "additive_attack_step",
-    "BUILTIN_ATTACKS",
-]
+__all__ = ["SensorView", "register_attack", "BUILTIN_ATTACKS"]
+
+BUILTIN_ATTACKS = ("honest", "replay", "noise_sim", "additive_estimated")
 
 
 @dataclass
 class SensorView:
-    """What the compromised sensor knows at reporting time ``t``.
+    """What a custom attack knows at reporting time ``t``.
 
     ``y[0..t]`` are valid (``y[t]`` is the measurement being reported on);
     ``z[0..t-1]`` and ``u_g[0..t-1]`` are valid.  ``u_g`` is cached here for
@@ -59,270 +56,91 @@ class SensorView:
     w_family: str = "gaussian"
 
 
-def _copy(value):
-    return value.copy() if isinstance(value, np.ndarray) else value
+def _attack_data(config, form, rng: np.random.Generator):
+    """The scenario's sensor as kernel data: None for an honest sensor, else
+    ``(kind, onset, data)``.  The kernels report z[t] = y[t] before onset and
+    apply ``data`` from onset on:
 
+    * ``replay``: record_len.  z[t] = z[t - record_len] loops the last
+      record_len honest reports verbatim.
+    * ``noise_sim``: the attacker's own noise for the steps onset..horizon-1,
+      with which it simulates the closed loop from the reports and u_g.  It
+      cannot add the watermark (it never sees e), which is what the
+      correlation tests catch.  A lag plant gets w' (flat) and a measured
+      state one w' row per step; a noisy output gets (w', n') per step, flat.
+    * ``additive_estimated``: (gain, fake noise n).  z[t] = y[t] + n[t] -
+      gain * s[t] adds fake process noise and subtracts the conditional mean
+      of the real one given the public innovation s.  On a scalar or ARX
+      plant s[t] = A(q^-1) y[t] - B(q^-1) u_g[t-1] = b0 e[t-1] + w[t], so
+      gain = sigma_w2 / (b0^2 sigma_e2 + sigma_w2); on a measured state
+      s = B e + w and gain = sigma_w2 (sigma_e2 B B' + sigma_w2 I)^-1.
+    * a registered name: ``report(view)``, the custom function bound to the
+      attack stream and the scenario's params.
 
-class AttackStrategy:
-    """Base reporting strategy: honest until ``onset``, then `_attack`."""
-
-    kind = "honest"
-
-    def __init__(self, onset: int | None = None):
-        if onset is not None and onset < 1:
-            raise ValueError(f"onset must be >= 1, got {onset}")
-        self.onset = onset
-
-    def report(self, view: SensorView):
-        if self.onset is None or view.t < self.onset:
-            return _copy(view.y[view.t])
-        return self._attack(view)
-
-    def _attack(self, view: SensorView):  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class HonestSensor(AttackStrategy):
-    """Reports z[t] = y[t] forever."""
-
-    kind = "honest"
-
-    def __init__(self):
-        super().__init__(onset=None)
-
-
-class ReplayAttack(AttackStrategy):
-    """Loop the last ``record_len`` honest reports verbatim from onset on."""
-
-    kind = "replay"
-
-    def __init__(self, onset: int, record_len: int):
-        super().__init__(onset)
-        if record_len < 1:
-            raise ValueError(f"record_len must be >= 1, got {record_len}")
-        if record_len > onset:
+    The noise comes from the attack's private stream, which nothing else
+    reads, so drawing it here gives what per-step draws would.
+    """
+    ac = config.attack
+    kind, onset = ac.kind, ac.onset
+    if kind == "honest":
+        return None
+    if kind == "replay":
+        return kind, onset, ac.record_len
+    if kind not in BUILTIN_ATTACKS:
+        fn = _REGISTRY.get(kind)
+        if fn is None:
             raise ValueError(
-                f"record_len={record_len} exceeds the {onset} honest samples "
-                "available before onset"
+                f"unknown custom attack {kind!r}; registered: {sorted(_REGISTRY)}"
             )
-        self.record_len = record_len
+        params = dict(ac.params)
+        return kind, onset, lambda view: fn(view, rng, **params)
+    lag = isinstance(form, LagForm)
+    steps = config.horizon - onset
+    wf, sw2 = config.plant.w_family, form.sigma_w2
+    shape = steps if lag else (steps, form.A.shape[0])
+    if kind == "additive_estimated":
+        from .scenario import resolve_watermark  # scenario imports this module
 
-    def _attack(self, view: SensorView):
-        j = (view.t - self.onset) % self.record_len
-        return _copy(view.z[self.onset - self.record_len + j])
-
-
-class NoiseSimAttack(AttackStrategy):
-    """Replace the plant with a private simulation of the same closed loop.
-
-    From onset on, the report is the output of a simulated copy of the plant
-    driven by the nominal inputs and the attacker's own process noise w'.
-    The attacker cannot add the watermark (it never sees e), which is what
-    the correlation tests catch.
-
-    The attack steps run from ``onset`` to ``horizon - 1``.  Their noise is
-    drawn in one block at onset, in the order per-step draws would take it,
-    except on a noisy output whose w' is not Gaussian: there w' and the
-    Gaussian n' come from two families, and each step draws its own.
-    """
-
-    kind = "noise_sim"
-
-    def __init__(self, onset: int, rng: np.random.Generator, horizon: int):
-        super().__init__(onset)
-        self._rng = rng
-        self._horizon = horizon
-        self._noise = None
-        self._w_hist: list[float] = []
-        self._x_sim: list[float] | None = None
-
-    def _predraw(self, form, w_family: str):
-        """Noise of every attack step, or None if the steps draw their own:
-        w' for a lag plant or a measured state, (w', n') for a noisy output.
-        A measured state's block has one row per step; the blocks the float
-        loops read are memoryviews of the drawn array, flat for (w', n')."""
-        steps = self._horizon - self.onset
-        if isinstance(form, LagForm):
-            return memoryview(draw_iid(w_family, form.sigma_w2, self._rng, steps))
-        p = form.A.shape[0]
-        if form.C is None:
-            return draw_iid(w_family, form.sigma_w2, self._rng, (steps, p))
-        if w_family != "gaussian":
-            return None
-        scales = [math.sqrt(form.sigma_w2)] * p + [math.sqrt(form.sigma_n2)]
-        return memoryview(self._rng.normal(0.0, scales, (steps, p + 1)).reshape(-1))
-
-    def _attack(self, view: SensorView):
-        form = view.plant.kernel
-        t = view.t
-        step = t - self.onset
-        if step == 0:
-            self._noise = self._predraw(form, view.w_family)
-        noise = self._noise
-        z, u_g = view.z, view.u_g
-        if isinstance(form, LagForm):
-            # Own noise memory for C(q^-1) w'; pre-onset w' values are zero.
-            self._w_hist.insert(0, noise[step])
-            del self._w_hist[len(form.c) :]
-            acc = 0.0
-            for k, ak in enumerate(form.a):
-                acc -= ak * _past(z, t - 1 - k)
-            for k, bk in enumerate(form.b):
-                acc += bk * _past(u_g, t - form.delay - k)
-            for ck, wk in zip(form.c, self._w_hist):
-                acc += ck * wk
-            return acc
-        # A measured state restarts from the last report; a hidden one runs
-        # on the attacker's own copy, in Python floats like the plant's loop.
-        if form.C is None:
-            x = np.asarray(z[t - 1], dtype=float)
-            u = np.atleast_1d(np.asarray(u_g[t - 1], dtype=float))
-            return form.A @ x + form.B @ u + noise[step]
-        p = form.A.shape[0]
-        if noise is None:
-            w = draw_iid(view.w_family, form.sigma_w2, self._rng, p).tolist()
-            n = float(draw_iid("gaussian", form.sigma_n2, self._rng))
-        else:
-            i = step * (p + 1)
-            w, n = noise[i : i + p], noise[i + p]
-        rows, b, c = form.float_rows
-        x = self._x_sim or [0.0] * p
-        x = self._x_sim = advance(rows, b, x, float(u_g[t - 1]), w)
-        return dot(c, x) + n
-
-
-def _past(seq, i: int) -> float:
-    """seq[i] of a scalar signal at rest (zero) before t = 0."""
-    return float(seq[i]) if i >= 0 else 0.0
-
-
-def _is_equation_error(form) -> bool:
-    """Scalar and ARX kernels: the residual is the plain equation error, so
-    white noise enters one step after the input (ARMAX starts at t = 0)."""
-    return isinstance(form, LagForm) and form.start == 1
-
-
-def estimate_noise_arx(view: SensorView, plant) -> float:
-    """Conditional-mean estimate of w[t] from the public-information innovation.
-
-    The innovation s[t] = A(q^-1) y[t] - B(q^-1) u_g[t-1] equals
-    gain*e[t-1] + w[t]; with both white and independent, E[w|s] = beta*s
-    where beta = sigma_w2 / (gain^2 sigma_e2 + sigma_w2).
-    """
-    form = plant.kernel
-    if not _is_equation_error(form):
-        raise TypeError("estimate_noise_arx needs a scalar or ARX plant")
-    t = view.t
-    s = float(view.y[t])
-    for k, ak in enumerate(form.a):
-        s += ak * _past(view.y, t - 1 - k)
-    for k, bk in enumerate(form.b):
-        s -= bk * _past(view.u_g, t - 1 - k)
-    g, sw2 = form.gain, form.sigma_w2
-    return sw2 / (g * g * view.sigma_e2 + sw2) * s
-
-
-def _additive_gain(form, sigma_e2: float) -> np.ndarray:
-    """The gain K = sigma_w2 (sigma_e2 B B' + sigma_w2 I)^-1 of a measured
-    state, whose innovation s = B e + w gives E[w | s] = K s."""
-    gram = sigma_e2 * (form.B @ form.B.T) + form.sigma_w2 * np.eye(len(form.A))
-    return form.sigma_w2 * np.linalg.inv(gram)
-
-
-def additive_attack_step(view: SensorView, n_t, gain=None) -> tuple[Any, Any]:
-    """One step of the estimated-noise additive attack: returns (v[t], z[t]).
-
-    v[t] = n[t] - w_hat[t]; the sensor adds fresh fake noise and subtracts its
-    best estimate of the real noise, aiming z at the attack-free output law.
-    A measured state estimates w_hat[t] = K s[t] with ``gain``
-    K = sigma_w2 (sigma_e2 B B' + sigma_w2 I)^-1, computed from the view if
-    not given.
-    """
-    form = view.plant.kernel
-    if _is_equation_error(form):
-        v = float(n_t) - estimate_noise_arx(view, view.plant)
-        return v, float(view.y[view.t]) + v
-    if isinstance(form, LagForm) or form.C is not None:
-        raise TypeError(
-            "additive_estimated attack is defined for scalar, ARX and MIMO plants only"
+        se2 = resolve_watermark(config).sigma_e2
+        noise = draw_iid(wf, sw2, rng, shape)
+        if lag and form.start == 1:  # scalar and ARX: the plain equation error
+            g = form.gain
+            return kind, onset, (sw2 / (g * g * se2 + sw2), memoryview(noise))
+        if lag or form.C is not None:
+            raise TypeError(
+                "additive_estimated attack is defined for scalar, ARX and MIMO plants only"
+            )
+        gram = se2 * (form.B @ form.B.T) + sw2 * np.eye(len(form.A))
+        return kind, onset, (sw2 * np.linalg.inv(gram), noise)
+    if lag:
+        return kind, onset, memoryview(draw_iid(wf, sw2, rng, steps))
+    if form.C is None:
+        return kind, onset, draw_iid(wf, sw2, rng, shape)
+    p = form.A.shape[0]
+    if wf == "gaussian":
+        scales = [math.sqrt(sw2)] * p + [math.sqrt(form.sigma_n2)]
+        noise = rng.normal(0.0, scales, (steps, p + 1))
+    else:  # two families: each step draws its w', then its Gaussian n'
+        noise = np.array(
+            [[*draw_iid(wf, sw2, rng, p), draw_iid("gaussian", form.sigma_n2, rng)]
+             for _ in range(steps)]
         )
-    if gain is None:
-        gain = _additive_gain(form, view.sigma_e2)
-    t = view.t
-    A, B = form.A, form.B
-    y_prev = np.asarray(view.y[t - 1], dtype=float) if t >= 1 else np.zeros(len(A))
-    ug_prev = np.asarray(view.u_g[t - 1], dtype=float) if t >= 1 else np.zeros(B.shape[1])
-    s = np.asarray(view.y[t], dtype=float) - A @ y_prev - B @ ug_prev
-    v = np.asarray(n_t, dtype=float) - gain @ s
-    return v, np.asarray(view.y[t], dtype=float) + v
-
-
-class AdditiveEstimatedAttack(AttackStrategy):
-    """Add fake process noise while subtracting an estimate of the real one.
-
-    Power-neutral by construction: the report follows the honest output law
-    exactly in variance, but the residual part of the real noise that the
-    estimate misses stays in, which shifts the watermark-removed variance.
-
-    The attack steps run from ``onset`` to ``horizon - 1``.  Their fake noise
-    is drawn in one block at onset, in the order per-step draws would take
-    it, and a measured state's noise gain is computed once, at onset.
-    """
-
-    kind = "additive_estimated"
-
-    def __init__(self, onset: int, rng: np.random.Generator, horizon: int):
-        super().__init__(onset)
-        self._rng = rng
-        self._horizon = horizon
-        self._noise = None
-        self._gain = None
-
-    def _attack(self, view: SensorView):
-        form = view.plant.kernel
-        step = view.t - self.onset
-        if step == 0:
-            steps = self._horizon - self.onset
-            lag = isinstance(form, LagForm)
-            shape = steps if lag else (steps, form.A.shape[0])
-            self._noise = draw_iid(view.w_family, form.sigma_w2, self._rng, shape)
-            if not lag:
-                self._gain = _additive_gain(form, view.sigma_e2)
-        _, z_t = additive_attack_step(view, self._noise[step], self._gain)
-        return z_t
+    return kind, onset, memoryview(noise.reshape(-1))
 
 
 _REGISTRY: dict[str, Callable] = {}
 
 
 def register_attack(name: str):
-    """Decorator registering ``fn(view, rng, **params) -> z_t`` under ``name``."""
+    """Decorator registering ``fn(view, rng, **params) -> z_t`` under ``name``.
+
+    From the scenario's onset on, the run reports what ``fn`` returns for
+    the :class:`SensorView` of each step: a float, or a row of the state's
+    shape for a measured-state plant.
+    """
 
     def deco(fn):
         _REGISTRY[name] = fn
         return fn
 
     return deco
-
-
-class CustomAttack(AttackStrategy):
-    """Attack looked up from the registry by name (scenario-configurable)."""
-
-    kind = "custom"
-
-    def __init__(self, name: str, onset: int, rng: np.random.Generator, params=None):
-        super().__init__(onset)
-        if name not in _REGISTRY:
-            raise ValueError(
-                f"unknown custom attack {name!r}; registered: {sorted(_REGISTRY)}"
-            )
-        self.name = name
-        self._fn = _REGISTRY[name]
-        self._rng = rng
-        self._params = dict(params or {})
-
-    def _attack(self, view: SensorView):
-        return self._fn(view, self._rng, **self._params)
-
-
-BUILTIN_ATTACKS = ("honest", "replay", "noise_sim", "additive_estimated")

@@ -24,13 +24,12 @@ from itertools import accumulate, chain, groupby, islice, repeat, starmap, zip_l
 import numpy as np
 
 from . import detect as _detect
-from .adversary import SensorView
+from .adversary import SensorView, _attack_data
 from .detect import ResidualNull, Threshold
-from .linsys import LagForm, dot
+from .linsys import LagForm, advance, dot
 from .residual import innovations, kalman_design, lag_filter, prediction_errors
 from .scenario import (
     ScenarioConfig,
-    build_attack,
     check_seed,
     default_tests,
     resolve_watermark,
@@ -223,11 +222,13 @@ def _simulate_lag(form: LagForm, plant, law, attack, wm, w_family, streams, T):
     """Closed loop of a lag-polynomial plant.
 
     At each t the output sums the AR terms, then the delayed input terms,
-    then C(q^-1) w[t]; the sensor reports it, the control law ``law`` (see
-    :func:`_policy_data`) sums its z terms, then its u_g terms, then divides
-    by ub[0], and the shaped excitation is added to the nominal input.  Each
-    signal is one zero-padded array, read and written through a memoryview;
-    its unpadded part is both the sensor's history and the trace array.
+    then C(q^-1) w[t]; the sensor reports it, or from onset on what
+    ``attack`` (see :func:`.adversary._attack_data`) makes of it; the control
+    law ``law`` (see :func:`_policy_data`) sums its z terms, then its u_g
+    terms, then divides by ub[0], and the shaped excitation is added to the
+    nominal input.  Each signal is one zero-padded array, read and written
+    through a memoryview; its unpadded part is both the sensor's history and
+    the trace array.
     """
     w = np.asarray(draw_iid(w_family, form.sigma_w2, streams.process, T))
     w[: form.start] = 0.0
@@ -242,9 +243,9 @@ def _simulate_lag(form: LagForm, plant, law, attack, wm, w_family, streams, T):
     pad = max(lag for _, lag in ar + br + zr + gr)
     y, u, z, u_g = (np.zeros(pad + T) for _ in range(4))
     y_v, u_v, z_v, g_v = map(memoryview, (y, u, z, u_g))
+    kind, onset, data = attack or (None, T, None)
     view = SensorView(0, y_v[pad:], z_v[pad:], g_v[pad:], plant, wm.sigma_e2, wm.family,
                       w_family)
-    report = attack.report
     for t, (cw_t, s_t) in enumerate(zip(cw, s_v)):
         i = pad + t
         acc = 0.0
@@ -252,9 +253,33 @@ def _simulate_lag(form: LagForm, plant, law, attack, wm, w_family, streams, T):
             acc -= ak * y_v[i - lag]
         for bk, lag in br:
             acc += bk * u_v[i - lag]
-        y_v[i] = acc + cw_t
-        view.t = t
-        z_v[i] = zt = float(report(view))
+        y_v[i] = zt = acc + cw_t
+        if t >= onset:
+            if kind == "replay":
+                zt = z_v[i - data]
+            elif kind == "noise_sim":
+                # The plant's recursion on the reports and u_g, and C(q^-1)
+                # over the attacker's own w' since onset (zero before it).
+                zt = 0.0
+                for ak, lag in ar:
+                    zt -= ak * z_v[i - lag]
+                for bk, lag in br:
+                    zt += bk * g_v[i - lag]
+                for ck, wk in zip(form.c, data[t - onset :: -1]):
+                    zt += ck * wk
+            elif kind == "additive_estimated":
+                # innovation s = A(q^-1) y[t] - B(q^-1) u_g[t-1] (delay 1)
+                gain, noise = data
+                innov = zt
+                for ak, lag in ar:
+                    innov += ak * y_v[i - lag]
+                for bk, lag in br:
+                    innov -= bk * g_v[i - lag]
+                zt += noise[t - onset] - gain * innov
+            else:
+                view.t = t
+                zt = float(data(view))
+        z_v[i] = zt
         g = 0.0  # the zero law leaves u_g at its fill
         if law is not None:
             # Start from the first product: f*z keeps its sign at zero.
@@ -280,7 +305,9 @@ def _simulate_ss(form, plant, law, attack, wm, w_family, streams, T):
     row.  A noisy scalar output y = C x + n and its single input are floats,
     and that loop steps Python floats read and written through memoryviews
     (the state row by row, as :func:`.linsys.advance` does) with u_g = f * z.
-    ``law`` is None for the zero input.
+    ``law`` is None for the zero input.  The sensor reports y[t], or from
+    onset on what ``attack`` (see :func:`.adversary._attack_data`) makes of
+    it.
     """
     A, B, C = form.A, form.B, form.C
     p = A.shape[0]
@@ -290,7 +317,7 @@ def _simulate_ss(form, plant, law, attack, wm, w_family, streams, T):
         [draw_iid(wm.family, wm.sigma_e2, rng, T) for rng in streams.excitation]
     )
     x = np.zeros((T, p))
-    report = attack.report
+    kind, onset, data = attack or (None, T, None)
     last = T - 1
     if C is None:
         n = None
@@ -298,15 +325,27 @@ def _simulate_ss(form, plant, law, attack, wm, w_family, streams, T):
         z, u_g, u = np.zeros((T, p)), np.zeros((T, form.n_inputs)), np.zeros(e.shape)
         view = SensorView(0, x, z, u_g, plant, wm.sigma_e2, wm.family, w_family)
         for t in range(T):
-            view.t = t
-            z_t = np.asarray(report(view), dtype=float)
-            if z_t.shape != (p,):
-                raise ValueError(
-                    f"report at t={t} has shape {z_t.shape}, the plant outputs ({p},)"
-                )
-            z[t] = z_t
+            if t < onset:
+                z[t] = x[t]
+            elif kind == "replay":
+                z[t] = z[t - data]
+            elif kind == "noise_sim":
+                # restart the plant from the last report, with the own w'
+                z[t] = A @ z[t - 1] + B @ u_g[t - 1] + data[t - onset]
+            elif kind == "additive_estimated":
+                gain, noise = data
+                innov = x[t] - A @ x[t - 1] - B @ u_g[t - 1]
+                z[t] = x[t] + (noise[t - onset] - gain @ innov)
+            else:
+                view.t = t
+                z_t = np.asarray(data(view), dtype=float)
+                if z_t.shape != (p,):
+                    raise ValueError(
+                        f"report at t={t} has shape {z_t.shape}, the plant outputs ({p},)"
+                    )
+                z[t] = z_t
             if law is not None:
-                np.matmul(law, z_t, out=u_g[t])
+                np.matmul(law, z[t], out=u_g[t])
             u_t = np.add(u_g[t], e[t], out=u[t])
             if t < last:
                 x_next = np.matmul(A, x[t], out=x[t + 1])
@@ -320,12 +359,22 @@ def _simulate_ss(form, plant, law, attack, wm, w_family, streams, T):
         y_v, z_v, g_v, u_v, n_v, e_v = map(memoryview, (y, z, u_g, u, n, e))
         x_v, w_v = memoryview(x.reshape(-1)), memoryview(w.reshape(-1))
         view = SensorView(0, y_v, z_v, g_v, plant, wm.sigma_e2, wm.family, w_family)
+        x_sim = [0.0] * p  # noise_sim's own copy of the state
         for t, (n_t, e_t) in enumerate(zip(n_v, e_v)):
             i = t * p
             x_t = x_v[i : i + p]
-            y_v[t] = dot(c, x_t) + n_t
-            view.t = t
-            z_v[t] = zt = float(report(view))
+            y_v[t] = zt = dot(c, x_t) + n_t
+            if t >= onset:
+                if kind == "replay":
+                    zt = z_v[t - data]
+                elif kind == "noise_sim":
+                    k = (t - onset) * (p + 1)
+                    x_sim = advance(rows, b, x_sim, g_v[t - 1], data[k : k + p])
+                    zt = dot(c, x_sim) + data[k + p]
+                else:
+                    view.t = t
+                    zt = float(data(view))
+            z_v[t] = zt
             g_v[t] = g = 0.0 if law is None else law * zt
             u_v[t] = ut = g + e_t
             if t < last:
@@ -494,11 +543,10 @@ def run_scenario(
     form = plant.kernel
     wm = resolve_watermark(config)
     streams_rng = _Streams(seed, form.n_inputs)
-    attack = build_attack(config, streams_rng.attack)
     simulate = _simulate_lag if isinstance(form, LagForm) else _simulate_ss
     arrays = simulate(
-        form, plant, _policy_data(config, form), attack, wm, config.plant.w_family,
-        streams_rng, config.horizon,
+        form, plant, _policy_data(config, form), _attack_data(config, form, streams_rng.attack),
+        wm, config.plant.w_family, streams_rng, config.horizon,
     )
     res = _residual_streams(config, plant, arrays)
     specs = channel_specs(config)

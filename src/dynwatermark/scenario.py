@@ -515,19 +515,6 @@ def scenario_sha256(config: ScenarioConfig) -> str:
 # ---------------------------------------------------------------------------
 
 
-def build_attack(config: ScenarioConfig, rng: np.random.Generator) -> adversary.AttackStrategy:
-    ac = config.attack
-    if ac.kind == "honest":
-        return adversary.HonestSensor()
-    if ac.kind == "replay":
-        return adversary.ReplayAttack(ac.onset, ac.record_len)
-    if ac.kind == "noise_sim":
-        return adversary.NoiseSimAttack(ac.onset, rng, config.horizon)
-    if ac.kind == "additive_estimated":
-        return adversary.AdditiveEstimatedAttack(ac.onset, rng, config.horizon)
-    return adversary.CustomAttack(ac.kind, ac.onset, rng, ac.params)
-
-
 def resolve_watermark(config: ScenarioConfig) -> WatermarkSpec:
     """Concrete excitation spec: resolves the 'matched' family via the plant."""
     wm = config.watermark

@@ -3,33 +3,16 @@ import dataclasses
 import numpy as np
 import pytest
 
-from dynwatermark.adversary import (
-    AdditiveEstimatedAttack,
-    CustomAttack,
-    HonestSensor,
-    NoiseSimAttack,
-    ReplayAttack,
-    SensorView,
-    additive_attack_step,
-    estimate_noise_arx,
-    register_attack,
-)
+from dynwatermark.adversary import SensorView, _attack_data, register_attack
 from dynwatermark.harness import _Streams, run_scenario
-from dynwatermark.linsys import ArxPlant, MimoPlant, ScalarPlant
+from dynwatermark.scenario import AttackConfig, ScenarioError
 from dynwatermark.watermark import FAMILIES, draw_iid
 
+from attack_reference import additive_attack_step, reference_reports
 from conftest import make_scenario
 
-
-SCALAR = ScalarPlant(a=0.5, b=1.0, sigma_w2=1.0)
-
-
-def view_for(plant, y, z, ug, t, sigma_e2=0.25):
-    return SensorView(
-        t=t, y=y, z=z, u_g=ug, plant=plant, sigma_e2=sigma_e2,
-        e_family="gaussian", w_family="gaussian",
-    )
-
+MIMO = {"kind": "mimo", "A": [[0.5, 0.1], [0.0, 0.4]], "B": [[1.0, 0.0], [0.2, 1.0]],
+        "sigma_w2": 0.6}
 
 # ---------------------------------------------------------------------------
 # the information boundary is structural
@@ -45,17 +28,17 @@ def test_sensor_view_has_no_secret_fields():
 
 
 def test_honest_sensor_reports_current_measurement():
-    sensor = HonestSensor()
-    y = [1.0, 2.5]
-    assert sensor.report(view_for(SCALAR, y, [1.0], [0.0], t=1)) == 2.5
+    trace = run_scenario(make_scenario())
+    assert trace.z.tobytes() == trace.y.tobytes()
 
 
 def test_honest_sensor_copies_vector_measurements():
-    plant = MimoPlant(A=0.5 * np.eye(2), B=np.eye(2), sigma_w2=1.0)
-    y = [np.array([1.0, 2.0])]
-    out = HonestSensor().report(view_for(plant, y, [], [], t=0))
-    out[0] = 99.0
-    assert y[0][0] == 1.0
+    """A measured state's reports are copies of the state rows, not views."""
+    trace = run_scenario(make_scenario(
+        plant=MIMO, policy={"kind": "linear", "f": [[-0.2, 0.0], [0.0, -0.1]]}
+    ))
+    assert trace.z.tobytes() == trace.x.tobytes()
+    assert not np.shares_memory(trace.z, trace.x)
 
 
 # ---------------------------------------------------------------------------
@@ -83,12 +66,14 @@ def test_reports_match_honest_before_onset(attack):
 
 
 def test_attack_onset_validation():
-    with pytest.raises(ValueError):
-        ReplayAttack(onset=0, record_len=1)
-    with pytest.raises(ValueError, match="record_len"):
-        ReplayAttack(onset=100, record_len=0)
-    with pytest.raises(ValueError, match="record_len"):
-        ReplayAttack(onset=100, record_len=101)
+    """An onset before t = 1, and a record longer than the honest reports
+    before onset, are refused when the scenario loads."""
+    for field, record_len, onset in [
+        ("attack.onset", 1, 0), ("attack.record_len", 0, 100), ("attack.record_len", 101, 100)
+    ]:
+        with pytest.raises(ScenarioError) as err:
+            make_scenario(attack={"kind": "replay", "onset": onset, "record_len": record_len})
+        assert str(err.value).startswith(field), str(err.value)
 
 
 # ---------------------------------------------------------------------------
@@ -130,8 +115,7 @@ def test_noise_sim_reports_follow_recursion_driven_by_private_noise():
 NOISE_SIM_PLANTS = {
     "armax": {"kind": "armax", "a": [0.5], "b": [1.0, 0.5], "c": [1.0, 0.3],
               "delay": 2, "sigma_w2": 0.8},
-    "mimo": {"kind": "mimo", "A": [[0.5, 0.1], [0.0, 0.4]],
-             "B": [[1.0, 0.0], [0.2, 1.0]], "sigma_w2": 0.6},
+    "mimo": MIMO,
 }
 
 
@@ -189,89 +173,87 @@ def test_noise_sim_with_zero_excitation_is_law_consistent():
 # ---------------------------------------------------------------------------
 
 
+def _additive_run(plant, policy, sigma_e2, seed=17, onset=5):
+    """A run attacked from ``onset`` on, and the fake noise of its attack
+    steps, drawn from the attack substream."""
+    cfg = make_scenario(
+        seed=seed, horizon=300, plant=plant, policy=policy,
+        watermark={"sigma_e2": sigma_e2},
+        attack={"kind": "additive_estimated", "onset": onset},
+        detector={"window_len": 100, "alpha": 0.05, "n_cal": 200},
+    )
+    size = 300 - onset if plant["kind"] != "mimo" else (300 - onset, 2)
+    fake = draw_iid("gaussian", plant["sigma_w2"], _Streams(seed).attack, size)
+    return run_scenario(cfg), fake
+
+
 def test_estimate_noise_scalar_hand_value():
-    # s = y[t] - a y[t-1] - b ug[t-1]; beta = sw2/(b^2 se2 + sw2)
-    y = [1.0, 2.0]
-    ug = [0.5, 0.0]
-    view = view_for(SCALAR, y, y, ug, t=1, sigma_e2=0.25)
-    s = 2.0 - 0.5 * 1.0 - 1.0 * 0.5
-    beta = 1.0 / (0.25 + 1.0)
-    assert estimate_noise_arx(view, SCALAR) == pytest.approx(beta * s)
+    # beta = sw2/(b^2 se2 + sw2)
+    cfg = make_scenario(attack={"kind": "additive_estimated", "onset": 100})
+    kind, onset, (beta, fake) = _attack_data(
+        cfg, cfg.plant.build().kernel, np.random.default_rng(0)
+    )
+    assert (kind, onset, len(fake)) == ("additive_estimated", 100, cfg.horizon - 100)
+    assert beta == pytest.approx(1.0 / (0.25 + 1.0))
 
 
 def test_estimate_noise_scalar_equals_arx_first_order():
     """The scalar plant is the p=1, h=0 ARX plant with a_1 = -a."""
-    arx = ArxPlant(a_coeffs=(-0.5,), b_coeffs=(1.0,), sigma_w2=1.0)
-    y = [0.7, -1.1, 0.4]
-    ug = [0.2, -0.3, 0.0]
-    v_scalar = estimate_noise_arx(view_for(SCALAR, y, y, ug, t=2), SCALAR)
-    v_arx = estimate_noise_arx(view_for(arx, y, y, ug, t=2), arx)
-    assert v_scalar == pytest.approx(v_arx, abs=1e-12)
+    scalar, _ = _additive_run(
+        {"kind": "scalar", "a": 0.5, "b": 1.0, "sigma_w2": 1.0},
+        {"kind": "linear", "f": -0.3}, 0.25,
+    )
+    arx, _ = _additive_run(
+        {"kind": "arx", "a": [-0.5], "b": [1.0], "sigma_w2": 1.0},
+        {"kind": "linear", "f": -0.3}, 0.25,
+    )
+    np.testing.assert_allclose(scalar.z, arx.z, rtol=0, atol=1e-12)
 
 
 def test_additive_attack_step_hand_simulation_scalar():
-    """Ten scripted steps against an explicit numpy re-derivation."""
-    rng = np.random.default_rng(17)
-    y = rng.normal(size=10).tolist()
-    ug = rng.normal(size=10).tolist()
-    fake = rng.normal(size=10)
-    z = []
-    for t in range(10):
-        view = view_for(SCALAR, y, z, ug, t=t, sigma_e2=0.25)
-        v, z_t = additive_attack_step(view, fake[t])
-        # oracle route: explicit formulas on the raw arrays
-        y_prev = y[t - 1] if t >= 1 else 0.0
-        ug_prev = ug[t - 1] if t >= 1 else 0.0
-        s = y[t] - 0.5 * y_prev - 1.0 * ug_prev
+    """Ten attacked steps against an explicit re-derivation."""
+    trace, fake = _additive_run(
+        {"kind": "scalar", "a": 0.5, "b": 1.0, "sigma_w2": 1.0},
+        {"kind": "linear", "f": -0.3}, 0.25,
+    )
+    y, ug, z = trace.y, trace.u_g, trace.z
+    for t in range(5, 15):
+        s = y[t] - 0.5 * y[t - 1] - 1.0 * ug[t - 1]
         w_hat = (1.0 / 1.25) * s
-        assert v == pytest.approx(fake[t] - w_hat, abs=1e-12)
-        assert z_t == pytest.approx(y[t] + fake[t] - w_hat, abs=1e-12)
-        z.append(z_t)
+        assert z[t] == pytest.approx(y[t] + fake[t - 5] - w_hat, abs=1e-12)
 
 
 def test_additive_attack_step_hand_simulation_arx():
-    plant = ArxPlant(a_coeffs=(0.7, 0.2), b_coeffs=(1.0, 0.5), sigma_w2=1.0)
-    rng = np.random.default_rng(18)
-    y = rng.normal(size=8).tolist()
-    ug = rng.normal(size=8).tolist()
-    fake = rng.normal(size=8)
-    for t in range(8):
-        view = view_for(plant, y, y, ug, t=t, sigma_e2=1.0)
-        v, z_t = additive_attack_step(view, fake[t])
-        yp = lambda i: y[i] if i >= 0 else 0.0
-        up = lambda i: ug[i] if i >= 0 else 0.0
-        s = y[t] + 0.7 * yp(t - 1) + 0.2 * yp(t - 2) - 1.0 * up(t - 1) - 0.5 * up(t - 2)
+    trace, fake = _additive_run(
+        {"kind": "arx", "a": [0.7, 0.2], "b": [1.0, 0.5], "sigma_w2": 1.0},
+        {"kind": "arx_deadbeat"}, 1.0,
+    )
+    y, ug, z = trace.y, trace.u_g, trace.z
+    for t in range(5, 15):
+        s = y[t] + 0.7 * y[t - 1] + 0.2 * y[t - 2] - 1.0 * ug[t - 1] - 0.5 * ug[t - 2]
         w_hat = (1.0 / 2.0) * s  # beta = 1/(1*1+1)
-        assert v == pytest.approx(fake[t] - w_hat, abs=1e-12)
-        assert z_t == pytest.approx(y[t] + v, abs=1e-12)
+        assert z[t] == pytest.approx(y[t] + fake[t - 5] - w_hat, abs=1e-12)
 
 
 def test_additive_attack_step_hand_simulation_mimo():
-    plant = MimoPlant(
-        A=np.array([[0.5, 0.1], [0.0, 0.4]]),
-        B=np.array([[1.0, 0.0], [0.2, 1.0]]),
-        sigma_w2=1.0,
+    A = np.array([[0.5, 0.1], [0.0, 0.4]])
+    B = np.array([[1.0, 0.0], [0.2, 1.0]])
+    trace, fake = _additive_run(
+        {"kind": "mimo", "A": A.tolist(), "B": B.tolist(), "sigma_w2": 1.0},
+        {"kind": "linear", "f": [[-0.2, 0.0], [0.0, -0.1]]}, 0.5,
     )
-    rng = np.random.default_rng(19)
-    y = [rng.normal(size=2) for _ in range(6)]
-    ug = [rng.normal(size=2) for _ in range(6)]
-    fake = [rng.normal(size=2) for _ in range(6)]
-    for t in range(6):
-        view = view_for(plant, y, y, ug, t=t, sigma_e2=0.5)
-        v, z_t = additive_attack_step(view, fake[t])
-        y_prev = y[t - 1] if t >= 1 else np.zeros(2)
-        ug_prev = ug[t - 1] if t >= 1 else np.zeros(2)
-        s = y[t] - plant.A @ y_prev - plant.B @ ug_prev
-        gram = 0.5 * plant.B @ plant.B.T + np.eye(2)
+    y, ug, z = trace.y, trace.u_g, trace.z
+    for t in range(5, 11):
+        s = y[t] - A @ y[t - 1] - B @ ug[t - 1]
+        gram = 0.5 * B @ B.T + np.eye(2)
         w_hat = np.linalg.inv(gram) @ s
-        np.testing.assert_allclose(v, fake[t] - w_hat, atol=1e-12)
-        np.testing.assert_allclose(z_t, y[t] + v, atol=1e-12)
+        np.testing.assert_allclose(z[t], y[t] + fake[t - 5] - w_hat, atol=1e-12)
 
 
 ADDITIVE_PLANTS = {
     "scalar": {"kind": "scalar", "a": 0.5, "b": 1.0, "sigma_w2": 0.8},
     "arx": {"kind": "arx", "a": [0.7, 0.2], "b": [1.0, 0.5], "sigma_w2": 0.8},
-    "mimo": NOISE_SIM_PLANTS["mimo"],
+    "mimo": MIMO,
 }
 
 
@@ -321,37 +303,120 @@ def test_additive_attack_keeps_report_power_near_honest():
 
 
 # ---------------------------------------------------------------------------
+# the kernels against the view-only reference
+# ---------------------------------------------------------------------------
+
+
+REFERENCE_PLANTS = {
+    # the matched watermark makes the additive gain read the resolved sigma_e2
+    "scalar": ({"kind": "scalar", "a": 0.5, "b": 1.7, "sigma_w2": 1.3},
+               {"kind": "linear", "f": -0.2}, {"sigma_e2": 0.0, "family": "matched"}),
+    "arx": ({"kind": "arx", "a": [0.7, 0.2], "b": [1.0, 0.5], "sigma_w2": 0.8},
+            {"kind": "arx_deadbeat"}, {"sigma_e2": 0.3, "shaper": "arx"}),
+    # a C(q^-1) longer than the first attacked steps' w' memory
+    "armax": ({"kind": "armax", "a": [0.5, -0.1], "b": [1.0, 0.5], "c": [1.0, 0.3, -0.2],
+               "delay": 2, "sigma_w2": 0.9},
+              {"kind": "linear", "f": -0.2}, {"sigma_e2": 0.5, "shaper": "armax"}),
+    "partial": ({"kind": "partial", "A": [[0.9, 0.1], [0.0, 0.5]], "B": [1.0, 0.5],
+                 "C": [1.0, 0.0], "sigma_w2": 1.0, "sigma_n2": 0.5},
+                {"kind": "linear", "f": -0.3}, {"sigma_e2": 0.5}),
+    "mimo": (MIMO, {"kind": "linear", "f": [[-0.2, 0.0], [0.0, -0.1]]}, {"sigma_e2": 0.5}),
+}
+REFERENCE_ATTACKS = {
+    "honest": {"kind": "honest"},
+    "replay": {"kind": "replay", "onset": 300, "record_len": 120},
+    "noise_sim": {"kind": "noise_sim", "onset": 300},
+    "additive_estimated": {"kind": "additive_estimated", "onset": 300},
+}
+# every pair the loader admits: additive_estimated needs a scalar, ARX or MIMO plant
+REFERENCE_CASES = [
+    (plant, attack)
+    for plant in REFERENCE_PLANTS
+    for attack in REFERENCE_ATTACKS
+    if attack != "additive_estimated" or plant in ("scalar", "arx", "mimo")
+]
+
+
+@pytest.mark.parametrize("w_family", ["gaussian", "laplace"])
+@pytest.mark.parametrize("plant, attack", REFERENCE_CASES)
+def test_kernel_reports_equal_the_view_only_reference(plant, attack, w_family):
+    """Each kernel's inline sensor reports, bit for bit, what the view-only
+    reference strategy reports from the run's public data: y, its own
+    reports, u_g, the plant and the attack substream, never e or w."""
+    plant_dict, policy, watermark = REFERENCE_PLANTS[plant]
+    cfg = make_scenario(
+        seed=7, horizon=600, plant=dict(plant_dict, w_family=w_family), policy=policy,
+        watermark=watermark, attack=REFERENCE_ATTACKS[attack],
+        detector={"window_len": 100, "alpha": 0.05, "n_cal": 200},
+    )
+    trace = run_scenario(cfg)
+    assert trace.z.tobytes() == reference_reports(trace).tobytes()
+
+
+# ---------------------------------------------------------------------------
 # custom attacks
 # ---------------------------------------------------------------------------
 
 
-def test_custom_attack_registry_roundtrip():
-    @register_attack("flip_sign_test")
-    def flip(view, rng, scale=1.0):
-        return -scale * view.y[view.t]
+_FLIP_TYPES: list = []
 
-    attack = CustomAttack("flip_sign_test", onset=5, rng=np.random.default_rng(0),
-                          params={"scale": 2.0})
-    y = list(range(10))
-    for t in range(10):
-        got = attack.report(view_for(SCALAR, y, y, y, t=t))
-        assert got == (y[t] if t < 5 else -2.0 * y[t])
+
+@register_attack("flip_sign_test")
+def _flip_sign(view, rng, scale=1.0, flat=False):
+    """Report -scale * y[t], logging the element types the view holds."""
+    t = view.t
+    _FLIP_TYPES.append({type(view.y[t]), type(view.z[t - 1]), type(view.u_g[t - 1])})
+    return 0.0 if flat else -scale * view.y[t]
+
+
+@pytest.mark.parametrize("kind", ["scalar", "partial", "mimo"])
+def test_custom_attack_registry_roundtrip(kind):
+    """A registered attack runs on every kernel loop from its onset on, and
+    sees floats, or float rows of a measured state."""
+    plant = {
+        "scalar": {"kind": "scalar", "a": 0.5, "b": 1.0, "sigma_w2": 1.0},
+        "partial": REFERENCE_PLANTS["partial"][0],
+        "mimo": MIMO,
+    }[kind]
+    cfg = make_scenario(
+        horizon=300, plant=plant, policy={"kind": "zero"},
+        attack={"kind": "flip_sign_test", "onset": 5, "params": {"scale": 2.0}},
+        detector={"window_len": 100, "alpha": 0.05, "n_cal": 200},
+    )
+    _FLIP_TYPES.clear()
+    trace = run_scenario(cfg)
+    element = np.ndarray if kind == "mimo" else float
+    assert _FLIP_TYPES == [{element}] * (cfg.horizon - 5)
+    np.testing.assert_array_equal(trace.z[:5], trace.y[:5])
+    np.testing.assert_array_equal(trace.z[5:], -2.0 * trace.y[5:])
+    if kind == "mimo":
+        flat = dataclasses.replace(cfg.attack, params={"flat": True})
+        with pytest.raises(
+            ValueError, match=r"report at t=5 has shape \(\), the plant outputs \(2,\)"
+        ):
+            run_scenario(dataclasses.replace(cfg, attack=flat))
 
 
 def test_custom_attack_unknown_name():
+    with pytest.raises(ScenarioError, match="attack.kind"):
+        make_scenario(attack={"kind": "no_such", "onset": 5})
+    cfg = dataclasses.replace(make_scenario(), attack=AttackConfig("no_such", onset=5))
     with pytest.raises(ValueError, match="unknown custom attack"):
-        CustomAttack("no_such", onset=5, rng=np.random.default_rng(0))
+        run_scenario(cfg)
 
 
 def test_additive_attack_rejects_unsupported_plant():
-    from dynwatermark.linsys import ArmaxPlant
-
-    plant = ArmaxPlant(
-        a_coeffs=(0.5,), b_coeffs=(1.0,), c_coeffs=(1.0,), delay=1, sigma_w2=1.0
-    )
-    view = view_for(plant, [1.0], [1.0], [0.0], t=0)
-    with pytest.raises(TypeError, match="additive"):
-        additive_attack_step(view, 0.0)
-    attack = AdditiveEstimatedAttack(onset=1, rng=np.random.default_rng(0), horizon=3)
-    with pytest.raises(TypeError, match="additive"):
-        attack.report(view_for(plant, [1.0, 1.0], [1.0], [0.0], t=1))
+    """Refused at load, and by the kernel data of a config built around the
+    loader."""
+    plants = [
+        {"kind": "armax", "a": [0.5], "b": [1.0], "c": [1.0], "delay": 1, "sigma_w2": 1.0},
+        REFERENCE_PLANTS["partial"][0],
+    ]
+    for plant in plants:
+        with pytest.raises(ScenarioError, match="attack.kind"):
+            make_scenario(plant=plant, policy={"kind": "zero"},
+                          attack={"kind": "additive_estimated", "onset": 100})
+        cfg = make_scenario(plant=plant, policy={"kind": "zero"})
+        cfg = dataclasses.replace(cfg, attack=AttackConfig("additive_estimated", onset=1))
+        with pytest.raises(TypeError, match="additive"):
+            run_scenario(cfg)

@@ -9,7 +9,6 @@ from dynwatermark.scenario import (
     SCHEMA_VERSION,
     ScenarioError,
     allowed_tests,
-    build_attack,
     default_tests,
     load_scenario,
     resolve_watermark,
@@ -346,17 +345,20 @@ def test_every_shipped_scenario_has_a_stable_loop():
 
 
 def test_build_attack_kinds():
-    from dynwatermark.adversary import HonestSensor, ReplayAttack
+    """The attack section becomes the kernels' attack data."""
+    from dynwatermark.adversary import _attack_data
 
     rng = np.random.default_rng(0)
     cfg = scenario_from_dict(base_dict())
-    assert isinstance(build_attack(cfg, rng), HonestSensor)
+    form = cfg.plant.build().kernel
+    assert _attack_data(cfg, form, rng) is None
     cfg = scenario_from_dict(
         base_dict(attack={"kind": "replay", "onset": 500, "record_len": 100})
     )
-    atk = build_attack(cfg, rng)
-    assert isinstance(atk, ReplayAttack)
-    assert atk.onset == 500
+    assert _attack_data(cfg, form, rng) == ("replay", 500, 100)
+    cfg = scenario_from_dict(base_dict(attack={"kind": "noise_sim", "onset": 500}))
+    kind, onset, noise = _attack_data(cfg, form, rng)
+    assert (kind, onset, len(noise)) == ("noise_sim", 500, cfg.horizon - 500)
 
 
 # ---------------------------------------------------------------------------
