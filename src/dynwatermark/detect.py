@@ -44,6 +44,9 @@ __all__ = [
 
 STAT_KINDS = ("variance", "cross_corr", "cov", "cov_entries", "nll")
 
+# The kinds that score a singular scatter +inf (see _batch_values).
+_SINGULAR_KINDS = ("cov", "nll")
+
 
 # ---------------------------------------------------------------------------
 # null model and calibration
@@ -206,20 +209,22 @@ def _batch_values(
     z = (e, r), shape (windows, n_e + n, n_e + n); the one evaluator of every
     kind, for calibration draws and detection windows alike.
 
-    A singular scatter lies infinitely far from a positive-definite target and
-    has zero Wishart density, so ``cov`` and ``nll`` score it +inf.
+    A finite scatter that is not positive definite lies infinitely far from a
+    positive-definite target and has zero Wishart density, so ``cov`` and
+    ``nll`` score it +inf, an alarm.  Every other value that is not finite
+    (an overflow) is NaN, which :func:`_require_finite` refuses.
     """
     S = Z[:, n_e:, n_e:]
     n = S.shape[1]
     if kind == "variance":
-        return S[:, 0, 0]
+        return _nan_unless_finite(S[:, 0, 0])
     if kind == "cross_corr":
         emp = Z[:, e_index, n_e:]
-        return np.linalg.norm(emp - np.atleast_1d(target)[None, :], axis=1)
+        return _nan_unless_finite(np.linalg.norm(emp - np.atleast_1d(target)[None, :], axis=1))
     S0 = _as_sigma0(Sigma0, n)
     if kind == "cov_entries":
-        return np.max(np.abs(S - S0), axis=(1, 2)) / np.max(np.abs(S0))
-    if kind not in ("cov", "nll"):
+        return _nan_unless_finite(np.max(np.abs(S - S0), axis=(1, 2)) / np.max(np.abs(S0)))
+    if kind not in _SINGULAR_KINDS:
         raise ValueError(f"unknown stat kind {kind!r}")
     if l <= n:
         raise ValueError(f"window of {l} samples cannot estimate a {n}x{n} scatter")
@@ -233,7 +238,14 @@ def _batch_values(
         else:
             logdet_X = n * math.log(l) + logdet + logdet0
             value = -(0.5 * (l - n - 1) * logdet_X - 0.5 * l * tr - const)
-    return np.where(sign > 0, value, np.inf)
+    value = _nan_unless_finite(np.where(sign > 0, value, np.nan))
+    value[(sign <= 0) & np.isfinite(S).all(axis=(1, 2))] = np.inf
+    return value
+
+
+def _nan_unless_finite(values: np.ndarray) -> np.ndarray:
+    """``values``, with NaN wherever one is not finite."""
+    return np.where(np.isfinite(values), values, np.nan)
 
 
 def _null_targets(kind: str, null: ResidualNull, e_index: int = 0) -> dict:
@@ -267,14 +279,15 @@ def simulate_null_stats(
 
     A Gaussian chunk draws its Bartlett variates at once and reduces them in
     sub-blocks of ``_SUB_WINDOWS`` windows; every step works per window, so
-    the statistics do not depend on the sub-block size.
+    the statistics do not depend on the sub-block size.  A raw-draw chunk
+    holds up to ``chunk_elems`` draws: l samples of e, v and r per window.
     """
     stats_of = partial(_batch_values, kind, l=l, n_e=null.G.shape[1], e_index=e_index,
                        **_null_targets(kind, null, e_index))
     M = null.loading()
     p = M.shape[1]
     exact = null.gaussian and l >= p  # Bartlett needs l >= p
-    step = max(int(chunk_elems // (len(M) ** 2 if exact else l * max(null.dim, 1))), 1)
+    step = max(int(chunk_elems // (len(M) ** 2 if exact else l * (p + null.dim))), 1)
     out = np.empty(n_cal)
     if exact:
         Z = np.empty((min(_SUB_WINDOWS, n_cal), len(M), len(M)))
@@ -304,19 +317,26 @@ class Threshold:
 
     def exceeded(self, value, *, channel: str | None = None, end_t=None):
         """Whether ``value`` (one window's, or an array with ``end_t`` per
-        entry) alarms; a non-finite value is an error, not a pass."""
+        entry) alarms.  +inf, a singular scatter's score under ``cov`` and
+        ``nll``, alarms; any other value that is not finite is an error, not
+        a pass."""
         v = np.asarray(value, dtype=float)
-        _require_finite(np.atleast_1d(end_t), {channel or self.kind: np.atleast_1d(v)})
+        _require_finite(np.atleast_1d(end_t), {channel or self.kind: np.atleast_1d(v)},
+                        singular=self.kind in _SINGULAR_KINDS)
         hit = v > self.hi
         if self.lo is not None:
             hit |= v < self.lo
         return hit if v.ndim else bool(hit)
 
 
-def _require_finite(ends, stats: dict[str, np.ndarray]) -> None:
-    """Refuse a non-finite statistic (``stats``: channel -> one value per
-    window ending at ``ends``), naming the earliest such window, then channel."""
-    bad = [(np.flatnonzero(~np.isfinite(v)), ch) for ch, v in stats.items()]
+def _require_finite(ends, stats: dict[str, np.ndarray], singular: bool = True) -> None:
+    """Refuse a statistic that is NaN or -inf, or +inf unless ``singular``
+    (``stats``: channel -> one value per window ending at ``ends``), naming
+    the earliest such window, then channel.  :func:`_batch_values` gives
+    +inf only for a singular ``cov`` or ``nll`` scatter, and NaN for any
+    other value that is not finite."""
+    bad = [(np.flatnonzero(~np.isfinite(v) & ~(singular & (v == np.inf))), ch)
+           for ch, v in stats.items()]
     bad = [(idx[0], ch) for idx, ch in bad if idx.size]
     if bad:
         wdx, ch = min(bad, key=lambda b: b[0])  # the first channel on a tie

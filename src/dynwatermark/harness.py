@@ -61,6 +61,25 @@ _META_KEYS = {"schema_version", "seed", "plant", "residual_start", "burn_in"}
 _STEP_FIELDS = ("x", "y", "z", "u_g", "u", "e_raw", "e_shaped", "w", "n")
 
 
+def _share_equal_fields(arrays: dict) -> None:
+    """Point each step field of ``arrays`` whose shape and bits equal an
+    earlier field's at that field's array, so a trace holds each distinct
+    step column once (``u``, ``e_raw`` and ``e_shaped`` under the zero
+    policy, ``z`` and the measurement while the sensor is honest).  Bits,
+    not values, are compared: -0.0 is not 0.0."""
+    kept: list[np.ndarray] = []
+    for key in _STEP_FIELDS:
+        a = arrays[key]
+        if a is None:
+            continue
+        bits = a.view(np.int64)
+        same = [b for b in kept if b.shape == a.shape and np.array_equal(b.view(np.int64), bits)]
+        if same:
+            arrays[key] = same[0]
+        else:
+            kept.append(a)
+
+
 # ---------------------------------------------------------------------------
 # data carriers
 # ---------------------------------------------------------------------------
@@ -83,7 +102,10 @@ class WindowRecord:
 @dataclass
 class Trace:
     """Everything one run produced: per step, and per window its last step and
-    per channel its statistic and alarm flag (imported: one flag, ``"any"``)."""
+    per channel its statistic and alarm flag (imported: one flag, ``"any"``).
+
+    Step fields with equal bits share one array (see
+    :func:`_share_equal_fields`), so a trace is read-only."""
 
     config: ScenarioConfig
     seed: int
@@ -404,8 +426,10 @@ def _residual_streams(config: ScenarioConfig, plant, arrays) -> dict:
     if isinstance(form, LagForm):
         r_raw = prediction_errors(form, z, ug)[start:]
         e_lag = lag_filter((1.0,), e, form.delay)[start:]
+        r_wm = np.multiply(e_lag, form.gain)
         return dict(
-            start=start, burn=burn, r_raw=r_raw, r_wm=r_raw - form.gain * e_lag, e=e_lag
+            start=start, burn=burn, r_raw=r_raw, r_wm=np.subtract(r_raw, r_wm, out=r_wm),
+            e=e_lag,
         )
     # A measured state keeps the watermark in its residual, B e + w; the
     # Kalman corrections of a noisy output predict from the applied input.
@@ -548,6 +572,7 @@ def run_scenario(
         form, plant, _policy_data(config, form), _attack_data(config, form, streams_rng.attack),
         wm, config.plant.w_family, streams_rng, config.horizon,
     )
+    _share_equal_fields(arrays)
     res = _residual_streams(config, plant, arrays)
     specs = channel_specs(config)
     if thresholds is None:
@@ -584,16 +609,31 @@ def _oracle_distortion(plant, d: np.ndarray) -> np.ndarray:
 
 
 def _mean_square(arr: np.ndarray) -> float:
-    sq = arr * arr
-    return float(np.mean(sq if sq.ndim == 1 else np.sum(sq, axis=1)))
+    """Mean over steps of each step's squared norm, np.mean(np.sum(arr * arr,
+    axis=1)) for a 2-D ``arr``: the row sums are formed a block of rows at a
+    time into one per-step buffer."""
+    if arr.ndim == 1:
+        return float(np.mean(arr * arr))
+    sq = np.empty(len(arr))
+    rows = _block_rows(arr.shape[1])
+    for a in range(0, len(arr), rows):
+        block = arr[a : a + rows]
+        np.sum(block * block, axis=1, out=sq[a : a + rows])
+    return float(np.mean(sq))
 
 
 def oracle_metrics(trace: Trace) -> RunReport:
-    """Ground-truth run summary: distortion power, mean squares, alarms."""
+    """Ground-truth run summary: distortion power, mean squares, alarms.
+
+    Besides the trace it holds the report error d = z - y and then the
+    distortion v, and one per-step buffer while it squares either."""
     config = trace.config
     plant = config.plant.build()
+    mean_square_state, mean_square_report = _mean_square(trace.x), _mean_square(trace.z)
     d = trace.z - trace.y
+    distortion_msq = _mean_square(d)
     v = _oracle_distortion(plant, d)
+    del d
     onset = config.attack.onset
     alarms = trace.window_ends[trace.any_alarm].tolist()
     if onset is None:
@@ -610,10 +650,10 @@ def oracle_metrics(trace: Trace) -> RunReport:
         plant_kind=config.plant.kind,
         attack_kind=config.attack.kind,
         onset=onset,
-        mean_square_state=_mean_square(trace.x),
-        mean_square_report=_mean_square(trace.z),
+        mean_square_state=mean_square_state,
+        mean_square_report=mean_square_report,
         distortion_power=_mean_square(v),
-        distortion_msq=_mean_square(d),
+        distortion_msq=distortion_msq,
         n_windows=len(trace.window_ends),
         n_alarms=len(alarms),
         false_alarms_pre_onset=false_alarms,
@@ -661,13 +701,19 @@ def _step_widths(form) -> list[tuple[str, int]]:
             ("w", p), ("n", 0)]
 
 
+def _column_names(key: str, width: int) -> list[str]:
+    """Header names of the step columns of field ``key`` (see
+    :func:`_step_widths`)."""
+    return [f"{key}_{j}" for j in range(width)] if width else [key]
+
+
 def _step_columns(form, arrays: dict) -> list[tuple[str, np.ndarray]]:
     """(header name, column) of each per-step column of ``arrays``, a dict
     by field, in the layout :func:`_step_widths` gives the kernel ``form``."""
     cols: list[tuple[str, np.ndarray]] = []
     for key, width in _step_widths(form):
         a = arrays[key]
-        cols += [(f"{key}_{j}", a[:, j]) for j in range(width)] if width else [(key, a)]
+        cols += zip(_column_names(key, width), a.T if width else [a])
     return cols
 
 
@@ -819,23 +865,49 @@ def _fields(rows: list[str]) -> list[str]:
     return ",".join(rows).replace("\n", "").split(",")
 
 
-def _read_block(path, header, flat, t0: int, targets, window_runs) -> None:
+def _read_block(path, header, flat, t0: int, fields, groups, window_runs) -> None:
     """Parse the fields ``flat`` of the rows from step ``t0`` on: check the
-    ``t`` cells, write each step column into its ``targets`` destination and
-    append each window column's cells to its run-length ``window_runs``."""
+    ``t`` cells, write the step columns and append each window column's cells
+    to its run-length ``window_runs``.
+
+    ``fields`` holds (step field, header indices of its columns), and
+    ``groups`` (step fields, array): the fields whose rows so far hold equal
+    bits, with the one array they share.  A group whose fields differ in
+    this block splits: the part holding its first field keeps the array,
+    and each other part gets its own, with the group's earlier rows copied
+    in.  A column whose cells equal an earlier column's is parsed once.
+    """
     K = len(header)
     ts = range(t0, t0 + len(flat) // K)
     if flat[::K] != list(map(str, ts)):
         cell, t = next((c, t) for c, t in zip(flat[::K], ts) if c != str(t))
         raise ValueError(f"{path}: column t holds {cell!r} at t={t}, not its step")
     parsed: list[tuple[list[str], np.ndarray]] = []
-    for j, dest in targets:
-        cells = flat[j::K]
-        values = next((v for c, v in parsed if c == cells), None)
-        if values is None:
-            values = _parse_steps(path, header[j], cells, ts)
-            parsed.append((cells, values))
-        dest[t0 : t0 + len(ts)] = values
+    block: dict[str, list[np.ndarray]] = {}
+    for key, columns in fields:
+        block[key] = []
+        for j in columns:
+            cells = flat[j::K]
+            values = next((v for c, v in parsed if c == cells), None)
+            if values is None:
+                values = _parse_steps(path, header[j], cells, ts)
+                parsed.append((cells, values))
+            block[key].append(values)
+    refined = []
+    for keys, array in groups:
+        parts: dict[bytes, list[str]] = {}
+        for key in keys:
+            parts.setdefault(b"".join(v.tobytes() for v in block[key]), []).append(key)
+        for i, part in enumerate(parts.values()):
+            dest = array
+            if i:
+                dest = np.empty_like(array)
+                dest[:t0] = array[:t0]
+            refined.append((part, dest))
+            rows = dest[t0 : t0 + len(ts)]
+            for j, values in enumerate(block[part[0]]):
+                (rows if rows.ndim == 1 else rows[:, j])[:] = values
+    groups[:] = refined
     for j, runs in enumerate(window_runs, K - len(window_runs)):
         for cell, group in groupby(flat[j::K]):
             _add_run(runs, cell, len(list(group)))
@@ -866,8 +938,10 @@ def import_trace(path, config: ScenarioConfig) -> Trace:
     for its plant (state and input widths included).  Rows are then parsed
     in blocks of :func:`_block_rows` rows, each released before the next is
     read: every ``t`` cell must be its row's step, every step cell a finite
-    number, every recomputed statistic finite, and the step data must hold
-    the plant recursion.
+    number, every recomputed statistic finite or the +inf of a singular
+    scatter, and the step data must hold the plant recursion.  Step fields
+    with equal bits share one array, as in a run: only a field that differs
+    from every earlier one gets an array (see :func:`_read_block`).
     """
     plant = config.plant.build()
     T, l = config.horizon, config.detector.window_len
@@ -903,28 +977,34 @@ def import_trace(path, config: ScenarioConfig) -> Trace:
             raise ValueError(
                 f"{path}: trace holds statistics {have}, the scenario computes {channels}"
             )
-        data: dict[str, np.ndarray | None] = dict.fromkeys(_STEP_FIELDS)
+        layout, fields, shapes = ["t"], [], {}
         for key, width in _step_widths(plant.kernel):
-            data[key] = np.empty((T, width) if width else T)
-        steps = _step_columns(plant.kernel, data)
-        # (header index, destination) of each step column
-        targets = list(enumerate((column for _, column in steps), 1))
-        layout = ["t", *(name for name, _ in steps), "window_id",
-                  *(f"stat_{ch}" for ch in channels), "alarm"]
+            names = _column_names(key, width)
+            fields.append((key, range(len(layout), len(layout) + len(names))))
+            layout += names
+            shapes.setdefault((T, width) if width else (T,), []).append(key)
+        # before any row, the fields of one shape form one group
+        groups = [(keys, np.empty(shape)) for shape, keys in shapes.items()]
+        n_steps = len(layout)
+        layout += ["window_id", *(f"stat_{ch}" for ch in channels), "alarm"]
         if header != layout:
             j = next(j for j, (a, b) in enumerate(zip_longest(header, layout)) if a != b)
             got, exp = (repr(h[j]) if j < len(h) else "nothing" for h in (header, layout))
             raise ValueError(f"{path}: header field {j + 1} is {got}, where export writes {exp}")
-        window_runs: list[list[tuple[str, int]]] = [[] for _ in layout[1 + len(steps) :]]
+        window_runs: list[list[tuple[str, int]]] = [[] for _ in layout[n_steps:]]
         n_rows = 0
         for rows in _row_blocks(fh, path, len(layout)):
             t0, n_rows = n_rows, n_rows + len(rows)
             if t0 < T:  # rows beyond the horizon are only counted
-                _read_block(path, layout, _fields(rows[: T - t0]), t0, targets, window_runs)
+                _read_block(path, layout, _fields(rows[: T - t0]), t0, fields, groups,
+                            window_runs)
             del rows  # released before the next block is read
     if n_rows != T:
         raise ValueError(f"trace has {n_rows} steps, scenario horizon is {T}")
-    stored = dict(zip(layout[1 + len(steps) :], window_runs))
+    stored = dict(zip(layout[n_steps:], window_runs))
+    data: dict[str, np.ndarray | None] = dict.fromkeys(_STEP_FIELDS)
+    for keys, array in groups:
+        data.update(dict.fromkeys(keys, array))
     if data["x"] is None:
         data["x"] = data["y"]
     if data["y"] is None:
@@ -934,8 +1014,7 @@ def import_trace(path, config: ScenarioConfig) -> Trace:
         raise ValueError(f"{path}: window 0 spans {spans} rows, scenario window_len is {l}")
     # A huge finite cell can overflow a statistic; the checks below refuse it.
     with np.errstate(over="ignore", invalid="ignore"):
-        res = _residual_streams(config, plant, data)
-        ends, stats = _window_stats(config, res, specs)
+        ends, stats = _window_stats(config, _residual_streams(config, plant, data), specs)
     alarms = np.array(_cells_at(stored["alarm"], ends.tolist()), dtype=str) == "1"
     trace = Trace(
         config=config, seed=seed, **data, window_ends=ends,
@@ -953,26 +1032,41 @@ def import_trace(path, config: ScenarioConfig) -> Trace:
                 f"{path}: column {name} holds {got!r} at t={t}, "
                 f"where its window layout gives {want!r}"
             )
-    # run_scenario refuses non-finite statistics, so no trace it wrote holds one
+    # run_scenario refuses these statistics, so no trace it wrote holds one
     _detect._require_finite(ends, stats)
     _self_check(trace)
     return trace
 
 
 def _self_check(trace: Trace) -> None:
-    """Verify the plant recursion holds exactly on the stored step data."""
+    """Verify the plant recursion holds exactly on the stored step data.
+
+    The residual is formed a block of steps at a time, each lag block from
+    the steps its filters reach back to, so no per-step buffer is held.
+    """
     form = trace.config.plant.build().kernel
+    T = trace.horizon
     if isinstance(form, LagForm):
-        residual = (
-            lag_filter((1.0,) + form.a, trace.y)
-            - lag_filter(form.b, trace.u, form.delay)
-            - lag_filter(form.c, trace.w)
-        )
+        y, u, w = trace.y, trace.u, trace.w
+        reach = max(len(form.a), form.delay + len(form.b) - 1, len(form.c) - 1)
+
+        def residual(a: int, b: int) -> np.ndarray:
+            lo = max(a - reach, 0)
+            r = lag_filter((1.0,) + form.a, y[lo:b])
+            r -= lag_filter(form.b, u[lo:b], form.delay)
+            r -= lag_filter(form.c, w[lo:b])
+            return r[a - lo :]
+
+        rows, first = _BLOCK_CELLS, 0
     else:
-        T = trace.x.shape[0]
-        u = trace.u.reshape(T, -1)
-        residual = trace.x[1:] - trace.x[:-1] @ form.A.T - u[:-1] @ form.B.T - trace.w[1:]
-    err = float(np.max(np.abs(residual))) if residual.size else 0.0
+        x, u, w = trace.x, trace.u.reshape(T, -1), trace.w
+
+        def residual(a: int, b: int) -> np.ndarray:
+            return x[a:b] - x[a - 1 : b - 1] @ form.A.T - u[a - 1 : b - 1] @ form.B.T - w[a:b]
+
+        rows, first = _block_rows(x.shape[1]), 1
+    errs = [np.max(np.abs(residual(a, min(a + rows, T)))) for a in range(first, T, rows)]
+    err = float(np.max(errs)) if errs else 0.0
     if not err <= 1e-9:
         raise ValueError(f"trace fails the plant recursion self-check (err={err:.3g})")
 

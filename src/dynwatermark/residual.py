@@ -39,14 +39,17 @@ __all__ = [
 
 
 def lag_filter(coeffs, x: np.ndarray, delay: int = 0) -> np.ndarray:
-    """sum_k coeffs[k] * x[t-delay-k] for every t, with x at rest before t=0."""
+    """sum_k coeffs[k] * x[t-delay-k] for every t, with x at rest before t=0.
+
+    Each term is added only over the steps it reaches: a sum that starts at
+    +0.0 is never -0.0, so the zeros before t=0 would not change its bits.
+    """
     T = len(x)
-    pad = delay + len(coeffs)
-    xp = np.concatenate([np.zeros((pad,) + x.shape[1:]), x])
     acc = np.zeros(x.shape)
     for k, ck in enumerate(coeffs):
-        if ck != 0.0:
-            acc += ck * xp[pad - delay - k : pad - delay - k + T]
+        lag = delay + k
+        if ck != 0.0 and lag < T:
+            acc[lag:] += ck * x[: T - lag]
     return acc
 
 
@@ -106,7 +109,8 @@ def prediction_errors(form: LagForm, z: np.ndarray, u_g: np.ndarray) -> np.ndarr
     With honest reports and a shaped watermark this is exactly
     gain * e[t-delay] + w[t] (Astrom 1970, innovations form).
     """
-    drive = lag_filter((1.0,) + form.a, z) - lag_filter(form.b, u_g, form.delay)
+    drive = lag_filter((1.0,) + form.a, z)
+    drive -= lag_filter(form.b, u_g, form.delay)
     return rational_filter((1.0,), form.c, drive)
 
 
@@ -175,8 +179,11 @@ def innovations(form: StateSpaceForm, z: np.ndarray, u: np.ndarray | None) -> np
     the oracle maps a report distortion onto the residual.
     """
     if form.C is None:
-        r = z[1:] - z[:-1] @ form.A.T
-        return r if u is None else r - u[:-1] @ form.B.T
+        r = z[:-1] @ form.A.T
+        np.subtract(z[1:], r, out=r)
+        if u is not None:
+            r -= u[:-1] @ form.B.T
+        return r
     A, b, C = form.A, form.B[:, 0], form.C
     K = kalman_design(form).K
     M = np.eye(len(A)) - np.outer(K, C)
@@ -185,9 +192,17 @@ def innovations(form: StateSpaceForm, z: np.ndarray, u: np.ndarray | None) -> np
               np.array([[1.0, -float(C @ b)]]))
     num_z, den = _ss2tf(*system, 0)
     if u is None:
-        return np.outer(rational_filter(num_z, den, z[1:]), K)
+        return _times_gain(rational_filter(num_z, den, z[1:]), K)
     # the z and u filters share den, so they run in one pass
-    return np.outer(_iir(den, num_z, z[1:], _ss2tf(*system, 1)[0], u[:-1]), K)
+    return _times_gain(_iir(den, num_z, z[1:], _ss2tf(*system, 1)[0], u[:-1]), K)
+
+
+def _times_gain(nu: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """np.outer(nu, K); a one-state gain scales ``nu`` in place."""
+    if len(K) > 1:
+        return np.outer(nu, K)
+    nu *= K[0]
+    return nu[:, None]
 
 
 def _ss2tf(A, B, C, D, j: int):

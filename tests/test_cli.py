@@ -522,8 +522,9 @@ def test_report_and_detect_refuse_a_vector_column_the_plant_lacks(
 
 @pytest.mark.filterwarnings("error")
 def test_report_refuses_an_overflowing_report_cell_in_one_line(tmp_path, capsys):
-    """A finite report cell whose square overflows makes an infinite
-    statistic; import refuses it without printing numpy's warnings."""
+    """A finite report cell whose square overflows makes a statistic
+    overflow, which scores NaN; import refuses it without printing numpy's
+    warnings."""
     scenario = tmp_path / "scenario.yaml"
     save_scenario(all_class_configs()["arx"], scenario)
     out_dir = tmp_path / "out"
@@ -538,13 +539,13 @@ def test_report_refuses_an_overflowing_report_cell_in_one_line(tmp_path, capsys)
     code, out, err = run_cli(capsys, "report", "--run", str(out_dir))
     assert (code, out) == (1, "")
     assert len(err.splitlines()) == 1
-    assert err.endswith("where its window layout gives 'inf'\n")
+    assert err.endswith("where its window layout gives 'nan'\n")
 
 
-def test_run_rejects_singular_detection_window(tmp_path, capsys):
-    """A sensor that reports zeros makes the MIMO residual vanish: the first
-    window wholly after the onset, ending at t=300, has a singular scatter,
-    and the run stops there."""
+def test_run_alarms_on_singular_detection_window(tmp_path, capsys):
+    """A sensor that reports zeros makes the MIMO residual vanish: from the
+    first window wholly after the onset, ending at t=300, the cov scatter is
+    singular and scores +inf, an alarm, and `report` accepts the run."""
 
     @register_attack("silent_sensor_test")
     def silent(view, rng):
@@ -561,14 +562,53 @@ def test_run_rejects_singular_detection_window(tmp_path, capsys):
     )
     path = tmp_path / "silent.yaml"
     save_scenario(cfg, path)
-    code, out, err = run_cli(
-        capsys, "run", "--scenario", str(path), "--out", str(tmp_path / "out")
-    )
-    assert code == 1
-    assert out == ""
-    assert err.splitlines() == [
-        "error: non-finite statistic inf on channel cov, window ending at t=300"
-    ]
+    out_dir = tmp_path / "out"
+    code, _, err = run_cli(capsys, "run", "--scenario", str(path), "--out", str(out_dir))
+    assert (code, err) == (0, "")
+    cov = {row["end_t"]: row["cov"] for row in _report_stats(capsys, out_dir)}
+    assert [cov["300"], cov["400"]] == ["inf", "inf"]
+    assert "inf" not in (cov["100"], cov["200"])
+
+
+def _report_stats(capsys, run_dir) -> list[dict]:
+    """The rows of the stats.csv that `report` writes for ``run_dir``, after
+    checking that it exits 0 and rewrites the run's report.json unchanged."""
+    before = (run_dir / "report.json").read_text()
+    code, _, err = run_cli(capsys, "report", "--run", str(run_dir))
+    assert (code, err) == (0, "")
+    assert (run_dir / "report.json").read_text() == before
+    header, *rows = (run_dir / "stats.csv").read_text().splitlines()
+    return [dict(zip(header.split(","), row.split(","))) for row in rows]
+
+
+@pytest.mark.parametrize("policy", ["zero", "linear"])
+@pytest.mark.parametrize("states", [2, 3])
+def test_one_step_replay_alarms_in_every_window_after_onset(states, policy, tmp_path, capsys):
+    """`mimo_replay` with record_len 1 reports one value from onset on, so
+    every window that starts after the onset has a singular cov scatter: it
+    scores +inf and alarms, `run` exits 0 and `report` accepts the run."""
+    d = load_scenario(SCENARIOS / "mimo_replay.yaml").to_dict()
+    d["attack"]["record_len"] = 1
+    if states == 3:
+        d["plant"]["A"] = [[0.5, 0.1, 0.0], [0.0, 0.4, 0.1], [0.0, 0.0, 0.3]]
+        d["plant"]["B"] = [[1.0, 0.0, 0.0], [0.2, 1.0, 0.0], [0.0, 0.5, 1.0]]
+    if policy == "linear":
+        gains = (-0.2, -0.1, -0.15)[:states]
+        d["policy"] = {"kind": "linear",
+                       "f": [[g if i == j else 0.0 for j in range(states)]
+                             for i, g in enumerate(gains)]}
+    path = tmp_path / "scenario.yaml"
+    save_scenario(scenario_from_dict(d), path)
+    out_dir = tmp_path / "out"
+    code, _, err = run_cli(capsys, "run", "--scenario", str(path), "--out", str(out_dir))
+    assert (code, err) == (0, "")
+    onset, l = d["attack"]["onset"], d["detector"]["window_len"]
+    rows = _report_stats(capsys, out_dir)
+    after = [row for row in rows if int(row["end_t"]) - l + 1 > onset]
+    assert len(after) == 2
+    assert all(row["cov"] == "inf" for row in after)
+    assert all(float(row["cov"]) > float(row["cov_hi"]) for row in after)
+    assert all(row["cov"] != "inf" for row in rows if row not in after)
 
 
 def test_detect_rejects_truncated_trace_row(scenario_file, tmp_path, capsys):

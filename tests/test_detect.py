@@ -8,6 +8,7 @@ from scipy.stats import chi2, ks_2samp, wishart
 
 from dynwatermark.detect import (
     _SUB_WINDOWS,
+    STAT_KINDS,
     ResidualNull,
     Threshold,
     _batch_values,
@@ -160,15 +161,38 @@ def test_cov_stat_needs_enough_samples():
         window_value("cov", np.ones((2, 2)), Sigma0=np.eye(2))
 
 
-def test_cov_stat_rejects_singular_scatter():
-    """A singular scatter scores +inf under cov and nll, which no threshold
-    lets pass."""
+def test_cov_stat_alarms_on_singular_scatter():
+    """A finite singular scatter scores +inf under cov and nll, which alarms
+    whatever the threshold; a threshold of another kind still refuses +inf."""
     r = np.ones((8, 2))  # rank one
     for kind in ("cov", "nll"):
         value = window_value(kind, r, Sigma0=np.eye(2))
         assert value == np.inf, kind
-        with pytest.raises(ValueError, match="non-finite statistic inf on channel x, "):
-            Threshold(kind, 0.01, hi=1.0).exceeded(value, channel="x", end_t=7)
+        assert Threshold(kind, 0.01, hi=1e300).exceeded(value, channel="x", end_t=7) is True
+        flags = Threshold(kind, 0.01, hi=1.0).exceeded(
+            np.array([0.5, value]), channel="x", end_t=np.array([7, 15])
+        )
+        assert flags.tolist() == [False, True]
+    with pytest.raises(ValueError, match="non-finite statistic inf on channel x, "):
+        Threshold("cov_entries", 0.01, hi=1.0).exceeded(np.inf, channel="x", end_t=7)
+
+
+@pytest.mark.parametrize("kind", STAT_KINDS)
+def test_overflowing_window_scores_nan(kind):
+    """A scatter that overflows is not a singular one: every kind scores it
+    NaN, which every threshold refuses."""
+    r = np.ones((8, 2))
+    r[3:5] = [1e308, -1e308]  # their squares, and their sums, overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kind == "variance":
+            value = window_value(kind, r[:, 0])
+        elif kind == "cross_corr":
+            value = window_value(kind, r, np.ones(8), target=np.zeros(2))
+        else:
+            value = window_value(kind, r, Sigma0=np.eye(2))
+    assert np.isnan(value), kind
+    with pytest.raises(ValueError, match="non-finite statistic nan on channel x, "):
+        Threshold(kind, 0.01, hi=1.0).exceeded(value, channel="x", end_t=7)
 
 
 def test_cov_entries_stat_hand_value():
@@ -491,8 +515,9 @@ def test_raw_draw_calibration_holds_one_chunk_of_draws():
     bound = product * (m + k + dim + 1) + n_cal * 8 + take * (m + dim) ** 2 * 8
     tracemalloc.start()
     try:
+        # chunk_elems counts every draw of a chunk: l samples of e, v and r a window
         simulate_null_stats("cov", l, null, n_cal, np.random.default_rng(3),
-                            chunk_elems=take * l * dim)
+                            chunk_elems=take * l * (m + k + dim))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

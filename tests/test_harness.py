@@ -11,6 +11,7 @@ import pytest
 from dynwatermark.adversary import register_attack
 from dynwatermark.detect import Threshold
 from dynwatermark.harness import (
+    _STEP_FIELDS,
     ChannelSpec,
     Trace,
     _block_rows,
@@ -1252,6 +1253,121 @@ def test_run_memory_stays_near_the_arrays_it_returns():
         for name, (peak, kept) in table.items()
     ]
     assert all(peak <= 2.5 * kept for peak, kept in table.values()), "\n".join(rows)
+
+
+def test_report_memory_stays_near_the_arrays_it_returns(tmp_path):
+    """import_trace then oracle_metrics on partial_noise_sim hold, beyond
+    the distinct arrays the import returns, at most three per-step float64
+    buffers: import parses a block at a time, its residual filters and the
+    self-check work in place, and the oracle holds the report error and the
+    distortion, plus one buffer while it squares either."""
+    cfg = load_scenario(SCENARIOS / "partial_noise_sim.yaml")
+    path = tmp_path / "trace.csv"
+    export_trace(run_scenario(cfg), path)
+    tracemalloc.start()
+    try:
+        back = import_trace(path, cfg)
+        oracle_metrics(back)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - _returned_bytes(back) <= 3 * 8 * cfg.horizon
+
+
+# ---------------------------------------------------------------------------
+# step fields with equal bits share one array
+# ---------------------------------------------------------------------------
+
+
+def _sharing(trace) -> list[list[str]]:
+    """The step fields of ``trace`` grouped by the array they hold."""
+    groups: dict[int, list[str]] = {}
+    for name in _STEP_FIELDS:
+        a = getattr(trace, name)
+        if a is not None:
+            groups.setdefault(id(a), []).append(name)
+    return list(groups.values())
+
+
+def _bit_groups(trace) -> list[list[str]]:
+    """The step fields of ``trace`` grouped by equal shape and bits."""
+    groups: dict[tuple, list[str]] = {}
+    for name in _STEP_FIELDS:
+        a = getattr(trace, name)
+        if a is not None:
+            groups.setdefault((a.shape, a.tobytes()), []).append(name)
+    return list(groups.values())
+
+
+def _shipped_at(name: str, horizon: int):
+    """A shipped scenario cut to ``horizon`` steps, its attack starting in
+    the middle."""
+    cfg = load_scenario(SCENARIOS / f"{name}.yaml")
+    attack = dataclasses.replace(cfg.attack, onset=horizon // 2)
+    return dataclasses.replace(cfg, horizon=horizon, attack=attack)
+
+
+@pytest.mark.parametrize("kind", ["scalar", "arx", "armax", "partial", "mimo"])
+def test_run_and_import_share_the_arrays_of_equal_fields(kind, tmp_path):
+    """A run and its import hold one array per distinct step column, shared
+    by the fields whose bits equal it, and still equal each other."""
+    cfg = all_class_configs()[kind]
+    run = run_scenario(cfg)
+    path = tmp_path / "trace.csv"
+    export_trace(run, path)
+    back = import_trace(path, cfg)
+    assert _sharing(run) == _sharing(back) == _bit_groups(run)
+    # an honest sensor reports the measurement itself
+    assert run.z is run.y and back.z is back.y
+    assert trace_equal(run, back)
+
+
+@pytest.mark.parametrize("name", ["partial_noise_sim", "mimo_replay"])
+def test_zero_policy_shares_input_and_excitation_and_splits_the_report_at_onset(
+    name, tmp_path
+):
+    """Under the zero policy u = 0 + e bit for bit, so a run and its import
+    hold u, e_raw and e_shaped as one array.  The report equals the
+    measurement until the onset, blocks into the file, and then diverges:
+    the import gives it its own array there and reads it back bit-exactly."""
+    cfg = _shipped_at(name, 4000)
+    onset, rows = cfg.attack.onset, _block_rows(_row_width(cfg))
+    assert 2 * rows < onset
+    run = run_scenario(cfg)
+    path = tmp_path / "trace.csv"
+    export_trace(run, path)
+    back = import_trace(path, cfg)
+    for trace in (run, back):
+        assert trace.u is trace.e_raw is trace.e_shaped
+        measured = trace.y if trace.z.ndim == 1 else trace.x
+        assert trace.z[:onset].tobytes() == measured[:onset].tobytes()
+        assert not np.shares_memory(trace.z, measured)
+    assert _sharing(run) == _sharing(back) == _bit_groups(run)
+    assert trace_equal(run, back)
+
+
+@pytest.mark.parametrize("edited", [("e_shaped",), ("e_raw", "e_shaped")])
+def test_import_splits_fields_that_diverge_after_a_block_boundary(edited, tmp_path):
+    """u, e_raw and e_shaped of a zero-policy run share one array.  A trace
+    whose ``edited`` fields leave it at one step after several blocks
+    imports bit-exactly: the fields that diverge get one array of their own,
+    holding the shared rows before that step, and the others keep theirs."""
+    cfg = all_class_configs(2000)["partial"]
+    trace = run_scenario(cfg)
+    t = 3 * _block_rows(_row_width(cfg)) + 10
+    e = trace.e_raw.copy()
+    e[t] += 1.0
+    hand = dataclasses.replace(trace, **dict.fromkeys(edited, e))
+    _, stats = _window_stats(cfg, residual_streams_of(hand), channel_specs(cfg))
+    hand = dataclasses.replace(hand, window_stats=stats)
+    path = tmp_path / "trace.csv"
+    export_trace(hand, path)
+    back = import_trace(path, cfg)
+    assert trace_equal(hand, back)
+    assert back.u is not back.e_shaped
+    assert (back.e_raw is back.e_shaped) == (len(edited) == 2)
+    assert (back.e_raw is back.u) == (len(edited) == 1)
+    assert _sharing(back) == _bit_groups(back)
 
 
 _VIEW_LOG: list = []
