@@ -543,8 +543,8 @@ def _window_stats(
 
 
 def _detect_pass(config: ScenarioConfig, streams: dict, specs: list, thresholds: dict):
-    """:func:`_window_stats`, refused if not finite, and each channel's
-    alarm flags, thresholded in one call."""
+    """:func:`_window_stats`, refused if NaN (a singular scatter's +inf
+    alarms), and each channel's alarm flags, thresholded in one call."""
     ends, stats = _window_stats(config, streams, specs)
     _detect._require_finite(ends, stats)
     alarms = {ch: thresholds[ch].exceeded(v, channel=ch, end_t=ends) for ch, v in stats.items()}
