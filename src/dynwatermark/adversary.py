@@ -97,35 +97,33 @@ def _attack_data(config, form, rng: np.random.Generator):
     lag = isinstance(form, LagForm)
     steps = config.horizon - onset
     wf, sw2 = config.plant.w_family, form.sigma_w2
-    shape = steps if lag else (steps, form.A.shape[0])
-    if kind == "additive_estimated":
-        from .scenario import resolve_watermark  # scenario imports this module
-
-        se2 = resolve_watermark(config).sigma_e2
-        noise = draw_iid(wf, sw2, rng, shape)
-        if lag and form.start == 1:  # scalar and ARX: the plain equation error
-            g = form.gain
-            return kind, onset, (sw2 / (g * g * se2 + sw2), memoryview(noise))
-        if lag or form.C is not None:
-            raise TypeError(
-                "additive_estimated attack is defined for scalar, ARX and MIMO plants only"
+    if kind == "noise_sim" and not lag and form.C is not None:
+        p = form.A.shape[0]
+        if wf == "gaussian":
+            scales = [math.sqrt(sw2)] * p + [math.sqrt(form.sigma_n2)]
+            noise = rng.normal(0.0, scales, (steps, p + 1))
+        else:  # two families: each step draws its w', then its Gaussian n'
+            noise = np.array(
+                [[*draw_iid(wf, sw2, rng, p), draw_iid("gaussian", form.sigma_n2, rng)]
+                 for _ in range(steps)]
             )
-        gram = se2 * (form.B @ form.B.T) + sw2 * np.eye(len(form.A))
-        return kind, onset, (sw2 * np.linalg.inv(gram), noise)
-    if lag:
-        return kind, onset, memoryview(draw_iid(wf, sw2, rng, steps))
-    if form.C is None:
-        return kind, onset, draw_iid(wf, sw2, rng, shape)
-    p = form.A.shape[0]
-    if wf == "gaussian":
-        scales = [math.sqrt(sw2)] * p + [math.sqrt(form.sigma_n2)]
-        noise = rng.normal(0.0, scales, (steps, p + 1))
-    else:  # two families: each step draws its w', then its Gaussian n'
-        noise = np.array(
-            [[*draw_iid(wf, sw2, rng, p), draw_iid("gaussian", form.sigma_n2, rng)]
-             for _ in range(steps)]
+        return kind, onset, memoryview(noise.reshape(-1))
+    noise = draw_iid(wf, sw2, rng, steps if lag else (steps, form.A.shape[0]))
+    noise = memoryview(noise.reshape(-1))
+    if kind == "noise_sim":
+        return kind, onset, noise
+    from .scenario import resolve_watermark  # scenario imports this module
+
+    se2 = resolve_watermark(config).sigma_e2
+    if lag and form.start == 1:  # scalar and ARX: the plain equation error
+        g = form.gain
+        return kind, onset, (sw2 / (g * g * se2 + sw2), noise)
+    if lag or form.C is not None:
+        raise TypeError(
+            "additive_estimated attack is defined for scalar, ARX and MIMO plants only"
         )
-    return kind, onset, memoryview(noise.reshape(-1))
+    gram = se2 * (form.B @ form.B.T) + sw2 * np.eye(len(form.A))
+    return kind, onset, ((sw2 * np.linalg.inv(gram)).tolist(), noise)
 
 
 _REGISTRY: dict[str, Callable] = {}

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from itertools import accumulate, chain, groupby, islice, repeat, starmap, zip_longest
 
 import numpy as np
@@ -26,7 +26,7 @@ import numpy as np
 from . import detect as _detect
 from .adversary import SensorView, _attack_data
 from .detect import ResidualNull, Threshold
-from .linsys import LagForm, advance, dot
+from .linsys import LagForm, dot
 from .residual import innovations, kalman_design, lag_filter, prediction_errors
 from .scenario import (
     ScenarioConfig,
@@ -237,7 +237,7 @@ def _policy_data(config: ScenarioConfig, form):
         return form.a, form.b
     if isinstance(form, LagForm):
         return (float(pc.f),), (1.0,)
-    return np.asarray(pc.f, dtype=float) if form.C is None else float(pc.f)
+    return np.asarray(pc.f, dtype=float).reshape(form.n_inputs, -1).tolist()
 
 
 def _simulate_lag(form: LagForm, plant, law, attack, wm, w_family, streams, T):
@@ -319,91 +319,88 @@ def _simulate_lag(form: LagForm, plant, law, attack, wm, w_family, streams, T):
 
 
 def _simulate_ss(form, plant, law, attack, wm, w_family, streams, T):
-    """Closed loop of a state-space plant, writing each step into
-    preallocated, zero-filled arrays.
+    """Closed loop of a state-space plant: one loop on Python floats, read
+    and written through memoryviews of preallocated, zero-filled arrays, each
+    dot product added left to right (:func:`.linsys.dot`), so no bit depends
+    on a BLAS kernel.
 
-    A measured state is reported as a vector and the inputs are m-vectors,
-    so that loop steps numpy rows, u_g = F @ z, each result written into its
-    row.  A noisy scalar output y = C x + n and its single input are floats,
-    and that loop steps Python floats read and written through memoryviews
-    (the state row by row, as :func:`.linsys.advance` does) with u_g = f * z.
-    ``law`` is None for the zero input.  The sensor reports y[t], or from
-    onset on what ``attack`` (see :func:`.adversary._attack_data`) makes of
-    it.
+    A state row advances as x'[r] = dot(A_r, x) + dot(B_r, u) + w'[r].  A
+    measured state reports its row, a noisy output dot(C, x) + n.  The law
+    ``law`` (see :func:`_policy_data`) gives u_g[i] = dot(F_i, z), and the
+    excitation is added to it.  The sensor reports y[t], or from onset on
+    what ``attack`` (see :func:`.adversary._attack_data`) makes of it:
+    ``noise_sim`` advances the last report of a measured state, or its own
+    copy of a hidden one, by the same update.
     """
     A, B, C = form.A, form.B, form.C
-    p = A.shape[0]
+    p, m = B.shape
     w = np.asarray(draw_iid(w_family, form.sigma_w2, streams.process, (T, p)))
     w[0] = 0.0
     e = np.column_stack(
         [draw_iid(wm.family, wm.sigma_e2, rng, T) for rng in streams.excitation]
     )
     x = np.zeros((T, p))
-    kind, onset, data = attack or (None, T, None)
-    last = T - 1
     if C is None:
-        n = None
-        y = x
-        z, u_g, u = np.zeros((T, p)), np.zeros((T, form.n_inputs)), np.zeros(e.shape)
-        view = SensorView(0, x, z, u_g, plant, wm.sigma_e2, wm.family, w_family)
-        for t in range(T):
-            if t < onset:
-                z[t] = x[t]
-            elif kind == "replay":
-                z[t] = z[t - data]
+        n, y, z, q, c = None, x, np.zeros((T, p)), p, None
+    else:
+        n = np.asarray(draw_iid("gaussian", form.sigma_n2, streams.measurement, T))
+        y, z, e, q = np.zeros(T), np.zeros(T), e[:, 0], 1
+        n_v, c = memoryview(n), C.tolist()
+    u_g, u = np.zeros(e.shape), np.zeros(e.shape)
+    x_v, w_v, y_v, z_v, g_v, u_v, e_v = (
+        memoryview(a.reshape(-1)) for a in (x, w, y, z, u_g, u, e)
+    )
+    rows = list(zip(A.tolist(), B.tolist()))
+    kind, onset, data = attack or (None, T, None)
+    # a custom attack reads ndarray rows of a measured state, floats otherwise
+    hist = (x, z, u_g) if C is None else (y_v, z_v, g_v)
+    view = SensorView(0, *hist, plant, wm.sigma_e2, wm.family, w_family)
+    own = [0.0] * p  # noise_sim's copy of a hidden state
+    stride = p if C is None else p + 1  # noise_sim's draws per step
+    for t in range(T):
+        i, j, k = t * p, t * m, t * q
+        x_t = x_v[i : i + p]
+        z_t = x_t if c is None else dot(c, x_t) + n_v[t]
+        if c is not None:
+            y_v[t] = z_t
+        if t >= onset:
+            if kind == "replay":
+                z_t = z_v[k - data * q : k - data * q + q] if c is None else z_v[t - data]
             elif kind == "noise_sim":
-                # restart the plant from the last report, with the own w'
-                z[t] = A @ z[t - 1] + B @ u_g[t - 1] + data[t - onset]
+                s = (t - onset) * stride
+                prev, g_prev = z_v[k - q : k] if c is None else own, g_v[j - m : j]
+                own = [dot(a_r, prev) + dot(b_r, g_prev) + data[s + r]
+                       for r, (a_r, b_r) in enumerate(rows)]
+                z_t = own if c is None else dot(c, own) + data[s + p]
             elif kind == "additive_estimated":
                 gain, noise = data
-                innov = x[t] - A @ x[t - 1] - B @ u_g[t - 1]
-                z[t] = x[t] + (noise[t - onset] - gain @ innov)
+                prev, g_prev, s = x_v[i - p : i], g_v[j - m : j], (t - onset) * p
+                innov = [y_r - (dot(a_r, prev) + dot(b_r, g_prev))
+                         for y_r, (a_r, b_r) in zip(x_t, rows)]
+                z_t = [y_r + (noise[s + r] - dot(g_r, innov))
+                       for r, (y_r, g_r) in enumerate(zip(x_t, gain))]
             else:
                 view.t = t
                 z_t = np.asarray(data(view), dtype=float)
-                if z_t.shape != (p,):
+                if z_t.shape != z.shape[1:]:
                     raise ValueError(
-                        f"report at t={t} has shape {z_t.shape}, the plant outputs ({p},)"
+                        f"report at t={t} has shape {z_t.shape}, the plant outputs {z.shape[1:]}"
                     )
-                z[t] = z_t
-            if law is not None:
-                np.matmul(law, z[t], out=u_g[t])
-            u_t = np.add(u_g[t], e[t], out=u[t])
-            if t < last:
-                x_next = np.matmul(A, x[t], out=x[t + 1])
-                x_next += B @ u_t
-                x_next += w[t + 1]
-    else:
-        n = np.asarray(draw_iid("gaussian", form.sigma_n2, streams.measurement, T))
-        e = e[:, 0]
-        rows, b, c = form.float_rows
-        y, z, u_g, u = (np.zeros(T) for _ in range(4))
-        y_v, z_v, g_v, u_v, n_v, e_v = map(memoryview, (y, z, u_g, u, n, e))
-        x_v, w_v = memoryview(x.reshape(-1)), memoryview(w.reshape(-1))
-        view = SensorView(0, y_v, z_v, g_v, plant, wm.sigma_e2, wm.family, w_family)
-        x_sim = [0.0] * p  # noise_sim's own copy of the state
-        for t, (n_t, e_t) in enumerate(zip(n_v, e_v)):
-            i = t * p
-            x_t = x_v[i : i + p]
-            y_v[t] = zt = dot(c, x_t) + n_t
-            if t >= onset:
-                if kind == "replay":
-                    zt = z_v[t - data]
-                elif kind == "noise_sim":
-                    k = (t - onset) * (p + 1)
-                    x_sim = advance(rows, b, x_sim, g_v[t - 1], data[k : k + p])
-                    zt = dot(c, x_sim) + data[k + p]
-                else:
-                    view.t = t
-                    zt = float(data(view))
-            z_v[t] = zt
-            g_v[t] = g = 0.0 if law is None else law * zt
-            u_v[t] = ut = g + e_t
-            if t < last:
-                k = i + p
-                for row, bj, wj in zip(rows, b, w_v[k : k + p]):
-                    x_v[k] = dot(row, x_t) + bj * ut + wj
-                    k += 1
+                z_t = z_t.tolist()
+        if c is None:
+            for r, z_r in enumerate(z_t, k):
+                z_v[r] = z_r
+        else:
+            z_v[t] = z_t
+            z_t = (z_t,)
+        for r in range(j, j + m):
+            g_v[r] = g = dot(law[r - j], z_t) if law else 0.0
+            u_v[r] = g + e_v[r]
+        if t < T - 1:
+            u_t, k = u_v[j : j + m], i + p
+            for a_r, b_r in rows:
+                x_v[k] = dot(a_r, x_t) + dot(b_r, u_t) + w_v[k]
+                k += 1
     return dict(x=x, y=y, z=z, u_g=u_g, u=u, e_raw=e, e_shaped=e, w=w, n=n)
 
 
@@ -542,13 +539,14 @@ def _window_stats(
     return ends, stats
 
 
-def _detect_pass(config: ScenarioConfig, streams: dict, specs: list, thresholds: dict):
-    """:func:`_window_stats`, refused if NaN (a singular scatter's +inf
-    alarms), and each channel's alarm flags, thresholded in one call."""
-    ends, stats = _window_stats(config, streams, specs)
-    _detect._require_finite(ends, stats)
-    alarms = {ch: thresholds[ch].exceeded(v, channel=ch, end_t=ends) for ch, v in stats.items()}
-    return ends, stats, alarms
+def _window_pass(config: ScenarioConfig, plant, arrays: dict, specs: list):
+    """The residual streams of the step ``arrays`` and :func:`_window_stats`.
+    A report huge enough to overflow a statistic leaves NaN there, which
+    :func:`.detect._require_finite` refuses in one error, so numpy does not
+    warn of the overflow as well."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = _residual_streams(config, plant, arrays)
+        return (res, *_window_stats(config, res, specs))
 
 
 def run_scenario(
@@ -573,7 +571,6 @@ def run_scenario(
         wm, config.plant.w_family, streams_rng, config.horizon,
     )
     _share_equal_fields(arrays)
-    res = _residual_streams(config, plant, arrays)
     specs = channel_specs(config)
     if thresholds is None:
         thresholds = calibrate_detector(config, seed)
@@ -581,7 +578,10 @@ def run_scenario(
         missing = {s.name for s in specs} - set(thresholds)
         if missing:
             raise ValueError(f"thresholds missing channels {sorted(missing)}")
-    ends, stats, alarms = _detect_pass(config, res, specs, thresholds)
+    # NaN is refused; a singular scatter's +inf alarms
+    res, ends, stats = _window_pass(config, plant, arrays, specs)
+    _detect._require_finite(ends, stats)
+    alarms = {ch: thresholds[ch].exceeded(v, channel=ch, end_t=ends) for ch, v in stats.items()}
     return Trace(
         config=config, seed=seed, **arrays, window_ends=ends, window_stats=stats,
         window_alarms=alarms, thresholds=thresholds,
@@ -1013,8 +1013,7 @@ def import_trace(path, config: ScenarioConfig) -> Trace:
     if spans and spans != l:
         raise ValueError(f"{path}: window 0 spans {spans} rows, scenario window_len is {l}")
     # A huge finite cell can overflow a statistic; the checks below refuse it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        ends, stats = _window_stats(config, _residual_streams(config, plant, data), specs)
+    _, ends, stats = _window_pass(config, plant, data, specs)
     alarms = np.array(_cells_at(stored["alarm"], ends.tolist()), dtype=str) == "1"
     trace = Trace(
         config=config, seed=seed, **data, window_ends=ends,
@@ -1060,9 +1059,10 @@ def _self_check(trace: Trace) -> None:
         rows, first = _BLOCK_CELLS, 0
     else:
         x, u, w = trace.x, trace.u.reshape(T, -1), trace.w
+        state = replace(form, C=None)  # the state recursion, whatever the sensor reads
 
         def residual(a: int, b: int) -> np.ndarray:
-            return x[a:b] - x[a - 1 : b - 1] @ form.A.T - u[a - 1 : b - 1] @ form.B.T - w[a:b]
+            return innovations(state, x[a - 1 : b], u[a - 1 : b]) - w[a:b]
 
         rows, first = _block_rows(x.shape[1]), 1
     errs = [np.max(np.abs(residual(a, min(a + rows, T)))) for a in range(first, T, rows)]

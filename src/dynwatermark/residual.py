@@ -23,6 +23,8 @@ loading ``scipy.signal``.  The recursion is the direct form II transposed
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -173,17 +175,16 @@ def kalman_design(
 def innovations(form: StateSpaceForm, z: np.ndarray, u: np.ndarray | None) -> np.ndarray:
     """Corrections the reports z[1:] force on the one-step state prediction.
 
-    Measured state (``C`` None): z[t] - A z[t-1] - B u[t-1].  Noisy output:
+    Measured state (``C`` None): z[t] - (A z[t-1] + B u[t-1]).  Noisy output:
     K nu[t] of the steady-state Kalman filter started at rest, x_hat(0|0) = 0,
     run as LTI filters of (z, u).  ``u`` None filters z alone, which is how
     the oracle maps a report distortion onto the residual.
     """
     if form.C is None:
-        r = z[:-1] @ form.A.T
-        np.subtract(z[1:], r, out=r)
+        pred = _row_dots(form.A, z[:-1])
         if u is not None:
-            r -= u[:-1] @ form.B.T
-        return r
+            pred += _row_dots(form.B, u[:-1])
+        return np.subtract(z[1:], pred, out=pred)
     A, b, C = form.A, form.B[:, 0], form.C
     K = kalman_design(form).K
     M = np.eye(len(A)) - np.outer(K, C)
@@ -195,6 +196,14 @@ def innovations(form: StateSpaceForm, z: np.ndarray, u: np.ndarray | None) -> np
         return _times_gain(rational_filter(num_z, den, z[1:]), K)
     # the z and u filters share den, so they run in one pass
     return _times_gain(_iir(den, num_z, z[1:], _ss2tf(*system, 1)[0], u[:-1]), K)
+
+
+def _row_dots(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """v @ M.T, each entry's products added left to right on (T,) columns as
+    the closed loop adds them: no BLAS call, so no bit depends on its kernel."""
+    return np.column_stack(
+        [reduce(add, [v[:, j] * m_j for j, m_j in enumerate(row)]) for row in M.tolist()]
+    )
 
 
 def _times_gain(nu: np.ndarray, K: np.ndarray) -> np.ndarray:

@@ -17,13 +17,25 @@ import numpy as np
 
 from dynwatermark.adversary import SensorView
 from dynwatermark.harness import _Streams
-from dynwatermark.linsys import LagForm, advance, dot
+from dynwatermark.linsys import LagForm, dot
 from dynwatermark.scenario import resolve_watermark
 from dynwatermark.watermark import draw_iid
 
 
 def _copy(value):
     return value.copy() if isinstance(value, np.ndarray) else value
+
+
+def _advance(form, x, u, w) -> list[float]:
+    """x' = A x + B u + w of a state-space plant, row by row on Python
+    floats: dot(A_r, x) + dot(B_r, u) + w[r]."""
+    return [dot(a_r, x) + dot(b_r, u) + w_r
+            for a_r, b_r, w_r in zip(form.A.tolist(), form.B.tolist(), w)]
+
+
+def _row(value) -> list[float]:
+    """A state, input or noise row as Python floats."""
+    return np.atleast_1d(np.asarray(value, dtype=float)).tolist()
 
 
 def _past(seq, i: int) -> float:
@@ -102,11 +114,9 @@ class NoiseSimAttack(AttackStrategy):
                 acc += ck * wk
             return acc
         # A measured state restarts from the last report; a hidden one runs
-        # on the attacker's own copy, in Python floats like the plant's loop.
+        # on the attacker's own copy, both by the plant loop's float update.
         if form.C is None:
-            x = np.asarray(z[t - 1], dtype=float)
-            u = np.atleast_1d(np.asarray(u_g[t - 1], dtype=float))
-            return form.A @ x + form.B @ u + noise[step]
+            return np.array(_advance(form, _row(z[t - 1]), _row(u_g[t - 1]), _row(noise[step])))
         p = form.A.shape[0]
         if noise is None:
             w = draw_iid(view.w_family, form.sigma_w2, self._rng, p).tolist()
@@ -114,10 +124,9 @@ class NoiseSimAttack(AttackStrategy):
         else:
             i = step * (p + 1)
             w, n = noise[i : i + p], noise[i + p]
-        rows, b, c = form.float_rows
         x = self._x_sim or [0.0] * p
-        x = self._x_sim = advance(rows, b, x, float(u_g[t - 1]), w)
-        return dot(c, x) + n
+        x = self._x_sim = _advance(form, x, [float(u_g[t - 1])], w)
+        return dot(form.C.tolist(), x) + n
 
 
 def estimate_noise_arx(view: SensorView) -> float:
@@ -152,12 +161,15 @@ def additive_attack_step(view: SensorView, n_t, gain=None):
     if gain is None:
         gain = additive_gain(form, view.sigma_e2)
     t = view.t
-    A, B = form.A, form.B
-    y_prev = np.asarray(view.y[t - 1], dtype=float) if t >= 1 else np.zeros(len(A))
-    ug_prev = np.asarray(view.u_g[t - 1], dtype=float) if t >= 1 else np.zeros(B.shape[1])
-    s = np.asarray(view.y[t], dtype=float) - A @ y_prev - B @ ug_prev
-    v = np.asarray(n_t, dtype=float) - gain @ s
-    return v, np.asarray(view.y[t], dtype=float) + v
+    p, m = form.B.shape
+    y_t = _row(view.y[t])
+    y_prev = _row(view.y[t - 1]) if t >= 1 else [0.0] * p
+    ug_prev = _row(view.u_g[t - 1]) if t >= 1 else [0.0] * m
+    # s = y[t] - (A y[t-1] + B u_g[t-1]), predicted as the plant loop advances
+    s = [y_r - (dot(a_r, y_prev) + dot(b_r, ug_prev))
+         for y_r, a_r, b_r in zip(y_t, form.A.tolist(), form.B.tolist())]
+    v = [n_r - dot(g_r, s) for n_r, g_r in zip(_row(n_t), np.asarray(gain).tolist())]
+    return np.array(v), np.array([y_r + v_r for y_r, v_r in zip(y_t, v)])
 
 
 class AdditiveEstimatedAttack(AttackStrategy):

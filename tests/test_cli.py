@@ -1,5 +1,6 @@
 import json
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -540,6 +541,26 @@ def test_report_refuses_an_overflowing_report_cell_in_one_line(tmp_path, capsys)
     assert (code, out) == (1, "")
     assert len(err.splitlines()) == 1
     assert err.endswith("where its window layout gives 'nan'\n")
+
+
+def test_run_refuses_an_overflowing_statistic_in_one_line(tmp_path, capsys):
+    """A report whose square overflows makes a statistic NaN: `run` refuses
+    it in one error line and numpy does not warn of the overflow."""
+
+    @register_attack("huge_report_test")
+    def huge(view, rng):
+        return 1e300
+
+    scenario = tmp_path / "scenario.yaml"
+    save_scenario(make_scenario(attack={"kind": "huge_report_test", "onset": 1000}), scenario)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "run", "--scenario", str(scenario),
+                                 "--out", str(tmp_path / "out"))
+    assert [str(w.message) for w in caught] == []
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: non-finite statistic nan on channel ")
 
 
 def test_run_alarms_on_singular_detection_window(tmp_path, capsys):

@@ -15,7 +15,6 @@ from dynwatermark.harness import (
     ChannelSpec,
     Trace,
     _block_rows,
-    _detect_pass,
     _oracle_distortion,
     _residual_streams,
     _step_widths,
@@ -587,10 +586,11 @@ def test_detect_pass_alarms_per_window():
     streams = {"start": 1, "burn": 2, "r_wm": r, "e": np.zeros_like(r)}
     spec = ChannelSpec("variance_wm", "variance")
     th = {"variance_wm": Threshold("variance", 0.01, hi=2.0, lo=0.5)}
-    ends, stats, alarms = _detect_pass(cfg, streams, [spec], th)
+    ends, stats = _window_stats(cfg, streams, [spec])
+    alarms = th["variance_wm"].exceeded(stats["variance_wm"], end_t=ends)
     assert ends.tolist() == [6, 10, 14, 18]
     assert stats["variance_wm"].tolist() == [1.0, 4.0, 1.0, 9.0]
-    assert alarms["variance_wm"].tolist() == [False, True, False, True]
+    assert alarms.tolist() == [False, True, False, True]
 
 
 # ---------------------------------------------------------------------------
