@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
+from operator import add
 
 import numpy as np
 
@@ -151,17 +152,22 @@ def _wishart_scatter(M: np.ndarray, l: int, normals, chi2, out) -> np.ndarray:
     """Joint scatters z'z/l of windows of l i.i.d. z = M xi, xi ~ N(0, I_p),
     from the variates of their Bartlett factors (:func:`_bartlett_draws`):
     A lower-triangular with A_ii = sqrt(chi2_{l-i}) has A A' ~ Wishart(l, I_p),
-    and the scatter is M A A' M' / l, written into ``out``."""
-    n_windows, p = chi2.shape
-    A = np.zeros((n_windows, p, p))
-    rows, cols = np.tril_indices(p, -1)
-    A[:, rows, cols] = normals
-    d = np.arange(p)
-    A[:, d, d] = np.sqrt(chi2)
-    MA = np.matmul(M, A, out=np.empty((n_windows, len(M), p)))
-    Z = np.matmul(MA, MA.transpose(0, 2, 1), out=out)
-    Z /= l
-    return Z
+    and the scatter is M A A' M' / l, written into ``out``.
+
+    M A and (M A)(M A)' are formed on (windows,) columns, each sum added left
+    to right over its nonzero terms (the zeros of M and of A's upper triangle
+    are skipped): no BLAS call, so no bit depends on its kernel.
+    """
+    p = chi2.shape[1]
+    A = dict(zip(zip(*np.tril_indices(p, -1)), normals.T))
+    A.update(((k, k), np.sqrt(chi2[:, k])) for k in range(p))
+    MA = [{j: reduce(add, [m_k * A[k, j] for k, m_k in enumerate(row[j:], j) if m_k])
+           for j in range(p) if any(row[j:])} for row in M.tolist()]
+    for i, a in enumerate(MA):
+        for h, b in enumerate(MA[: i + 1]):
+            out[:, i, h] = out[:, h, i] = reduce(add, [a[j] * b[j] for j in a if j in b], 0.0)
+    out /= l
+    return out
 
 
 def _joint_scatter(*blocks) -> np.ndarray:

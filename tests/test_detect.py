@@ -13,6 +13,7 @@ from dynwatermark.detect import (
     Threshold,
     _batch_values,
     _joint_scatter,
+    _wishart_scatter,
     calibrate_threshold,
     simulate_null_stats,
     threshold_from_stats,
@@ -478,20 +479,33 @@ def test_sub_block_reduction_equals_one_shot_reduction(mode, kind, e_index):
     got = simulate_null_stats(kind, l, null, n_cal, np.random.default_rng(70),
                               e_index=e_index, chunk_elems=len(M) ** 2 * chunk)
     rng, want = np.random.default_rng(70), []
-    rows, cols = np.tril_indices(p, -1)
+    rows = np.tril_indices(p, -1)[0]
     d = np.arange(p)
     for done in range(0, n_cal, chunk):
         take = min(chunk, n_cal - done)
-        A = np.zeros((take, p, p))
-        A[:, rows, cols] = rng.standard_normal((take, rows.size))
-        A[:, d, d] = np.sqrt(rng.chisquare(l - d, (take, p)))
-        MA = M @ A
-        Z = MA @ MA.transpose(0, 2, 1) / l
+        normals = rng.standard_normal((take, rows.size))
+        chi2_draws = rng.chisquare(l - d, (take, p))
+        Z = _wishart_scatter(M, l, normals, chi2_draws, np.empty((take, len(M), len(M))))
         targets = ({"target": null.cross_target(e_index)} if kind == "cross_corr"
                    else {"Sigma0": null.sigma0()})
         want.append(_batch_values(kind, Z, l, M.shape[0] - null.dim, e_index=e_index,
                                   **targets))
     assert np.array_equal(got, np.concatenate(want))
+
+
+@pytest.mark.parametrize("mode", sorted(_KS_NULLS))
+def test_wishart_scatter_is_the_matrix_product(mode):
+    """The column-sum scatters are M A A' M' / l of the Bartlett factors,
+    to the rounding of a reordered sum."""
+    M, l, rng = _KS_NULLS[mode].loading(), 30, np.random.default_rng(71)
+    p = M.shape[1]
+    normals, chi2_draws = rng.standard_normal((500, p * (p - 1) // 2)), rng.chisquare(l, (500, p))
+    A, (rows, cols) = np.zeros((500, p, p)), np.tril_indices(p, -1)
+    A[:, rows, cols] = normals
+    A[:, np.arange(p), np.arange(p)] = np.sqrt(chi2_draws)
+    MA = M @ A
+    got = _wishart_scatter(M, l, normals, chi2_draws, np.empty((500, len(M), len(M))))
+    np.testing.assert_allclose(got, MA @ MA.transpose(0, 2, 1) / l, rtol=1e-13, atol=1e-15)
 
 
 def test_short_windows_fall_back_to_raw_draws():
