@@ -227,8 +227,9 @@ def _policy_data(config: ScenarioConfig, form):
     A lag plant gets ``(za, ub)``: u_g[t] = (sum_m za[m]*z[t-m] -
     sum_{r>=1} ub[r]*u_g[t-r]) / ub[0].  ``linear`` is ((f,), (1.0,));
     ``arx_deadbeat`` is (a, b), which solves B(q^-1) u_g = A(q^-1) z, stable
-    because B is strictly minimum phase.  A state-space plant gets the gain:
-    the (m, n) matrix F on a measured state, the float f on a noisy output.
+    because B is strictly minimum phase.  A state-space plant gets the rows
+    of its gain F as float lists: (m, n) on a measured state, [[f]] on a
+    noisy output.
     """
     pc = config.policy
     if pc.kind == "zero":
@@ -351,7 +352,7 @@ def _simulate_ss(form, plant, law, attack, wm, w_family, streams, T):
         memoryview(a.reshape(-1)) for a in (x, w, y, z, u_g, u, e)
     )
     rows = list(zip(A.tolist(), B.tolist()))
-    kind, onset, data = attack or (None, T, None)
+    law, (kind, onset, data) = law or [()] * m, attack or (None, T, None)
     # a custom attack reads ndarray rows of a measured state, floats otherwise
     hist = (x, z, u_g) if C is None else (y_v, z_v, g_v)
     view = SensorView(0, *hist, plant, wm.sigma_e2, wm.family, w_family)
@@ -393,8 +394,8 @@ def _simulate_ss(form, plant, law, attack, wm, w_family, streams, T):
         else:
             z_v[t] = z_t
             z_t = (z_t,)
-        for r in range(j, j + m):
-            g_v[r] = g = dot(law[r - j], z_t) if law else 0.0
+        for r, f_r in enumerate(law, j):
+            g_v[r] = g = dot(f_r, z_t) if f_r else 0.0
             u_v[r] = g + e_v[r]
         if t < T - 1:
             u_t, k = u_v[j : j + m], i + p

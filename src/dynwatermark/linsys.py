@@ -368,7 +368,8 @@ class StateSpaceForm:
 def dot(row: Sequence[float], x: Sequence[float]) -> float:
     """sum_j row[j]*x[j] on Python floats, added left to right."""
     acc = row[0] * x[0]
-    for j in range(1, len(row)):
-        acc += row[j] * x[j]
+    if len(row) > 1:  # a one-term row skips the loop's set-up
+        for j in range(1, len(row)):
+            acc += row[j] * x[j]
     return acc
 
