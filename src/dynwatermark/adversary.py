@@ -66,8 +66,8 @@ def _attack_data(config, form, rng: np.random.Generator):
     * ``noise_sim``: the attacker's own noise for the steps onset..horizon-1,
       with which it simulates the closed loop from the reports and u_g.  It
       cannot add the watermark (it never sees e), which is what the
-      correlation tests catch.  A lag plant gets w' (flat) and a measured
-      state one w' row per step; a noisy output gets (w', n') per step, flat.
+      correlation tests catch.  A lag plant gets w', a measured state its w'
+      rows and a noisy output (w', n') per step, each as one flat memoryview.
     * ``additive_estimated``: (gain, fake noise n).  z[t] = y[t] + n[t] -
       gain * s[t] adds fake process noise and subtracts the conditional mean
       of the real one given the public innovation s.  On a scalar or ARX
