@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, replace
+from functools import cache
 from itertools import accumulate, chain, groupby, islice, repeat, starmap, zip_longest
 
 import numpy as np
@@ -26,7 +27,7 @@ import numpy as np
 from . import detect as _detect
 from .adversary import SensorView, _attack_data
 from .detect import ResidualNull, Threshold
-from .linsys import LagForm, dot
+from .linsys import LagForm, _compile_kernel, _dot_source, _indent, _names, _unpack
 from .residual import innovations, kalman_design, lag_filter, prediction_errors
 from .scenario import (
     ScenarioConfig,
@@ -320,18 +321,19 @@ def _simulate_lag(form: LagForm, plant, law, attack, wm, w_family, streams, T):
 
 
 def _simulate_ss(form, plant, law, attack, wm, w_family, streams, T):
-    """Closed loop of a state-space plant: one loop on Python floats, read
-    and written through memoryviews of preallocated, zero-filled arrays, each
-    dot product added left to right (:func:`.linsys.dot`), so no bit depends
-    on a BLAS kernel.
+    """Closed loop of a state-space plant, run by the kernel
+    :func:`_ss_kernel` compiles for its shape.
 
-    A state row advances as x'[r] = dot(A_r, x) + dot(B_r, u) + w'[r].  A
-    measured state reports its row, a noisy output dot(C, x) + n.  The law
-    ``law`` (see :func:`_policy_data`) gives u_g[i] = dot(F_i, z), and the
-    excitation is added to it.  The sensor reports y[t], or from onset on
-    what ``attack`` (see :func:`.adversary._attack_data`) makes of it:
-    ``noise_sim`` advances the last report of a measured state, or its own
-    copy of a hidden one, by the same update.
+    A state row advances as x'[r] = dot(A_r, x) + dot(B_r, u) + w'[r], each
+    dot product added left to right (:func:`.linsys.dot`), so no bit depends
+    on a BLAS kernel.  A measured state reports its row, a noisy output
+    dot(C, x) + n.  The law ``law`` (see :func:`_policy_data`) gives
+    u_g[i] = dot(F_i, z), and the excitation is added to it.  The sensor
+    reports y[t], or from onset on what ``attack`` (see
+    :func:`.adversary._attack_data`) makes of it: ``noise_sim`` advances the
+    last report of a measured state, or its own copy of a hidden one, by the
+    same update.  The kernel reads and writes each column of the arrays
+    made here through a memoryview of its own.
     """
     A, B, C = form.A, form.B, form.C
     p, m = B.shape
@@ -341,68 +343,149 @@ def _simulate_ss(form, plant, law, attack, wm, w_family, streams, T):
         [draw_iid(wm.family, wm.sigma_e2, rng, T) for rng in streams.excitation]
     )
     x = np.zeros((T, p))
+    args = {}
     if C is None:
-        n, y, z, q, c = None, x, np.zeros((T, p)), p, None
+        n, y, z = None, x, np.zeros((T, p))
     else:
         n = np.asarray(draw_iid("gaussian", form.sigma_n2, streams.measurement, T))
-        y, z, e, q = np.zeros(T), np.zeros(T), e[:, 0], 1
-        n_v, c = memoryview(n), C.tolist()
+        y, z, e = np.zeros(T), np.zeros(T), e[:, 0]
+        args.update(C=C.tolist(), Y=memoryview(y), N=memoryview(n))
     u_g, u = np.zeros(e.shape), np.zeros(e.shape)
-    x_v, w_v, y_v, z_v, g_v, u_v, e_v = (
-        memoryview(a.reshape(-1)) for a in (x, w, y, z, u_g, u, e)
+    kind, onset, data = attack or (None, T, None)
+    if kind == "replay":
+        args["lag"] = data
+    elif kind == "noise_sim":
+        args["D"] = _columns(np.asarray(data).reshape(-1, p + (C is not None)))
+    elif kind == "additive_estimated":
+        gain, noise = data
+        args.update(K=list(chain(*gain)), D=_columns(np.asarray(noise).reshape(-1, p)))
+    elif kind is not None:
+        # a custom attack reads ndarray rows of a measured state, floats otherwise
+        hist = (x, z, u_g) if C is None else map(memoryview, (y, z, u_g))
+        view = SensorView(0, *hist, plant, wm.sigma_e2, wm.family, w_family)
+
+        def report(t):
+            view.t = t
+            z_t = np.asarray(data(view), dtype=float)
+            if z_t.shape != z.shape[1:]:
+                raise ValueError(
+                    f"report at t={t} has shape {z_t.shape}, the plant outputs {z.shape[1:]}"
+                )
+            return z_t.tolist()
+
+        args["report"], kind = report, "custom"
+    if law is not None:
+        args.update(F=list(chain(*law)), G=_columns(u_g))
+    _ss_kernel(p, m, C is None, law is not None, kind)(
+        T, onset, A.ravel().tolist(), B.ravel().tolist(), X=_columns(x), Z=_columns(z),
+        U=_columns(u), E=_columns(e), W=_columns(w[1:]), **args,
     )
-    rows = list(zip(A.tolist(), B.tolist()))
-    law, (kind, onset, data) = law or [()] * m, attack or (None, T, None)
-    # a custom attack reads ndarray rows of a measured state, floats otherwise
-    hist = (x, z, u_g) if C is None else (y_v, z_v, g_v)
-    view = SensorView(0, *hist, plant, wm.sigma_e2, wm.family, w_family)
-    own = [0.0] * p  # noise_sim's copy of a hidden state
-    stride = p if C is None else p + 1  # noise_sim's draws per step
-    for t in range(T):
-        i, j, k = t * p, t * m, t * q
-        x_t = x_v[i : i + p]
-        z_t = x_t if c is None else dot(c, x_t) + n_v[t]
-        if c is not None:
-            y_v[t] = z_t
-        if t >= onset:
-            if kind == "replay":
-                z_t = z_v[k - data * q : k - data * q + q] if c is None else z_v[t - data]
-            elif kind == "noise_sim":
-                s = (t - onset) * stride
-                prev, g_prev = z_v[k - q : k] if c is None else own, g_v[j - m : j]
-                own = [dot(a_r, prev) + dot(b_r, g_prev) + data[s + r]
-                       for r, (a_r, b_r) in enumerate(rows)]
-                z_t = own if c is None else dot(c, own) + data[s + p]
-            elif kind == "additive_estimated":
-                gain, noise = data
-                prev, g_prev, s = x_v[i - p : i], g_v[j - m : j], (t - onset) * p
-                innov = [y_r - (dot(a_r, prev) + dot(b_r, g_prev))
-                         for y_r, (a_r, b_r) in zip(x_t, rows)]
-                z_t = [y_r + (noise[s + r] - dot(g_r, innov))
-                       for r, (y_r, g_r) in enumerate(zip(x_t, gain))]
-            else:
-                view.t = t
-                z_t = np.asarray(data(view), dtype=float)
-                if z_t.shape != z.shape[1:]:
-                    raise ValueError(
-                        f"report at t={t} has shape {z_t.shape}, the plant outputs {z.shape[1:]}"
-                    )
-                z_t = z_t.tolist()
-        if c is None:
-            for r, z_r in enumerate(z_t, k):
-                z_v[r] = z_r
-        else:
-            z_v[t] = z_t
-            z_t = (z_t,)
-        for r, f_r in enumerate(law, j):
-            g_v[r] = g = dot(f_r, z_t) if f_r else 0.0
-            u_v[r] = g + e_v[r]
-        if t < T - 1:
-            u_t, k = u_v[j : j + m], i + p
-            for a_r, b_r in rows:
-                x_v[k] = dot(a_r, x_t) + dot(b_r, u_t) + w_v[k]
-                k += 1
     return dict(x=x, y=y, z=z, u_g=u_g, u=u, e_raw=e, e_shaped=e, w=w, n=n)
+
+
+def _columns(a: np.ndarray) -> list[memoryview]:
+    """One memoryview per column of a (T, k) array, or of a (T,) array."""
+    return [memoryview(col) for col in np.atleast_2d(a.T)]
+
+
+@cache
+def _ss_kernel(p: int, m: int, measured: bool, law: bool, attack: str | None):
+    """The closed loop of a (p, m) state-space plant, compiled once per
+    shape: sensor type, law present, and attack kind (None, ``replay``,
+    ``noise_sim``, ``additive_estimated`` or ``custom``)."""
+    return _compile_kernel(_ss_source(p, m, measured, law, attack), "closed_loop")
+
+
+def _ss_source(p: int, m: int, measured: bool, law: bool, attack: str | None) -> str:
+    """Source of :func:`_ss_kernel`: one straight-line step on locals.
+
+    Made from the shape alone, so no scenario value enters it.  The
+    coefficients arrive as flat float lists, unpacked into locals (a{r}_{c}
+    for A, and b, c, f and k for B, C, F and the additive gain).  The state
+    x, the reports z, u_g and u stay in locals from one step to the next.
+    Each column is one memoryview indexed by t (W holds w[1:], D the
+    attacker's noise from onset on).  Every sum is :func:`.linsys.dot`'s,
+    term for term and in its order, so the kernel's bits are the loop's.
+    """
+    q = p if measured else 1
+    x, z, g, u, o = (_names(v, k) for v, k in (("x", p), ("z", q), ("g", m), ("u", m), ("o", p)))
+    A, B, F, K = _names("a", p, p), _names("b", p, m), _names("f", m, q), _names("k", p, p)
+    c = _names("c", p)
+
+    def advance(state, inputs, noise):
+        """s[r] = dot(A_r, state) + dot(B_r, inputs) + noise[r]"""
+        lines = []
+        for r in range(p):
+            sa, ea = _dot_source("acc", A[r], state)
+            sb, eb = _dot_source("bcc", B[r], inputs)
+            lines += [*sa, *sb, f"s{r} = {ea} + {eb} + {noise[r]}"]
+        return lines
+
+    def output(state, noise):
+        lines, expr = _dot_source("acc", c, state)
+        return [*lines, f"z0 = {expr} + {noise}"]
+
+    def moved(dst):
+        return [f"{dst[r]} = s{r}" for r in range(p)]
+
+    noise = [f"D{r}[i]" for r in range(p + 1)]
+    if attack == "replay":
+        attacked = ["i = t - lag", *(f"{z[r]} = Z{r}[i]" for r in range(q))]
+    elif attack == "noise_sim" and measured:
+        attacked = ["i = t - onset", *advance(z, g, noise), *moved(z)]
+    elif attack == "noise_sim":
+        attacked = ["i = t - onset", *advance(o, g, noise), *moved(o), *output(o, noise[p])]
+    elif attack == "additive_estimated":
+        # innovation h = x - (A v + B g) on the previous state v and input g
+        attacked = ["i = t - onset"]
+        for r in range(p):
+            sa, ea = _dot_source("acc", A[r], _names("v", p))
+            sb, eb = _dot_source("bcc", B[r], g)
+            attacked += [*sa, *sb, f"h{r} = {x[r]} - ({ea} + {eb})"]
+        for r in range(p):
+            sk, ek = _dot_source("acc", K[r], _names("h", p))
+            attacked += [*sk, f"{z[r]} = {x[r]} + ({noise[r]} - {ek})"]
+    elif attack == "custom":
+        attacked = [_unpack(z, "report(t)") if measured else "z0 = report(t)"]
+    honest = [f"{z[r]} = {x[r]}" for r in range(p)] if measured else []
+    step = [f"X{r}[t] = {x[r]}" for r in range(p)]
+    if not measured:
+        step += [*output(x, "N[t]"), "Y[t] = z0"]
+    if attack is None:
+        step += honest
+    else:
+        step += ["if t >= onset:", *_indent(attacked)]
+        step += ["else:", *_indent(honest)] if honest else []
+    step += [f"Z{r}[t] = {z[r]}" for r in range(q)]
+    for r in range(m):
+        if law:
+            sf, ef = _dot_source(g[r], F[r], z)
+            step += sf or [f"{g[r]} = {ef}"]
+            step += [f"G{r}[t] = {g[r]}", f"{u[r]} = {g[r]} + E{r}[t]"]
+        else:  # u_g stays at its zero fill
+            step.append(f"{u[r]} = 0.0 + E{r}[t]")
+        step.append(f"U{r}[t] = {u[r]}")
+    keep = [f"v{r} = {x[r]}" for r in range(p)] if attack == "additive_estimated" else []
+    step += ["if t < last:", *_indent([*keep, *advance(x, u, [f"W{r}[t]" for r in range(p)]),
+                                       *moved(x)])]
+    columns = {"X": p, "Z": q, "U": m, "E": m, "W": p, "G": m if law else 0,
+               "D": p + (not measured) if attack in ("noise_sim", "additive_estimated") else 0}
+    head = [
+        "def closed_loop(T, onset, A, B, X, Z, U, E, W, C=None, Y=None, N=None, F=None, G=None,"
+        " lag=None, K=None, D=None, report=None):",
+        *_indent([
+            _unpack(chain(*A), "A"), _unpack(chain(*B), "B"),
+            *([_unpack(c, "C")] if not measured else []),
+            *([_unpack(chain(*F), "F")] if law else []),
+            *([_unpack(chain(*K), "K")] if attack == "additive_estimated" else []),
+            *(_unpack(_names(col, k), col) for col, k in columns.items() if k),
+            " = ".join([*x, *g, *o, "0.0"]),
+            "last = T - 1",
+            "for t in range(T):",
+            *_indent(step),
+        ]),
+    ]
+    return "\n".join(head) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,10 @@ Conventions shared across the package:
 * plants are pure: process/measurement noise is drawn by the caller, so the
   same plant object can be driven by recorded or simulated noise;
 * polynomial coefficient tuples are ordered by increasing lag.
+
+:func:`dot` is the order of every float sum in the closed loops; the
+``_``-prefixed helpers after it write that order as the source of the
+kernels that :mod:`.harness` and :mod:`.residual` generate per shape.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -366,10 +370,49 @@ class StateSpaceForm:
 
 
 def dot(row: Sequence[float], x: Sequence[float]) -> float:
-    """sum_j row[j]*x[j] on Python floats, added left to right."""
+    """sum_j row[j]*x[j] on Python floats, added left to right.
+
+    The specification of every sum in the generated kernels, which
+    :func:`_dot_source` emits in this order."""
     acc = row[0] * x[0]
     if len(row) > 1:  # a one-term row skips the loop's set-up
         for j in range(1, len(row)):
             acc += row[j] * x[j]
     return acc
+
+
+def _dot_source(acc: str, row: Sequence[str], x: Sequence[str]) -> tuple[list[str], str]:
+    """Source of :func:`dot` on named locals: (statements, expression).
+
+    A one-term row is its product alone.  A longer one sums in ``acc``, one
+    statement per term, every term kept: a single expression of a few
+    thousand terms overflows CPython's compiler recursion limit.
+    """
+    terms = [f"{r} * {v}" for r, v in zip(row, x)]
+    if len(terms) == 1:
+        return [], terms[0]
+    return [f"{acc} = {terms[0]}", *(f"{acc} += {term}" for term in terms[1:])], acc
+
+
+def _names(prefix: str, rows: int, cols: int | None = None) -> list:
+    """Local names prefix0.., or ``rows`` rows of prefix{r}_{c}."""
+    if cols is None:
+        return [f"{prefix}{r}" for r in range(rows)]
+    return [[f"{prefix}{r}_{c}" for c in range(cols)] for r in range(rows)]
+
+
+def _unpack(names: Iterable[str], value: str) -> str:
+    """Source that binds ``names`` to the items of ``value``."""
+    return f"{', '.join(names)}, = {value}"
+
+
+def _indent(lines: list[str]) -> list[str]:
+    return ["    " + line for line in lines]
+
+
+def _compile_kernel(source: str, name: str):
+    """The function ``name`` defined by generated ``source``."""
+    namespace: dict = {}
+    exec(compile(source, f"<{name}>", "exec"), namespace)
+    return namespace[name]
 

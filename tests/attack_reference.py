@@ -7,6 +7,10 @@ compromised sensor may read, and of the order of each strategy's
 floating-point operations.  The closed-loop kernels apply the same strategies
 inline; ``tests/test_adversary.py`` replays every run's public data through
 :func:`reference_reports` and requires the kernel's reports bit for bit.
+
+:func:`reference_closed_loop` is the hand-written state-space loop that the
+generated kernels replace, kept as their specification:
+``tests/test_harness.py`` requires every array they return byte for byte.
 """
 
 from __future__ import annotations
@@ -227,3 +231,92 @@ def reference_reports(trace) -> np.ndarray:
         view.t = t
         z[t] = attack.report(view)
     return z
+
+
+def reference_closed_loop(form, plant, law, attack, wm, w_family, streams, T):
+    """The specification of ``harness._simulate_ss``, whose generated kernels
+    must return these arrays byte for byte.
+
+    Closed loop of a state-space plant: one loop on Python floats, read
+    and written through memoryviews of preallocated, zero-filled arrays, each
+    dot product added left to right (:func:`.linsys.dot`), so no bit depends
+    on a BLAS kernel.
+
+    A state row advances as x'[r] = dot(A_r, x) + dot(B_r, u) + w'[r].  A
+    measured state reports its row, a noisy output dot(C, x) + n.  The law
+    ``law`` (see :func:`_policy_data`) gives u_g[i] = dot(F_i, z), and the
+    excitation is added to it.  The sensor reports y[t], or from onset on
+    what ``attack`` (see :func:`.adversary._attack_data`) makes of it:
+    ``noise_sim`` advances the last report of a measured state, or its own
+    copy of a hidden one, by the same update.
+    """
+    A, B, C = form.A, form.B, form.C
+    p, m = B.shape
+    w = np.asarray(draw_iid(w_family, form.sigma_w2, streams.process, (T, p)))
+    w[0] = 0.0
+    e = np.column_stack(
+        [draw_iid(wm.family, wm.sigma_e2, rng, T) for rng in streams.excitation]
+    )
+    x = np.zeros((T, p))
+    if C is None:
+        n, y, z, q, c = None, x, np.zeros((T, p)), p, None
+    else:
+        n = np.asarray(draw_iid("gaussian", form.sigma_n2, streams.measurement, T))
+        y, z, e, q = np.zeros(T), np.zeros(T), e[:, 0], 1
+        n_v, c = memoryview(n), C.tolist()
+    u_g, u = np.zeros(e.shape), np.zeros(e.shape)
+    x_v, w_v, y_v, z_v, g_v, u_v, e_v = (
+        memoryview(a.reshape(-1)) for a in (x, w, y, z, u_g, u, e)
+    )
+    rows = list(zip(A.tolist(), B.tolist()))
+    law, (kind, onset, data) = law or [()] * m, attack or (None, T, None)
+    # a custom attack reads ndarray rows of a measured state, floats otherwise
+    hist = (x, z, u_g) if C is None else (y_v, z_v, g_v)
+    view = SensorView(0, *hist, plant, wm.sigma_e2, wm.family, w_family)
+    own = [0.0] * p  # noise_sim's copy of a hidden state
+    stride = p if C is None else p + 1  # noise_sim's draws per step
+    for t in range(T):
+        i, j, k = t * p, t * m, t * q
+        x_t = x_v[i : i + p]
+        z_t = x_t if c is None else dot(c, x_t) + n_v[t]
+        if c is not None:
+            y_v[t] = z_t
+        if t >= onset:
+            if kind == "replay":
+                z_t = z_v[k - data * q : k - data * q + q] if c is None else z_v[t - data]
+            elif kind == "noise_sim":
+                s = (t - onset) * stride
+                prev, g_prev = z_v[k - q : k] if c is None else own, g_v[j - m : j]
+                own = [dot(a_r, prev) + dot(b_r, g_prev) + data[s + r]
+                       for r, (a_r, b_r) in enumerate(rows)]
+                z_t = own if c is None else dot(c, own) + data[s + p]
+            elif kind == "additive_estimated":
+                gain, noise = data
+                prev, g_prev, s = x_v[i - p : i], g_v[j - m : j], (t - onset) * p
+                innov = [y_r - (dot(a_r, prev) + dot(b_r, g_prev))
+                         for y_r, (a_r, b_r) in zip(x_t, rows)]
+                z_t = [y_r + (noise[s + r] - dot(g_r, innov))
+                       for r, (y_r, g_r) in enumerate(zip(x_t, gain))]
+            else:
+                view.t = t
+                z_t = np.asarray(data(view), dtype=float)
+                if z_t.shape != z.shape[1:]:
+                    raise ValueError(
+                        f"report at t={t} has shape {z_t.shape}, the plant outputs {z.shape[1:]}"
+                    )
+                z_t = z_t.tolist()
+        if c is None:
+            for r, z_r in enumerate(z_t, k):
+                z_v[r] = z_r
+        else:
+            z_v[t] = z_t
+            z_t = (z_t,)
+        for r, f_r in enumerate(law, j):
+            g_v[r] = g = dot(f_r, z_t) if f_r else 0.0
+            u_v[r] = g + e_v[r]
+        if t < T - 1:
+            u_t, k = u_v[j : j + m], i + p
+            for a_r, b_r in rows:
+                x_v[k] = dot(a_r, x_t) + dot(b_r, u_t) + w_v[k]
+                k += 1
+    return dict(x=x, y=y, z=z, u_g=u_g, u=u, e_raw=e, e_shaped=e, w=w, n=n)

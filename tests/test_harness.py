@@ -8,7 +8,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dynwatermark.adversary import register_attack
+from dynwatermark import harness
+from dynwatermark.adversary import _attack_data, register_attack
 from dynwatermark.detect import Threshold
 from dynwatermark.harness import (
     _STEP_FIELDS,
@@ -16,7 +17,9 @@ from dynwatermark.harness import (
     Trace,
     _block_rows,
     _oracle_distortion,
+    _policy_data,
     _residual_streams,
+    _simulate_ss,
     _step_widths,
     _Streams,
     _window_stats,
@@ -39,6 +42,7 @@ from dynwatermark.scenario import (
 )
 from dynwatermark.watermark import draw_iid
 
+from attack_reference import reference_closed_loop
 from conftest import make_scenario
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
@@ -317,6 +321,137 @@ def test_partial_noise_sim_matches_numpy_reference_for_non_gaussian_noise(p, w_f
             assert np.array_equal(a, b), name
         else:
             assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), name
+
+
+# ---------------------------------------------------------------------------
+# generated state-space kernels against the hand-written reference loop
+# ---------------------------------------------------------------------------
+
+
+@register_attack("grid_custom_test")
+def _grid_custom(view, rng, scale=0.5):
+    """Shrink the measurement toward the last report and add attack noise."""
+    t = view.t
+    y_t = np.asarray(view.y[t], dtype=float)
+    return scale * y_t + 0.25 * np.asarray(view.z[t - 1]) + rng.normal(size=y_t.shape)
+
+
+def _state_space_scenario(sensor, p, m, law, attack, w_family, horizon=300):
+    """A stable p-state plant: a noisy output (m = 1) or a measured state with
+    m actuators, under the zero or a linear law."""
+    A = 0.5 * np.eye(p) + 0.1 * np.eye(p, k=1) - 0.05 * np.eye(p, k=-1)
+    B = 1.0 / (1.0 + np.add.outer(np.arange(p), np.arange(m)))
+    if sensor == "partial":
+        plant = {"kind": "partial", "A": A.tolist(), "B": B[:, 0].tolist(),
+                 "C": (1.0 / (1.0 + np.arange(p))).tolist(), "sigma_n2": 0.5}
+        f = -0.2
+    else:
+        plant = {"kind": "mimo", "A": A.tolist(), "B": B.tolist()}
+        f = (-0.1 * B.T).tolist()
+    onset = horizon // 2
+    attacks = {
+        "honest": {"kind": "honest"},
+        "replay": {"kind": "replay", "onset": onset, "record_len": 7},
+        "noise_sim": {"kind": "noise_sim", "onset": onset},
+        "additive_estimated": {"kind": "additive_estimated", "onset": onset},
+        "custom": {"kind": "grid_custom_test", "onset": onset, "params": {"scale": 0.75}},
+    }
+    return make_scenario(
+        seed=p + 10 * m, horizon=horizon,
+        plant=dict(plant, sigma_w2=1.0, w_family=w_family),
+        policy={"kind": "linear", "f": f} if law == "linear" else {"kind": "zero"},
+        watermark={"sigma_e2": 0.5},
+        attack=attacks[attack],
+        detector={"window_len": 100, "alpha": 0.05, "n_cal": 200, "tests": ["cross_corr"]},
+    )
+
+
+def _both_loops(cfg):
+    """The arrays of _simulate_ss and of the reference loop, each from fresh
+    streams of the scenario's seed."""
+    out = []
+    for simulate in (_simulate_ss, reference_closed_loop):
+        plant = cfg.plant.build()
+        form = plant.kernel
+        streams = _Streams(cfg.seed, form.n_inputs)
+        out.append(simulate(
+            form, plant, _policy_data(cfg, form),
+            _attack_data(cfg, form, streams.attack), resolve_watermark(cfg),
+            cfg.plant.w_family, streams, cfg.horizon,
+        ))
+    return out
+
+
+def _assert_byte_equal(got, want):
+    assert got.keys() == want.keys()
+    for name, a in got.items():
+        b = want[name]
+        if b is None:
+            assert a is None, name
+        else:
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+            assert a.tobytes() == b.tobytes(), name
+
+
+STATE_SPACE_CASES = [
+    (sensor, p, m, attack)
+    for sensor, p, m in [("partial", p, 1) for p in (1, 2, 3)]
+    + [("mimo", p, m) for p in (1, 2, 3) for m in (1, 2)]
+    for attack in ("honest", "replay", "noise_sim", "additive_estimated", "custom")
+    if not (sensor == "partial" and attack == "additive_estimated")
+]
+
+
+@pytest.mark.filterwarnings("ignore:rank\\(B\\) < state dimension")
+@pytest.mark.parametrize("law", ["zero", "linear"])
+@pytest.mark.parametrize("sensor,p,m,attack", STATE_SPACE_CASES)
+def test_state_space_kernel_is_byte_equal_to_the_reference_loop(sensor, p, m, attack, law):
+    """Every array the generated kernel returns is the hand-written loop's,
+    byte for byte, under Gaussian and Laplace process noise."""
+    for w_family in ("gaussian", "laplace"):
+        cfg = _state_space_scenario(sensor, p, m, law, attack, w_family)
+        _assert_byte_equal(*_both_loops(cfg))
+
+
+@pytest.mark.filterwarnings("ignore:rank\\(B\\) < state dimension")
+def test_forty_state_kernel_is_byte_equal_to_the_reference_loop():
+    cfg = _state_space_scenario("mimo", 40, 2, "linear", "additive_estimated", "gaussian",
+                                horizon=60)
+    _assert_byte_equal(*_both_loops(cfg))
+
+
+def test_state_space_kernels_are_cached_by_shape_and_hold_no_scenario_value(monkeypatch):
+    """Two plants that differ only in A, B, C and F share one compiled
+    kernel, whose source is the same text for both: the values arrive as
+    arguments.  A custom attack's name never enters the source either."""
+    source, sources = harness._ss_source, []
+
+    def record(*key):
+        sources.append(source(*key))
+        return sources[-1]
+
+    monkeypatch.setattr(harness, "_ss_source", record)
+    base = _state_space_scenario("partial", 2, 1, "linear", "custom", "gaussian")
+    other = make_scenario(
+        seed=base.seed, horizon=base.horizon,
+        plant={"kind": "partial", "A": [[0.3, 0.2], [-0.1, 0.6]], "B": [0.7, -0.4],
+               "C": [0.25, 1.2], "sigma_w2": 1.0, "sigma_n2": 0.5},
+        policy={"kind": "linear", "f": -0.15},
+        watermark={"sigma_e2": 0.5},
+        attack={"kind": "grid_custom_test", "onset": base.horizon // 2, "params": {"scale": 0.75}},
+        detector={"window_len": 100, "alpha": 0.05, "n_cal": 200, "tests": ["cross_corr"]},
+    )
+    harness._ss_kernel.cache_clear()
+    for cfg in (base, other):
+        _both_loops(cfg)
+    info = harness._ss_kernel.cache_info()
+    assert (info.misses, info.hits, len(sources)) == (1, 1, 1)
+    harness._ss_kernel.cache_clear()
+    _both_loops(other)
+    assert len(sources) == 2 and sources[0] == sources[1]
+    assert "grid_custom_test" not in sources[0]
+    for value in (0.3, 0.7, 0.25, 0.15, 1.2):
+        assert repr(value) not in sources[0]
 
 
 def test_negative_seed_is_refused_like_the_loader_refuses_it():

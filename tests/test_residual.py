@@ -90,7 +90,7 @@ def random_filter(rng, order: int, nb: int):
     return b, a
 
 
-@pytest.mark.parametrize("order", [1, 2, 3, 4])
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("b_len", ["shorter", "equal", "longer"])
 def test_rational_filter_equals_lfilter_on_random_iir_filters(order, b_len):
     rng = np.random.default_rng([order, len(b_len)])
@@ -102,7 +102,7 @@ def test_rational_filter_equals_lfilter_on_random_iir_filters(order, b_len):
         assert rational_filter(b, a, x).tobytes() == lfilter(b, a, x).tobytes(), (b, a)
 
 
-@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("b_len", ["shorter", "equal", "longer"])
 def test_two_input_pass_equals_the_sum_of_lfilters(order, b_len):
     """One pass over two inputs sharing a denominator adds, at each step, the
