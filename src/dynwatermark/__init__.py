@@ -69,7 +69,6 @@ from .scenario import (
 from .watermark import (
     FAMILIES,
     WatermarkSpec,
-    draw_excitation,
     draw_iid,
     match_distribution,
     shape,

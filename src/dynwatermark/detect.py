@@ -269,6 +269,11 @@ def _null_targets(kind: str, null: ResidualNull, e_index: int = 0) -> dict:
 # grow with n_cal.
 _SUB_WINDOWS = 2048
 
+# Draws per calibration chunk: a Gaussian chunk holds this many scatter
+# entries, a raw-draw chunk this many samples of e, v and r.  The chunk
+# sizes fix the order of the draws, so changing this moves the thresholds.
+_CHUNK_ELEMS = 2**22
+
 
 def simulate_null_stats(
     kind: str,
@@ -278,7 +283,6 @@ def simulate_null_stats(
     rng: np.random.Generator,
     *,
     e_index: int = 0,
-    chunk_elems: int = 2**22,
 ) -> np.ndarray:
     """Monte-Carlo sample of the statistic under the null, in memory chunks:
     Wishart window scatters for Gaussian nulls, raw draws otherwise.
@@ -286,14 +290,14 @@ def simulate_null_stats(
     A Gaussian chunk draws its Bartlett variates at once and reduces them in
     sub-blocks of ``_SUB_WINDOWS`` windows; every step works per window, so
     the statistics do not depend on the sub-block size.  A raw-draw chunk
-    holds up to ``chunk_elems`` draws: l samples of e, v and r per window.
+    holds up to ``_CHUNK_ELEMS`` draws: l samples of e, v and r per window.
     """
     stats_of = partial(_batch_values, kind, l=l, n_e=null.G.shape[1], e_index=e_index,
                        **_null_targets(kind, null, e_index))
     M = null.loading()
     p = M.shape[1]
     exact = null.gaussian and l >= p  # Bartlett needs l >= p
-    step = max(int(chunk_elems // (len(M) ** 2 if exact else l * (p + null.dim))), 1)
+    step = max(int(_CHUNK_ELEMS // (len(M) ** 2 if exact else l * (p + null.dim))), 1)
     out = np.empty(n_cal)
     if exact:
         Z = np.empty((min(_SUB_WINDOWS, n_cal), len(M), len(M)))

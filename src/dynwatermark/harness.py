@@ -242,6 +242,21 @@ def _policy_data(config: ScenarioConfig, form):
     return np.asarray(pc.f, dtype=float).reshape(form.n_inputs, -1).tolist()
 
 
+def _custom_report(report, view: SensorView, shape: tuple):
+    """The custom attack ``report`` as a function of t: it reads ``view`` at
+    t and returns a float, or a list of floats for a state vector, after
+    refusing a report whose shape is not the plant output's ``shape``."""
+
+    def at(t):
+        view.t = t
+        z_t = np.asarray(report(view), dtype=float)
+        if z_t.shape != shape:
+            raise ValueError(f"report at t={t} has shape {z_t.shape}, the plant outputs {shape}")
+        return z_t.tolist()
+
+    return at
+
+
 def _simulate_lag(form: LagForm, plant, law, attack, wm, w_family, streams, T):
     """Closed loop of a lag-polynomial plant.
 
@@ -270,6 +285,7 @@ def _simulate_lag(form: LagForm, plant, law, attack, wm, w_family, streams, T):
     kind, onset, data = attack or (None, T, None)
     view = SensorView(0, y_v[pad:], z_v[pad:], g_v[pad:], plant, wm.sigma_e2, wm.family,
                       w_family)
+    report = _custom_report(data, view, ())
     for t, (cw_t, s_t) in enumerate(zip(cw, s_v)):
         i = pad + t
         acc = 0.0
@@ -301,8 +317,7 @@ def _simulate_lag(form: LagForm, plant, law, attack, wm, w_family, streams, T):
                     innov -= bk * g_v[i - lag]
                 zt += noise[t - onset] - gain * innov
             else:
-                view.t = t
-                zt = float(data(view))
+                zt = report(t)
         z_v[i] = zt
         g = 0.0  # the zero law leaves u_g at its fill
         if law is not None:
@@ -363,17 +378,7 @@ def _simulate_ss(form, plant, law, attack, wm, w_family, streams, T):
         # a custom attack reads ndarray rows of a measured state, floats otherwise
         hist = (x, z, u_g) if C is None else map(memoryview, (y, z, u_g))
         view = SensorView(0, *hist, plant, wm.sigma_e2, wm.family, w_family)
-
-        def report(t):
-            view.t = t
-            z_t = np.asarray(data(view), dtype=float)
-            if z_t.shape != z.shape[1:]:
-                raise ValueError(
-                    f"report at t={t} has shape {z_t.shape}, the plant outputs {z.shape[1:]}"
-                )
-            return z_t.tolist()
-
-        args["report"], kind = report, "custom"
+        args["report"], kind = _custom_report(data, view, z.shape[1:]), "custom"
     if law is not None:
         args.update(F=list(chain(*law)), G=_columns(u_g))
     _ss_kernel(p, m, C is None, law is not None, kind)(
@@ -769,36 +774,30 @@ def _block_rows(width: int) -> int:
     return max(_BLOCK_CELLS // width, 1)
 
 
-def _step_widths(form) -> list[tuple[str, int]]:
-    """(field, width) of the step columns export writes for a run of the
-    kernel ``form``, in column order: width 0 is the one column ``field``,
-    width k the columns ``field_0`` .. ``field_{k-1}``.  A measured output
-    is written once: as y when it is the scalar output of a lag-polynomial
-    plant, as x when it is the state vector."""
+def _layout(form, channels) -> tuple[list[str], list[tuple[str, int, range]]]:
+    """The header of a trace of the kernel ``form`` with statistics
+    ``channels``, and (field, width, header indices) of each step field in
+    column order.  Width 0 is the one column ``field``, width k the columns
+    ``field_0`` .. ``field_{k-1}``.  A measured output is written once: as y
+    when it is the scalar output of a lag-polynomial plant, as x when it is
+    the state vector.  The window columns ``window_id``, ``stat_<channel>``
+    per channel and ``alarm`` follow the step columns."""
     if isinstance(form, LagForm):
-        return [(name, 0) for name in ("y", "z", "u_g", "u", "e_raw", "e_shaped", "w")]
-    p, m = form.A.shape[0], form.n_inputs
-    if form.C is None:
-        return [("x", p), ("z", p), ("u_g", m), ("u", m), ("e_raw", m), ("e_shaped", m),
-                ("w", p)]
-    return [("x", p), ("y", 0), ("z", 0), ("u_g", 0), ("u", 0), ("e_raw", 0), ("e_shaped", 0),
-            ("w", p), ("n", 0)]
-
-
-def _column_names(key: str, width: int) -> list[str]:
-    """Header names of the step columns of field ``key`` (see
-    :func:`_step_widths`)."""
-    return [f"{key}_{j}" for j in range(width)] if width else [key]
-
-
-def _step_columns(form, arrays: dict) -> list[tuple[str, np.ndarray]]:
-    """(header name, column) of each per-step column of ``arrays``, a dict
-    by field, in the layout :func:`_step_widths` gives the kernel ``form``."""
-    cols: list[tuple[str, np.ndarray]] = []
-    for key, width in _step_widths(form):
-        a = arrays[key]
-        cols += zip(_column_names(key, width), a.T if width else [a])
-    return cols
+        widths = [(name, 0) for name in ("y", "z", "u_g", "u", "e_raw", "e_shaped", "w")]
+    else:
+        p, m = form.A.shape[0], form.n_inputs
+        if form.C is None:
+            widths = [("x", p), ("z", p), ("u_g", m), ("u", m), ("e_raw", m), ("e_shaped", m),
+                      ("w", p)]
+        else:
+            widths = [("x", p), ("y", 0), ("z", 0), ("u_g", 0), ("u", 0), ("e_raw", 0),
+                      ("e_shaped", 0), ("w", p), ("n", 0)]
+    header, fields = ["t"], []
+    for key, width in widths:
+        names = [f"{key}_{j}" for j in range(width)] if width else [key]
+        fields.append((key, width, range(len(header), len(header) + len(names))))
+        header += names
+    return header + ["window_id", *(f"stat_{ch}" for ch in channels), "alarm"], fields
 
 
 def _format_block(blocks: list[np.ndarray]) -> list[list[str]]:
@@ -872,15 +871,16 @@ def _rows(columns) -> str:
 def export_trace(trace: Trace, path) -> None:
     """Write the trace as column-stable delimited text (bit-exact floats).
 
-    One row per step: its step columns, then its :func:`_window_columns`
-    cells.  A single header comment line carries the schema metadata needed
+    One row per step, in the columns :func:`_layout` gives: its step
+    columns, then its :func:`_window_columns` cells.  A single header comment line carries the schema metadata needed
     to re-import standalone.  Rows are formatted and written in blocks of
     :func:`_block_rows` rows, so memory does not grow with the horizon; within
     a block, repeated columns are formatted once (:func:`_format_block`).
     """
-    steps = _step_columns(trace.config.plant.build().kernel, vars(trace))
-    windows = _window_columns(trace)
-    header = ["t", *(name for name, _ in steps), *(name for name, _ in windows)]
+    header, fields = _layout(trace.config.plant.build().kernel, trace.channel_names)
+    arrays = vars(trace)
+    steps = [col for key, width, _ in fields
+             for col in (arrays[key].T if width else [arrays[key]])]
     meta = (
         f"# dynwatermark-trace schema_version={trace.schema_version} "
         f"name={trace.config.name} seed={trace.seed} "
@@ -888,7 +888,7 @@ def export_trace(trace: Trace, path) -> None:
         f"burn_in={trace.burn_in}"
     )
     T = trace.horizon
-    window_cells = [_expand(runs) for _, runs in windows]
+    window_cells = [_expand(runs) for _, runs in _window_columns(trace)]
     rows = _block_rows(len(header))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{meta}\n{','.join(header)}\n")
@@ -896,7 +896,7 @@ def export_trace(trace: Trace, path) -> None:
             b = min(a + rows, T)
             fh.write(_rows([
                 map(str, range(a, b)),
-                *_format_block([values[a:b] for _, values in steps]),
+                *_format_block([values[a:b] for values in steps]),
                 *(islice(cells, b - a) for cells in window_cells),
             ]))
 
@@ -954,7 +954,7 @@ def _read_block(path, header, flat, t0: int, fields, groups, window_runs) -> Non
     ``t`` cells, write the step columns and append each window column's cells
     to its run-length ``window_runs``.
 
-    ``fields`` holds (step field, header indices of its columns), and
+    ``fields`` holds (step field, width, header indices of its columns), and
     ``groups`` (step fields, array): the fields whose rows so far hold equal
     bits, with the one array they share.  A group whose fields differ in
     this block splits: the part holding its first field keeps the array,
@@ -968,7 +968,7 @@ def _read_block(path, header, flat, t0: int, fields, groups, window_runs) -> Non
         raise ValueError(f"{path}: column t holds {cell!r} at t={t}, not its step")
     parsed: list[tuple[list[str], np.ndarray]] = []
     block: dict[str, list[np.ndarray]] = {}
-    for key, columns in fields:
+    for key, _, columns in fields:
         block[key] = []
         for j in columns:
             cells = flat[j::K]
@@ -1018,8 +1018,8 @@ def import_trace(path, config: ScenarioConfig) -> Trace:
     data round-trips bit-exactly.  The returned trace carries the stored
     alarm flags (one per window, ``"any"``) and no thresholds.  Before any
     row is read, ``residual_start`` and ``burn_in`` must be the scenario's,
-    the ``stat_*`` columns its channels, and the header the one export writes
-    for its plant (state and input widths included).  Rows are then parsed
+    the ``stat_*`` columns its channels, and the header the :func:`_layout`
+    export writes for its plant (state and input widths included).  Rows are then parsed
     in blocks of :func:`_block_rows` rows, each released before the next is
     read: every ``t`` cell must be its row's step, every step cell a finite
     number, every recomputed statistic finite or the +inf of a singular
@@ -1061,21 +1061,18 @@ def import_trace(path, config: ScenarioConfig) -> Trace:
             raise ValueError(
                 f"{path}: trace holds statistics {have}, the scenario computes {channels}"
             )
-        layout, fields, shapes = ["t"], [], {}
-        for key, width in _step_widths(plant.kernel):
-            names = _column_names(key, width)
-            fields.append((key, range(len(layout), len(layout) + len(names))))
-            layout += names
-            shapes.setdefault((T, width) if width else (T,), []).append(key)
-        # before any row, the fields of one shape form one group
-        groups = [(keys, np.empty(shape)) for shape, keys in shapes.items()]
-        n_steps = len(layout)
-        layout += ["window_id", *(f"stat_{ch}" for ch in channels), "alarm"]
+        layout, fields = _layout(plant.kernel, channels)
         if header != layout:
             j = next(j for j, (a, b) in enumerate(zip_longest(header, layout)) if a != b)
             got, exp = (repr(h[j]) if j < len(h) else "nothing" for h in (header, layout))
             raise ValueError(f"{path}: header field {j + 1} is {got}, where export writes {exp}")
-        window_runs: list[list[tuple[str, int]]] = [[] for _ in layout[n_steps:]]
+        # before any row, the fields of one shape form one group
+        shapes: dict[tuple, list[str]] = {}
+        for key, width, _ in fields:
+            shapes.setdefault((T, width) if width else (T,), []).append(key)
+        groups = [(keys, np.empty(shape)) for shape, keys in shapes.items()]
+        windows = layout[fields[-1][2].stop :]  # the columns after the step columns
+        window_runs: list[list[tuple[str, int]]] = [[] for _ in windows]
         n_rows = 0
         for rows in _row_blocks(fh, path, len(layout)):
             t0, n_rows = n_rows, n_rows + len(rows)
@@ -1085,7 +1082,7 @@ def import_trace(path, config: ScenarioConfig) -> Trace:
             del rows  # released before the next block is read
     if n_rows != T:
         raise ValueError(f"trace has {n_rows} steps, scenario horizon is {T}")
-    stored = dict(zip(layout[n_steps:], window_runs))
+    stored = dict(zip(windows, window_runs))
     data: dict[str, np.ndarray | None] = dict.fromkeys(_STEP_FIELDS)
     for keys, array in groups:
         data.update(dict.fromkeys(keys, array))

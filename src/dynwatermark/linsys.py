@@ -375,9 +375,8 @@ def dot(row: Sequence[float], x: Sequence[float]) -> float:
     The specification of every sum in the generated kernels, which
     :func:`_dot_source` emits in this order."""
     acc = row[0] * x[0]
-    if len(row) > 1:  # a one-term row skips the loop's set-up
-        for j in range(1, len(row)):
-            acc += row[j] * x[j]
+    for j in range(1, len(row)):
+        acc += row[j] * x[j]
     return acc
 
 

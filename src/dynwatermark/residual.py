@@ -159,7 +159,7 @@ class KalmanDesign:
     ``P`` is the a-priori error covariance (fixed point of the predictor
     Riccati map), ``K`` the filter-form gain applied to the innovation in the
     measurement update, and ``sigma_R2`` = C P C^T + sigma_n2 the innovation
-    variance.  The predictor-form gain is ``K_pred`` = A K.
+    variance.
     """
 
     plant: PartialPlant | StateSpaceForm
@@ -167,10 +167,6 @@ class KalmanDesign:
     K: np.ndarray
     sigma_R2: float
     iterations: int
-
-    @property
-    def K_pred(self) -> np.ndarray:
-        return self.plant.A @ self.K
 
 
 def kalman_design(

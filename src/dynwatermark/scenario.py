@@ -65,10 +65,15 @@ def _require(d: dict, key: str, section: str):
     return d[key]
 
 
-def _no_extras(d: dict, allowed: set[str], section: str) -> None:
-    extras = set(d) - allowed
+def _section(d, section: str, keys=None) -> dict:
+    """``d`` as the scenario section ``section``: a mapping holding no key
+    outside ``keys``, by default the section's ``_KEYS``."""
+    if not isinstance(d, dict):
+        raise ScenarioError(section, "expected a mapping")
+    extras = set(d) - set(_KEYS[section] if keys is None else keys)
     if extras:
         raise ScenarioError(section, f"unknown keys {sorted(extras)}")
+    return d
 
 
 def _as_int(value, field_path: str) -> int:
@@ -177,50 +182,25 @@ class ScenarioConfig:
     schema_version: int = SCHEMA_VERSION
 
     def to_dict(self) -> dict:
-        plant = {"kind": self.plant.kind}
-        for key in ("a", "b", "c", "delay", "A", "B", "C", "sigma_n2"):
-            val = getattr(self.plant, key)
-            if val is not None:
-                plant[key] = _plain(val)
-        plant["sigma_w2"] = self.plant.sigma_w2
-        plant["w_family"] = self.plant.w_family
-        policy = {"kind": self.policy.kind}
-        if self.policy.f is not None:
-            policy["f"] = _plain(self.policy.f)
-        attack = {"kind": self.attack.kind}
-        if self.attack.onset is not None:
-            attack["onset"] = self.attack.onset
-        if self.attack.record_len is not None:
-            attack["record_len"] = self.attack.record_len
-        if self.attack.params:
-            attack["params"] = dict(self.attack.params)
-        detector = {
-            "window_len": self.detector.window_len,
-            "alpha": self.detector.alpha,
-            "n_cal": self.detector.n_cal,
-        }
-        if self.detector.tests is not None:
-            detector["tests"] = list(self.detector.tests)
-        if self.detector.burn_in is not None:
-            detector["burn_in"] = self.detector.burn_in
-        return {
-            "schema_version": self.schema_version,
-            "name": self.name,
-            "seed": self.seed,
-            "horizon": self.horizon,
-            "plant": plant,
-            "policy": policy,
-            "watermark": {
-                "sigma_e2": self.watermark.sigma_e2,
-                "family": self.watermark.family,
-                "shaper": self.watermark.shaper,
-            },
-            "attack": attack,
-            "detector": detector,
-        }
+        """The scenario as plain data, each section's keys in ``_KEYS``
+        order; unset (None) fields and empty ``params`` are left out."""
+        return _plain_section(self, "scenario")
+
+
+def _plain_section(obj, section: str) -> dict:
+    out = {}
+    for key in _KEYS[section]:
+        val = getattr(obj, key)
+        if key in _KEYS:
+            out[key] = _plain_section(val, key)
+        elif val is not None and (not isinstance(val, dict) or val):
+            out[key] = _plain(val)
+    return out
 
 
 def _plain(value):
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
     if isinstance(value, np.ndarray):
         return value.tolist()
     if isinstance(value, (tuple, list)):
@@ -234,6 +214,20 @@ def _plain(value):
 # parsing and validation
 # ---------------------------------------------------------------------------
 
+# Each section's keys, in the order save_scenario writes them.  The loader
+# refuses any other key; a plant admits only its kind's keys.
+_KEYS = {
+    "scenario": (
+        "schema_version", "name", "seed", "horizon",
+        "plant", "policy", "watermark", "attack", "detector",
+    ),
+    "plant": ("kind", "a", "b", "c", "delay", "A", "B", "C", "sigma_n2", "sigma_w2", "w_family"),
+    "policy": ("kind", "f"),
+    "watermark": ("sigma_e2", "family", "shaper"),
+    "attack": ("kind", "onset", "record_len", "params"),
+    "detector": ("window_len", "alpha", "n_cal", "tests", "burn_in"),
+}
+
 _PLANT_KEYS = {
     "scalar": {"kind", "a", "b", "sigma_w2", "w_family"},
     "arx": {"kind", "a", "b", "sigma_w2", "w_family"},
@@ -244,12 +238,10 @@ _PLANT_KEYS = {
 
 
 def _parse_plant(d: dict) -> PlantConfig:
-    if not isinstance(d, dict):
-        raise ScenarioError("plant", "expected a mapping")
-    kind = _require(d, "kind", "plant")
+    kind = _require(_section(d, "plant"), "kind", "plant")
     if kind not in PLANT_KINDS:
         raise ScenarioError("plant.kind", f"unknown kind {kind!r}; expected one of {PLANT_KINDS}")
-    _no_extras(d, _PLANT_KEYS[kind], "plant")
+    _section(d, "plant", _PLANT_KEYS[kind])
     w_family = d.get("w_family", "gaussian")
     if w_family not in watermark.FAMILIES:
         raise ScenarioError("plant.w_family", f"unknown family {w_family!r}")
@@ -258,7 +250,7 @@ def _parse_plant(d: dict) -> PlantConfig:
         "sigma_w2": _as_float(_require(d, "sigma_w2", "plant"), "plant.sigma_w2"),
         "w_family": w_family,
     }
-    for key in _PLANT_KEYS[kind] - {"kind", "sigma_w2", "w_family"}:
+    for key in (k for k in _KEYS["plant"] if k in _PLANT_KEYS[kind] and k not in kwargs):
         val = _require(d, key, "plant")
         if key == "delay":
             val = _as_int(val, "plant.delay")
@@ -273,12 +265,9 @@ def _parse_plant(d: dict) -> PlantConfig:
 
 
 def _parse_policy(d: dict, plant: PlantConfig) -> PolicyConfig:
-    if not isinstance(d, dict):
-        raise ScenarioError("policy", "expected a mapping")
-    kind = d.get("kind", "zero")
+    kind = _section(d, "policy").get("kind", "zero")
     if kind not in POLICY_KINDS:
         raise ScenarioError("policy.kind", f"unknown kind {kind!r}; expected one of {POLICY_KINDS}")
-    _no_extras(d, {"kind", "f"}, "policy")
     f = d.get("f")
     if kind == "linear" and f is None:
         raise ScenarioError("policy.f", "linear policy requires a gain f")
@@ -317,9 +306,7 @@ def _parse_gain(f, plant: PlantConfig):
 
 
 def _parse_watermark(d: dict, plant: PlantConfig) -> WatermarkSpec:
-    if not isinstance(d, dict):
-        raise ScenarioError("watermark", "expected a mapping")
-    _no_extras(d, {"sigma_e2", "family", "shaper"}, "watermark")
+    _section(d, "watermark")
     try:
         spec = WatermarkSpec(
             sigma_e2=_as_float(_require(d, "sigma_e2", "watermark"), "watermark.sigma_e2"),
@@ -342,10 +329,7 @@ def _parse_watermark(d: dict, plant: PlantConfig) -> WatermarkSpec:
 
 
 def _parse_attack(d: dict, plant: PlantConfig, horizon: int) -> AttackConfig:
-    if not isinstance(d, dict):
-        raise ScenarioError("attack", "expected a mapping")
-    _no_extras(d, {"kind", "onset", "record_len", "params"}, "attack")
-    kind = d.get("kind", "honest")
+    kind = _section(d, "attack").get("kind", "honest")
     known = set(adversary.BUILTIN_ATTACKS) | set(adversary._REGISTRY)
     if not isinstance(kind, str) or kind not in known:
         raise ScenarioError("attack.kind", f"unknown attack {kind!r}; known: {sorted(known)}")
@@ -408,9 +392,7 @@ def default_tests(plant_kind: str) -> tuple[str, ...]:
 
 
 def _parse_detector(d: dict, plant: PlantConfig, horizon: int) -> DetectorConfig:
-    if not isinstance(d, dict):
-        raise ScenarioError("detector", "expected a mapping")
-    _no_extras(d, {"window_len", "alpha", "n_cal", "tests", "burn_in"}, "detector")
+    _section(d, "detector")
     window_len = _as_int(d.get("window_len", 500), "detector.window_len")
     if window_len < 1:
         raise ScenarioError("detector.window_len", f"must be >= 1, got {window_len}")
@@ -456,16 +438,10 @@ def _parse_detector(d: dict, plant: PlantConfig, horizon: int) -> DetectorConfig
     )
 
 
-_TOP_KEYS = {
-    "schema_version", "name", "seed", "horizon",
-    "plant", "policy", "watermark", "attack", "detector",
-}
-
-
 def scenario_from_dict(d: dict) -> ScenarioConfig:
     if not isinstance(d, dict):
         raise ScenarioError("scenario", "expected a mapping at top level")
-    _no_extras(d, _TOP_KEYS, "scenario")
+    _section(d, "scenario")
     version = _as_int(_require(d, "schema_version", "scenario"), "schema_version")
     if version != SCHEMA_VERSION:
         raise ScenarioError(

@@ -20,7 +20,6 @@ __all__ = [
     "FAMILIES",
     "WatermarkSpec",
     "draw_iid",
-    "draw_excitation",
     "match_distribution",
     "shape",
 ]
@@ -67,14 +66,6 @@ class WatermarkSpec:
             raise ValueError(f"unknown excitation family {self.family!r}")
         if self.shaper not in ("auto", "none", "arx", "armax"):
             raise ValueError(f"unknown shaper {self.shaper!r}")
-
-
-def draw_excitation(spec: WatermarkSpec, rng: np.random.Generator, size=None):
-    """Draw raw excitation samples e ~ spec (scalar when size is None)."""
-    if spec.family == "matched":
-        raise ValueError("'matched' family must be resolved against a plant first")
-    out = draw_iid(spec.family, spec.sigma_e2, rng, size)
-    return float(out) if size is None else out
 
 
 def match_distribution(target: tuple[str, float], b: float) -> tuple[str, float]:

@@ -563,6 +563,22 @@ def test_run_refuses_an_overflowing_statistic_in_one_line(tmp_path, capsys):
     assert err.startswith("error: non-finite statistic nan on channel ")
 
 
+def test_run_refuses_a_report_of_the_wrong_shape_in_one_line(tmp_path, capsys):
+    """A custom attack on a lag plant that reports a one-element array, not
+    a number, ends `run` with one error line, not a traceback."""
+
+    @register_attack("array_report_test")
+    def array_report(view, rng):
+        return np.array([view.y[view.t]])
+
+    scenario = tmp_path / "scenario.yaml"
+    save_scenario(make_scenario(attack={"kind": "array_report_test", "onset": 1000}), scenario)
+    code, out, err = run_cli(capsys, "run", "--scenario", str(scenario),
+                             "--out", str(tmp_path / "out"))
+    assert (code, out) == (1, "")
+    assert err == "error: report at t=1000 has shape (1,), the plant outputs ()\n"
+
+
 def test_run_alarms_on_singular_detection_window(tmp_path, capsys):
     """A sensor that reports zeros makes the MIMO residual vanish: from the
     first window wholly after the onset, ending at t=300, the cov scatter is

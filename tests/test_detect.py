@@ -6,6 +6,7 @@ import pytest
 from scipy.special import multigammaln
 from scipy.stats import chi2, ks_2samp, wishart
 
+from dynwatermark import detect
 from dynwatermark.detect import (
     _SUB_WINDOWS,
     STAT_KINDS,
@@ -466,7 +467,7 @@ def test_wishart_calibration_holds_on_raw_null_windows(mode, kind, e_index):
         ("decoupled", "cov_entries", 0),
     ],
 )
-def test_sub_block_reduction_equals_one_shot_reduction(mode, kind, e_index):
+def test_sub_block_reduction_equals_one_shot_reduction(mode, kind, e_index, monkeypatch):
     """A Gaussian calibration run of several chunks, each reduced in
     sub-blocks (a partial one at the end of every chunk), gives bit for bit
     the statistics of each chunk's scatters M A A' M' / l formed at once
@@ -476,8 +477,9 @@ def test_sub_block_reduction_equals_one_shot_reduction(mode, kind, e_index):
     p, chunk = M.shape[1], 2 * _SUB_WINDOWS + 452
     n_cal = 2 * chunk + 1337
     assert n_cal % _SUB_WINDOWS and chunk % _SUB_WINDOWS
+    monkeypatch.setattr(detect, "_CHUNK_ELEMS", len(M) ** 2 * chunk)
     got = simulate_null_stats(kind, l, null, n_cal, np.random.default_rng(70),
-                              e_index=e_index, chunk_elems=len(M) ** 2 * chunk)
+                              e_index=e_index)
     rng, want = np.random.default_rng(70), []
     rows = np.tril_indices(p, -1)[0]
     d = np.arange(p)
@@ -517,7 +519,7 @@ def test_short_windows_fall_back_to_raw_draws():
     assert ks_2samp(stats, brute).pvalue > 1e-3
 
 
-def test_raw_draw_calibration_holds_one_chunk_of_draws():
+def test_raw_draw_calibration_holds_one_chunk_of_draws(monkeypatch):
     """A raw-draw chunk holds its e, v and r draws and one pairwise product
     at a time, beside the output and the chunk's scatters: no room for a
     stacked copy of its (e, r) coordinates."""
@@ -527,11 +529,11 @@ def test_raw_draw_calibration_holds_one_chunk_of_draws():
     m, k, dim = null.G.shape[1], null.H.shape[1], null.dim
     product = take * l * 8
     bound = product * (m + k + dim + 1) + n_cal * 8 + take * (m + dim) ** 2 * 8
+    # _CHUNK_ELEMS counts every draw of a chunk: l samples of e, v and r a window
+    monkeypatch.setattr(detect, "_CHUNK_ELEMS", take * l * (m + k + dim))
     tracemalloc.start()
     try:
-        # chunk_elems counts every draw of a chunk: l samples of e, v and r a window
-        simulate_null_stats("cov", l, null, n_cal, np.random.default_rng(3),
-                            chunk_elems=take * l * (m + k + dim))
+        simulate_null_stats("cov", l, null, n_cal, np.random.default_rng(3))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

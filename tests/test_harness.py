@@ -16,11 +16,11 @@ from dynwatermark.harness import (
     ChannelSpec,
     Trace,
     _block_rows,
+    _layout,
     _oracle_distortion,
     _policy_data,
     _residual_streams,
     _simulate_ss,
-    _step_widths,
     _Streams,
     _window_stats,
     calibrate_detector,
@@ -1212,8 +1212,7 @@ def _block_config(horizon):
 def _row_width(cfg) -> int:
     """Fields per exported row of ``cfg``: t, the step columns, window_id,
     one stat_* per channel and alarm."""
-    steps = sum(max(width, 1) for _, width in _step_widths(cfg.plant.build().kernel))
-    return 3 + steps + len(channel_specs(cfg))
+    return len(_layout(cfg.plant.build().kernel, [s.name for s in channel_specs(cfg)])[0])
 
 
 # Rows per block of _block_config's traces (14 fields a row).
@@ -1541,18 +1540,23 @@ def test_sensor_view_reads_the_trace_arrays(kind):
     assert trace_equal(trace, run_scenario(all_class_configs()[kind]))
 
 
-def test_vector_report_of_the_wrong_shape_is_refused():
-    """A measured-state report must be one row of the state: a scalar would
-    otherwise be broadcast into the preallocated report row."""
+@pytest.mark.parametrize("kind", ["scalar", "arx", "armax", "partial", "mimo"])
+def test_vector_report_of_the_wrong_shape_is_refused(kind):
+    """A report must have the plant output's shape: a scalar would otherwise
+    be broadcast into a measured state's report row, and a one-element array
+    is not the scalar output of the other classes."""
+    wrong, shapes = {"mimo": (0.0, r"\(\), the plant outputs \(2,\)")}.get(
+        kind, (np.array([0.0]), r"\(1,\), the plant outputs \(\)")
+    )
 
-    @register_attack("scalar_report_test")
-    def scalar_report(view, rng):
-        return 0.0
+    @register_attack("wrong_shape_report_test")
+    def wrong_shape_report(view, rng):
+        return wrong
 
     cfg = dataclasses.replace(
-        all_class_configs()["mimo"], attack=AttackConfig(kind="scalar_report_test", onset=5)
+        all_class_configs()[kind], attack=AttackConfig(kind="wrong_shape_report_test", onset=5)
     )
-    with pytest.raises(ValueError, match=r"report at t=5 has shape \(\), the plant outputs \(2,\)"):
+    with pytest.raises(ValueError, match=rf"^report at t=5 has shape {shapes}$"):
         run_scenario(cfg)
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.signal import lfilter
 
+from dynwatermark.adversary import register_attack
 from dynwatermark.harness import run_scenario
 from dynwatermark.scenario import (
     SCHEMA_VERSION,
@@ -14,7 +15,10 @@ from dynwatermark.scenario import (
     resolve_watermark,
     save_scenario,
     scenario_from_dict,
+    scenario_sha256,
 )
+
+SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def base_dict(**over):
@@ -76,6 +80,91 @@ def test_yaml_roundtrip_all_example_scenarios(tmp_path):
         out = tmp_path / f.name
         save_scenario(cfg, out)
         assert load_scenario(out).to_dict() == cfg.to_dict()
+
+
+# What save_scenario writes for a config that sets every optional key: the
+# scenario.yaml of existing run directories holds text in this layout.
+_EVERY_KEY_TEXT = """\
+schema_version: 1
+name: every-key
+seed: 7
+horizon: 3000
+plant:
+  kind: armax
+  a:
+  - 0.5
+  - -0.1
+  b:
+  - 1.0
+  - 0.25
+  c:
+  - 1.0
+  - 0.3
+  delay: 2
+  sigma_w2: 0.5
+  w_family: laplace
+policy:
+  kind: linear
+  f: -0.2
+watermark:
+  sigma_e2: 0.25
+  family: uniform
+  shaper: armax
+attack:
+  kind: pinned_text_test
+  onset: 1500
+  params:
+    scale: 2.0
+detector:
+  window_len: 200
+  alpha: 0.01
+  n_cal: 2000
+  tests:
+  - variance_wm
+  - nll
+  burn_in: 40
+"""
+
+
+def test_saved_text_of_every_optional_key_is_pinned(tmp_path):
+    """The key order and the left-out unset fields are part of the file:
+    dict comparisons of a round trip see neither."""
+
+    @register_attack("pinned_text_test")
+    def pinned(view, rng, scale=1.0):
+        return scale * view.y[view.t]
+
+    cfg = scenario_from_dict(base_dict(
+        name="every-key", seed=7, horizon=3000,
+        plant={"kind": "armax", "a": [0.5, -0.1], "b": [1.0, 0.25], "c": [1.0, 0.3],
+               "delay": 2, "sigma_w2": 0.5, "w_family": "laplace"},
+        policy={"kind": "linear", "f": -0.2},
+        watermark={"sigma_e2": 0.25, "family": "uniform", "shaper": "armax"},
+        attack={"kind": "pinned_text_test", "onset": 1500, "params": {"scale": 2.0}},
+        detector={"window_len": 200, "alpha": 0.01, "n_cal": 2000,
+                  "tests": ["variance_wm", "nll"], "burn_in": 40},
+    ))
+    path = tmp_path / "s.yaml"
+    save_scenario(cfg, path)
+    assert path.read_text(encoding="utf-8") == _EVERY_KEY_TEXT
+    partial = load_scenario(SCENARIOS / "partial_noise_sim.yaml").to_dict()["plant"]
+    assert list(partial) == ["kind", "A", "B", "C", "sigma_n2", "sigma_w2", "w_family"]
+
+
+# scenario_sha256 of each shipped scenario, as thresholds.json records it:
+# `report` refuses a run directory whose recorded hash differs.
+_SHIPPED_SHA256 = {
+    "armax_replay": "d0a3a4f8e7ed2778e2defcb746ae4f8f0f3e3c764fa2cf031059e03c8635150b",
+    "arx_additive": "9e4e353e34bebf3edcea1076cd23b21dc6361066e3c2b5fce02c0decc05a2aef",
+    "mimo_replay": "b64045fbb2fc0616362999131fae380419fd1a91ed2212b8918e35fa0bfba117",
+    "partial_noise_sim": "4992b96a9647aa174bad8b96cb019f98857ba4e73cc695062d7c85fbf14c1043",
+    "scalar_honest": "99b2ac3d10c922744eedad97c918867bd2c28a3fa58decbb3138c01c40bfa088",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SHIPPED_SHA256))
+def test_shipped_scenario_hash_is_pinned(name):
+    assert scenario_sha256(load_scenario(SCENARIOS / f"{name}.yaml")) == _SHIPPED_SHA256[name]
 
 
 def test_load_rejects_malformed_yaml(tmp_path):

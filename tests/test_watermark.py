@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from dynwatermark.watermark import (
     FAMILIES,
     WatermarkSpec,
-    draw_excitation,
     draw_iid,
     match_distribution,
     shape,
@@ -182,14 +181,3 @@ def test_spec_validation():
         WatermarkSpec(sigma_e2=1.0, shaper="fir")
 
 
-def test_draw_excitation_requires_resolved_family():
-    spec = WatermarkSpec(sigma_e2=1.0, family="matched")
-    with pytest.raises(ValueError, match="matched"):
-        draw_excitation(spec, np.random.default_rng(0), 4)
-
-
-def test_draw_excitation_matches_draw_iid():
-    spec = WatermarkSpec(sigma_e2=0.5, family="uniform")
-    a = np.asarray(draw_excitation(spec, np.random.default_rng(8), 6))
-    b = np.asarray(draw_iid("uniform", 0.5, np.random.default_rng(8), 6))
-    np.testing.assert_array_equal(a, b)
