@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pathlib
 import warnings
@@ -316,8 +317,53 @@ def test_report_rejects_non_finite_report(tmp_path, capsys):
     assert (out_dir / "report.json").read_text() == report
 
 
+# sha256 of each shipped scenario's run directory after `run` then `report`,
+# in RUN_FILES order.  A change to the simulation, the detector or a file
+# layout moves them; a refactor must not.
+RUN_FILES = ("scenario.yaml", "trace.csv", "report.json", "thresholds.json", "stats.csv")
+SHIPPED_RUN_SHA256 = {
+    "armax_replay": (
+        "aeb5686f78afa66bf5f69888b15bc92da5ccbd26b50e02876ad12b6f53c2e109",
+        "f9308b2d343928c56c10226cafbe1912409a9380b8ef214693aaad763354d75c",
+        "0e5e927b1acae8b09bf0a6e7f935c9583b81c7940abdca45f21917469a4a736f",
+        "8346d3a1e1ac6f166513f0c0c17ca9e1f9e2dd29d769f6c0c9530c8b402c6311",
+        "56947ce3a434931a2475f6d30fdc28181521a650d8019ed87dfc6cc82af10b08",
+    ),
+    "arx_additive": (
+        "8436239081764c4b19797d1656575dfc3a18781952c9e73aa712322e48041886",
+        "8e3303aa5522df0e5f024e45258456f7ef8d530e615a0fabfcce745551a7377c",
+        "67baad859f7ce62dff28b8603fce5fc329badc4d191c0b2d0aae2b85e373f28a",
+        "a9e1143a465eb123dac754c14a8890c2b85c64b755ec4ac455dabc8e5bc73620",
+        "fb98bd188038f37f1c2d01f61e154eeec7ef0069b82d640da2d7ac8aeb744a26",
+    ),
+    "mimo_replay": (
+        "b4a33ecd115ae8bab09be0508a4d4147b6484fb963a239b772a88a2ed770a14b",
+        "637518fda0b504f8e97c81e1748b970b425156f030479cb24bd5773c451ea6bd",
+        "1d161b1ca7811130e6b8c2eda7bb13024ee2dbf24d78b8c2b1c5d68700bb8bc6",
+        "e67460b87b7d543715c913157e94bac3502a94c28bf44634965a5e70030a6e28",
+        "ceccb22bf69210b7e94e88f9bfbd4610929d6a798c815f175e34d92088f9fc91",
+    ),
+    "partial_noise_sim": (
+        "2432702c49c5ddaf78d146144f9f256be6f9280848dc0f9761711cb761270cc7",
+        "105cd2f30e6144d6ae3aa9f3f7ea29a0ed09fc859e392aeeb7e5c95767af89f6",
+        "9ac0601205ff2b58fb17385cffbd61be604e1d8b0151320765fdcac822ae90c2",
+        "6c3892552a16b4dd97ae1d99812208ff146b04745785fcb75dfa5f1b0740e314",
+        "2e4918a4a09cc8e73de2c2d4bd989bd7256d44022bffd1771d922c379fc14475",
+    ),
+    "scalar_honest": (
+        "1f48f22a6e999d44a457456dad79548a18ac5bc31c746748b14c04817ea2bfe9",
+        "cbda92fc1afa7e50fce48ae84760390d3d56614305bd1ff963a0abb580d8436f",
+        "948bb834bc2f24b07f47e4f1d601abebc2826afbcbc860793cf8fab8bfd3da9d",
+        "3f62ddf65d4465c1ee979272111e869cbba2326290ad3ca86b089704888af42e",
+        "812ab2822a5d947d49b40eb9e714f53e5b81888d5fe9d08ab6f1a9718c9b019b",
+    ),
+}
+
+
 @pytest.mark.parametrize("name", sorted(p.stem for p in SCENARIOS.glob("*.yaml")))
 def test_run_then_report_on_shipped_scenario(name, tmp_path, capsys):
+    """`run` then `report` succeed, and every file of the run directory is
+    the pinned one byte for byte."""
     out_dir = tmp_path / "out"
     code, _, err = run_cli(
         capsys, "run", "--scenario", str(SCENARIOS / f"{name}.yaml"), "--out", str(out_dir)
@@ -325,6 +371,8 @@ def test_run_then_report_on_shipped_scenario(name, tmp_path, capsys):
     assert code == 0, err
     code, _, err = run_cli(capsys, "report", "--run", str(out_dir))
     assert code == 0, err
+    digests = [hashlib.sha256((out_dir / f).read_bytes()).hexdigest() for f in RUN_FILES]
+    assert dict(zip(RUN_FILES, digests)) == dict(zip(RUN_FILES, SHIPPED_RUN_SHA256[name]))
 
 
 def test_calibrate_alpha_and_ncal_overrides(scenario_file, capsys):
