@@ -6,10 +6,11 @@ sensor stream is consistent with the physics plus that excitation, and
 bound the distortion any consistent attacker can still add.
 
 Layers: ``linsys`` (the five plant classes and their two canonical kernels,
-lag polynomial and state space), ``watermark`` (excitation and the shaping
-filter), ``adversary`` (the sensor threat model: built-in attacks as kernel
-data, a registry of custom attacks), ``residual`` (prediction-error and
-Kalman-innovation filters run on recorded data), ``detect`` (window
+lag polynomial and state space, and the one home of the generated loops:
+both closed loops and the IIR filter), ``watermark`` (excitation and the
+shaping filter), ``adversary`` (the sensor threat model: built-in attacks as
+kernel data, a registry of custom attacks), ``residual`` (prediction-error
+and Kalman-innovation filters run on recorded data), ``detect`` (window
 statistics, calibration, thresholds), ``scenario``/``harness`` (config files,
 one closed-loop simulator per kernel that applies the policy and the
 built-in attacks inline, oracle metrics, trace export), ``cli`` (command-line

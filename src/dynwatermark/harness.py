@@ -10,7 +10,8 @@ reports z[t]; the controller computes u_g[t] from the reports and applies
 u[t] = u_g[t] + (shaped excitation); the state advances with w[t+1].
 Ground-truth noise streams are drawn here, per named substream of the master
 seed, and drive one simulator per plant kernel (lag polynomial or state
-space) — identical inputs give bit-identical traces.  Residuals and oracle
+space), each running the closed loop that :mod:`.linsys` generates for its
+shape — identical inputs give bit-identical traces.  Residuals and oracle
 metrics are LTI filters of the recorded data (see :mod:`.residual`).
 """
 
@@ -19,7 +20,6 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, replace
-from functools import cache
 from itertools import accumulate, chain, groupby, islice, repeat, starmap, zip_longest
 
 import numpy as np
@@ -27,7 +27,7 @@ import numpy as np
 from . import detect as _detect
 from .adversary import SensorView, _attack_data
 from .detect import ResidualNull, Threshold
-from .linsys import LagForm, _compile_kernel, _dot_source, _indent, _names, _unpack
+from .linsys import LagForm, _kernel
 from .residual import innovations, kalman_design, lag_filter, prediction_errors
 from .scenario import (
     ScenarioConfig,
@@ -257,99 +257,52 @@ def _custom_report(report, view: SensorView, shape: tuple):
     return at
 
 
-def _simulate_lag(form: LagForm, plant, law, attack, wm, w_family, streams, T):
-    """Closed loop of a lag-polynomial plant.
+def _sensor_args(attack, T: int, view: SensorView, shape: tuple):
+    """(kind, onset, kernel arguments ``lag``, ``K``, ``D`` or ``report``) of
+    the sensor ``attack`` (see :func:`.adversary._attack_data`); a custom
+    attack reads ``view`` and has kind ``custom``."""
+    kind, onset, data = attack or (None, T, None)
+    args = {}
+    if kind == "replay":
+        args["lag"] = data
+    elif kind == "noise_sim":
+        args["D"] = data
+    elif kind == "additive_estimated":
+        args["K"], args["D"] = data
+    elif kind is not None:
+        args["report"], kind = _custom_report(data, view, shape), "custom"
+    return kind, onset, args
 
-    At each t the output sums the AR terms, then the delayed input terms,
-    then C(q^-1) w[t]; the sensor reports it, or from onset on what
-    ``attack`` (see :func:`.adversary._attack_data`) makes of it; the control
-    law ``law`` (see :func:`_policy_data`) sums its z terms, then its u_g
-    terms, then divides by ub[0], and the shaped excitation is added to the
-    nominal input.  Each signal is one zero-padded array, read and written
-    through a memoryview; its unpadded part is both the sensor's history and
-    the trace array.
-    """
+
+def _simulate_lag(form: LagForm, plant, law, attack, wm, w_family, streams, T):
+    """Closed loop of a lag-polynomial plant under the law ``law`` (see
+    :func:`_policy_data`) and the sensor ``attack``, run by the kernel
+    :func:`.linsys._lag_source` writes for its shape.  The kernel writes each
+    array through a memoryview, and a custom attack reads them as its view."""
     w = np.asarray(draw_iid(w_family, form.sigma_w2, streams.process, T))
     w[: form.start] = 0.0
     e = np.asarray(draw_iid(wm.family, wm.sigma_e2, streams.excitation[0], T))
     s = e if wm.shaper == "none" else shape(e, form.b, form.c, form.gain)
-    cw, s_v = memoryview(lag_filter(form.c, w)), memoryview(s)
-    ar = [(ak, 1 + k) for k, ak in enumerate(form.a)]
-    br = [(bk, form.delay + k) for k, bk in enumerate(form.b)]
-    za, ub = law if law is not None else ((), ())
-    zr = [(am, m) for m, am in enumerate(za) if m]
-    gr = [(ubr, r) for r, ubr in enumerate(ub) if r]
-    pad = max(lag for _, lag in ar + br + zr + gr)
-    y, u, z, u_g = (np.zeros(pad + T) for _ in range(4))
-    y_v, u_v, z_v, g_v = map(memoryview, (y, u, z, u_g))
-    kind, onset, data = attack or (None, T, None)
-    view = SensorView(0, y_v[pad:], z_v[pad:], g_v[pad:], plant, wm.sigma_e2, wm.family,
-                      w_family)
-    report = _custom_report(data, view, ())
-    for t, (cw_t, s_t) in enumerate(zip(cw, s_v)):
-        i = pad + t
-        acc = 0.0
-        for ak, lag in ar:
-            acc -= ak * y_v[i - lag]
-        for bk, lag in br:
-            acc += bk * u_v[i - lag]
-        y_v[i] = zt = acc + cw_t
-        if t >= onset:
-            if kind == "replay":
-                zt = z_v[i - data]
-            elif kind == "noise_sim":
-                # The plant's recursion on the reports and u_g, and C(q^-1)
-                # over the attacker's own w' since onset (zero before it).
-                zt = 0.0
-                for ak, lag in ar:
-                    zt -= ak * z_v[i - lag]
-                for bk, lag in br:
-                    zt += bk * g_v[i - lag]
-                for ck, wk in zip(form.c, data[t - onset :: -1]):
-                    zt += ck * wk
-            elif kind == "additive_estimated":
-                # innovation s = A(q^-1) y[t] - B(q^-1) u_g[t-1] (delay 1)
-                gain, noise = data
-                innov = zt
-                for ak, lag in ar:
-                    innov += ak * y_v[i - lag]
-                for bk, lag in br:
-                    innov -= bk * g_v[i - lag]
-                zt += noise[t - onset] - gain * innov
-            else:
-                zt = report(t)
-        z_v[i] = zt
-        g = 0.0  # the zero law leaves u_g at its fill
-        if law is not None:
-            # Start from the first product: f*z keeps its sign at zero.
-            g = za[0] * zt
-            for am, m in zr:
-                g += am * z_v[i - m]
-            for ubr, r in gr:
-                g -= ubr * g_v[i - r]
-            g_v[i] = g = g / ub[0]
-        u_v[i] = g + s_t
-    y = y[pad:]
-    return dict(
-        x=y, y=y, z=z[pad:], u_g=u_g[pad:], u=u[pad:], e_raw=e, e_shaped=s, w=w, n=None
+    y, z, u_g, u = (np.zeros(T) for _ in range(4))
+    Y, Z, G, U = map(memoryview, (y, z, u_g, u))
+    view = SensorView(0, Y, Z, G, plant, wm.sigma_e2, wm.family, w_family)
+    kind, onset, args = _sensor_args(attack, T, view, ())
+    za, ub = law or ((), ())
+    key = (len(form.a), len(form.b), len(form.c), form.delay, len(za), len(ub), kind)
+    _kernel("lag_loop", key)(
+        T, onset, form.a, form.b, form.c, za, ub, memoryview(lag_filter(form.c, w)),
+        memoryview(s), Y, Z, G, U, **args,
     )
+    return dict(x=y, y=y, z=z, u_g=u_g, u=u, e_raw=e, e_shaped=s, w=w, n=None)
 
 
 def _simulate_ss(form, plant, law, attack, wm, w_family, streams, T):
-    """Closed loop of a state-space plant, run by the kernel
-    :func:`_ss_kernel` compiles for its shape.
-
-    A state row advances as x'[r] = dot(A_r, x) + dot(B_r, u) + w'[r], each
-    dot product added left to right (:func:`.linsys.dot`), so no bit depends
-    on a BLAS kernel.  A measured state reports its row, a noisy output
-    dot(C, x) + n.  The law ``law`` (see :func:`_policy_data`) gives
-    u_g[i] = dot(F_i, z), and the excitation is added to it.  The sensor
-    reports y[t], or from onset on what ``attack`` (see
-    :func:`.adversary._attack_data`) makes of it: ``noise_sim`` advances the
-    last report of a measured state, or its own copy of a hidden one, by the
-    same update.  The kernel reads and writes each column of the arrays
-    made here through a memoryview of its own.
-    """
+    """Closed loop of a state-space plant under the law ``law`` (see
+    :func:`_policy_data`) and the sensor ``attack``, run by the kernel
+    :func:`.linsys._ss_source` writes for its shape: each state row advances
+    as x'[r] = dot(A_r, x) + dot(B_r, u) + w'[r] on Python floats, so no bit
+    depends on a BLAS kernel.  The kernel reads and writes each column of
+    the arrays made here through a memoryview of its own."""
     A, B, C = form.A, form.B, form.C
     p, m = B.shape
     w = np.asarray(draw_iid(w_family, form.sigma_w2, streams.process, (T, p)))
@@ -366,24 +319,19 @@ def _simulate_ss(form, plant, law, attack, wm, w_family, streams, T):
         y, z, e = np.zeros(T), np.zeros(T), e[:, 0]
         args.update(C=C.tolist(), Y=memoryview(y), N=memoryview(n))
     u_g, u = np.zeros(e.shape), np.zeros(e.shape)
-    kind, onset, data = attack or (None, T, None)
-    if kind == "replay":
-        args["lag"] = data
-    elif kind == "noise_sim":
-        args["D"] = _columns(np.asarray(data).reshape(-1, p + (C is not None)))
-    elif kind == "additive_estimated":
-        gain, noise = data
-        args.update(K=list(chain(*gain)), D=_columns(np.asarray(noise).reshape(-1, p)))
-    elif kind is not None:
-        # a custom attack reads ndarray rows of a measured state, floats otherwise
-        hist = (x, z, u_g) if C is None else map(memoryview, (y, z, u_g))
-        view = SensorView(0, *hist, plant, wm.sigma_e2, wm.family, w_family)
-        args["report"], kind = _custom_report(data, view, z.shape[1:]), "custom"
+    # a custom attack reads ndarray rows of a measured state, floats otherwise
+    hist = (x, z, u_g) if C is None else map(memoryview, (y, z, u_g))
+    view = SensorView(0, *hist, plant, wm.sigma_e2, wm.family, w_family)
+    kind, onset, sensor = _sensor_args(attack, T, view, z.shape[1:])
+    if "D" in sensor:
+        sensor["D"] = _columns(np.asarray(sensor["D"]).reshape(-1, p + (C is not None)))
+    if "K" in sensor:
+        sensor["K"] = list(chain(*sensor["K"]))
     if law is not None:
         args.update(F=list(chain(*law)), G=_columns(u_g))
-    _ss_kernel(p, m, C is None, law is not None, kind)(
+    _kernel("closed_loop", (p, m, C is None, law is not None, kind))(
         T, onset, A.ravel().tolist(), B.ravel().tolist(), X=_columns(x), Z=_columns(z),
-        U=_columns(u), E=_columns(e), W=_columns(w[1:]), **args,
+        U=_columns(u), E=_columns(e), W=_columns(w[1:]), **args, **sensor,
     )
     return dict(x=x, y=y, z=z, u_g=u_g, u=u, e_raw=e, e_shaped=e, w=w, n=n)
 
@@ -391,106 +339,6 @@ def _simulate_ss(form, plant, law, attack, wm, w_family, streams, T):
 def _columns(a: np.ndarray) -> list[memoryview]:
     """One memoryview per column of a (T, k) array, or of a (T,) array."""
     return [memoryview(col) for col in np.atleast_2d(a.T)]
-
-
-@cache
-def _ss_kernel(p: int, m: int, measured: bool, law: bool, attack: str | None):
-    """The closed loop of a (p, m) state-space plant, compiled once per
-    shape: sensor type, law present, and attack kind (None, ``replay``,
-    ``noise_sim``, ``additive_estimated`` or ``custom``)."""
-    return _compile_kernel(_ss_source(p, m, measured, law, attack), "closed_loop")
-
-
-def _ss_source(p: int, m: int, measured: bool, law: bool, attack: str | None) -> str:
-    """Source of :func:`_ss_kernel`: one straight-line step on locals.
-
-    Made from the shape alone, so no scenario value enters it.  The
-    coefficients arrive as flat float lists, unpacked into locals (a{r}_{c}
-    for A, and b, c, f and k for B, C, F and the additive gain).  The state
-    x, the reports z, u_g and u stay in locals from one step to the next.
-    Each column is one memoryview indexed by t (W holds w[1:], D the
-    attacker's noise from onset on).  Every sum is :func:`.linsys.dot`'s,
-    term for term and in its order, so the kernel's bits are the loop's.
-    """
-    q = p if measured else 1
-    x, z, g, u, o = (_names(v, k) for v, k in (("x", p), ("z", q), ("g", m), ("u", m), ("o", p)))
-    A, B, F, K = _names("a", p, p), _names("b", p, m), _names("f", m, q), _names("k", p, p)
-    c = _names("c", p)
-
-    def advance(state, inputs, noise):
-        """s[r] = dot(A_r, state) + dot(B_r, inputs) + noise[r]"""
-        lines = []
-        for r in range(p):
-            sa, ea = _dot_source("acc", A[r], state)
-            sb, eb = _dot_source("bcc", B[r], inputs)
-            lines += [*sa, *sb, f"s{r} = {ea} + {eb} + {noise[r]}"]
-        return lines
-
-    def output(state, noise):
-        lines, expr = _dot_source("acc", c, state)
-        return [*lines, f"z0 = {expr} + {noise}"]
-
-    def moved(dst):
-        return [f"{dst[r]} = s{r}" for r in range(p)]
-
-    noise = [f"D{r}[i]" for r in range(p + 1)]
-    if attack == "replay":
-        attacked = ["i = t - lag", *(f"{z[r]} = Z{r}[i]" for r in range(q))]
-    elif attack == "noise_sim" and measured:
-        attacked = ["i = t - onset", *advance(z, g, noise), *moved(z)]
-    elif attack == "noise_sim":
-        attacked = ["i = t - onset", *advance(o, g, noise), *moved(o), *output(o, noise[p])]
-    elif attack == "additive_estimated":
-        # innovation h = x - (A v + B g) on the previous state v and input g
-        attacked = ["i = t - onset"]
-        for r in range(p):
-            sa, ea = _dot_source("acc", A[r], _names("v", p))
-            sb, eb = _dot_source("bcc", B[r], g)
-            attacked += [*sa, *sb, f"h{r} = {x[r]} - ({ea} + {eb})"]
-        for r in range(p):
-            sk, ek = _dot_source("acc", K[r], _names("h", p))
-            attacked += [*sk, f"{z[r]} = {x[r]} + ({noise[r]} - {ek})"]
-    elif attack == "custom":
-        attacked = [_unpack(z, "report(t)") if measured else "z0 = report(t)"]
-    honest = [f"{z[r]} = {x[r]}" for r in range(p)] if measured else []
-    step = [f"X{r}[t] = {x[r]}" for r in range(p)]
-    if not measured:
-        step += [*output(x, "N[t]"), "Y[t] = z0"]
-    if attack is None:
-        step += honest
-    else:
-        step += ["if t >= onset:", *_indent(attacked)]
-        step += ["else:", *_indent(honest)] if honest else []
-    step += [f"Z{r}[t] = {z[r]}" for r in range(q)]
-    for r in range(m):
-        if law:
-            sf, ef = _dot_source(g[r], F[r], z)
-            step += sf or [f"{g[r]} = {ef}"]
-            step += [f"G{r}[t] = {g[r]}", f"{u[r]} = {g[r]} + E{r}[t]"]
-        else:  # u_g stays at its zero fill
-            step.append(f"{u[r]} = 0.0 + E{r}[t]")
-        step.append(f"U{r}[t] = {u[r]}")
-    keep = [f"v{r} = {x[r]}" for r in range(p)] if attack == "additive_estimated" else []
-    step += ["if t < last:", *_indent([*keep, *advance(x, u, [f"W{r}[t]" for r in range(p)]),
-                                       *moved(x)])]
-    columns = {"X": p, "Z": q, "U": m, "E": m, "W": p, "G": m if law else 0,
-               "D": p + (not measured) if attack in ("noise_sim", "additive_estimated") else 0}
-    head = [
-        "def closed_loop(T, onset, A, B, X, Z, U, E, W, C=None, Y=None, N=None, F=None, G=None,"
-        " lag=None, K=None, D=None, report=None):",
-        *_indent([
-            _unpack(chain(*A), "A"), _unpack(chain(*B), "B"),
-            *([_unpack(c, "C")] if not measured else []),
-            *([_unpack(chain(*F), "F")] if law else []),
-            *([_unpack(chain(*K), "K")] if attack == "additive_estimated" else []),
-            *(_unpack(_names(col, k), col) for col, k in columns.items() if k),
-            " = ".join([*x, *g, *o, "0.0"]),
-            "last = T - 1",
-            "for t in range(T):",
-            *_indent(step),
-        ]),
-    ]
-    return "\n".join(head) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -1034,7 +882,9 @@ def import_trace(path, config: ScenarioConfig) -> Trace:
         if not meta_line.startswith("# dynwatermark-trace "):
             raise ValueError(f"{path} is not a trace export")
         header = fh.readline().strip().split(",")
-        meta = dict(item.split("=", 1) for item in meta_line[2:].split()[1:] if "=" in item)
+        # keys are the first token and the last four; the name between is free text
+        tokens = meta_line[2:].split()[1:]
+        meta = dict(item.split("=", 1) for item in tokens[:1] + tokens[-4:] if "=" in item)
         absent = sorted(_META_KEYS - set(meta))
         if absent:
             raise ValueError(f"{path}: trace metadata line lacks {absent}")

@@ -15,9 +15,10 @@ Conventions shared across the package:
   same plant object can be driven by recorded or simulated noise;
 * polynomial coefficient tuples are ordered by increasing lag.
 
-:func:`dot` is the order of every float sum in the closed loops; the
-``_``-prefixed helpers after it write that order as the source of the
-kernels that :mod:`.harness` and :mod:`.residual` generate per shape.
+This module is also the one home of the generated kernels: the closed
+loops of both kernels, which :mod:`.harness` runs, and the IIR filter of
+:mod:`.residual`.  Each generator writes straight-line Python source from a
+shape alone, and :func:`_kernel` compiles it once per (name, shape).
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -38,7 +40,6 @@ __all__ = [
     "MimoPlant",
     "LagForm",
     "StateSpaceForm",
-    "dot",
     "check_min_phase",
 ]
 
@@ -369,19 +370,9 @@ class StateSpaceForm:
         return float(np.max(np.abs(np.linalg.eigvals(self.A + self.B @ F @ C_y))))
 
 
-def dot(row: Sequence[float], x: Sequence[float]) -> float:
-    """sum_j row[j]*x[j] on Python floats, added left to right.
-
-    The specification of every sum in the generated kernels, which
-    :func:`_dot_source` emits in this order."""
-    acc = row[0] * x[0]
-    for j in range(1, len(row)):
-        acc += row[j] * x[j]
-    return acc
-
-
 def _dot_source(acc: str, row: Sequence[str], x: Sequence[str]) -> tuple[list[str], str]:
-    """Source of :func:`dot` on named locals: (statements, expression).
+    """Source of sum_j row[j]*x[j] on named locals: (statements, expression),
+    added left to right from row[0]*x[0], zero coefficients included.
 
     A one-term row is its product alone.  A longer one sums in ``acc``, one
     statement per term, every term kept: a single expression of a few
@@ -409,9 +400,197 @@ def _indent(lines: list[str]) -> list[str]:
     return ["    " + line for line in lines]
 
 
-def _compile_kernel(source: str, name: str):
-    """The function ``name`` defined by generated ``source``."""
-    namespace: dict = {}
-    exec(compile(source, f"<{name}>", "exec"), namespace)
-    return namespace[name]
+def _lag_source(na: int, nb: int, nc: int, delay: int, nza: int, nub: int,
+                attack: str | None) -> str:
+    """Source of ``lag_loop``, the closed loop of a :class:`LagForm` with na,
+    nb and nc coefficients in a, b and c and input delay ``delay``, under a
+    law of nza z and nub u_g coefficients (none for the zero law), for an
+    attack kind as in :func:`_ss_source`.  The coefficients arrive as
+    arguments, and y, u, z and u_g at lag k stay in the locals y{k}, u{k},
+    z{k} and g{k}, zero before t = 0.  Every sum is one statement per term,
+    in the hand-written loop's order: y[t] from ``acc = 0.0``, minus the a
+    terms, plus the b terms, plus (C(q^-1) w)[t] from CW; ``noise_sim`` runs
+    that recursion on z and u_g, then adds c_k times the attacker's noise D,
+    newest first and only over the steps since onset; ``additive_estimated``'s
+    innovation starts from y[t]; the law starts from za_0 * z[t], adds its z
+    terms, subtracts its u_g terms and divides by ub_0.
+    """
+    lags = {"y": na, "u": delay + nb - 1, "z": max(nza - 1, na * (attack == "noise_sim")),
+            "g": max(nub - 1, (delay + nb - 1) * (attack in ("noise_sim", "additive_estimated")))}
+    hist = {v: [f"{v}{k}" for k in range(1, n + 1)] for v, n in lags.items()}
 
+    def recursion(acc, ops, y, u):
+        return [*(f"{acc} {ops[0]}= a{k} * {y}{1 + k}" for k in range(na)),
+                *(f"{acc} {ops[1]}= b{k} * {u}{delay + k}" for k in range(nb))]
+
+    attacked = ["zt = report(t)"]  # a custom attack
+    if attack == "replay":
+        attacked = ["zt = Z[t - lag]"]
+    elif attack == "noise_sim":
+        attacked = ["j = t - onset", "zt = 0.0", *recursion("zt", "-+", "z", "g"),
+                    "zt += c0 * D[j]", *(f"if j >= {k}: zt += c{k} * D[j - {k}]"
+                                         for k in range(1, nc))]
+    elif attack == "additive_estimated":
+        attacked = ["innov = yt", *recursion("innov", "+-", "y", "g"),
+                    "zt = yt + (D[t - onset] - K * innov)"]
+    step = ["acc = 0.0", *recursion("acc", "-+", "y", "u"), "yt = acc + cwt", "Y[t] = yt",
+            *(["zt = yt"] if attack is None else
+              ["if t >= onset:", *_indent(attacked), "else:", "    zt = yt"]), "Z[t] = zt"]
+    if nza:
+        step += ["g = za0 * zt", *(f"g += za{m} * z{m}" for m in range(1, nza)),
+                 *(f"g -= ub{r} * g{r}" for r in range(1, nub)), "g = g / ub0", "G[t] = g",
+                 "ut = g + st"]
+    else:  # u_g stays at its zero fill
+        step.append("ut = 0.0 + st")
+    step.append("U[t] = ut")
+    for v, new in zip("yuzg", ("yt", "ut", "zt", "g" if nza else "")):
+        if hist[v] and new:
+            step.append(f"{', '.join(hist[v])} = {', '.join([new, *hist[v][:-1]])}")
+    coeffs = (("a", na), ("b", nb), ("c", nc), ("za", nza), ("ub", nub))
+    source = [
+        "def lag_loop(T, onset, a, b, c, za, ub, CW, S, Y, Z, G, U, lag=None, K=None, D=None,"
+        " report=None):",
+        *_indent([*(_unpack(_names(v, n), v) for v, n in coeffs if n),
+                  " = ".join([*chain(*hist.values()), "0.0"]),
+                  "for t, cwt, st in zip(range(T), CW, S):", *_indent(step)]),
+    ]
+    return "\n".join(source) + "\n"
+
+
+def _ss_source(p: int, m: int, measured: bool, law: bool, attack: str | None) -> str:
+    """Source of ``closed_loop``: one straight-line step on locals of a (p, m)
+    state-space plant, for its sensor type, law present and attack kind
+    (None, ``replay``, ``noise_sim``, ``additive_estimated`` or ``custom``).
+
+    Made from the shape alone, so no scenario value enters it.  The
+    coefficients arrive as flat float lists, unpacked into locals (a{r}_{c}
+    for A, and b, c, f and k for B, C, F and the additive gain).  The state
+    x, the reports z, u_g and u stay in locals from one step to the next.
+    Each column is one memoryview indexed by t (W holds w[1:], D the
+    attacker's noise from onset on).  Every sum is :func:`_dot_source`'s,
+    term for term and in its order, so the kernel's bits are the loop's.
+    """
+    q = p if measured else 1
+    x, z, g, u, o = (_names(v, k) for v, k in (("x", p), ("z", q), ("g", m), ("u", m), ("o", p)))
+    A, B, F, K = _names("a", p, p), _names("b", p, m), _names("f", m, q), _names("k", p, p)
+    c = _names("c", p)
+
+    def advance(state, inputs, noise):
+        """s[r] = dot(A_r, state) + dot(B_r, inputs) + noise[r]"""
+        lines = []
+        for r in range(p):
+            sa, ea = _dot_source("acc", A[r], state)
+            sb, eb = _dot_source("bcc", B[r], inputs)
+            lines += [*sa, *sb, f"s{r} = {ea} + {eb} + {noise[r]}"]
+        return lines
+
+    def output(state, noise):
+        lines, expr = _dot_source("acc", c, state)
+        return [*lines, f"z0 = {expr} + {noise}"]
+
+    def moved(dst):
+        return [f"{dst[r]} = s{r}" for r in range(p)]
+
+    noise = [f"D{r}[i]" for r in range(p + 1)]
+    if attack == "replay":
+        attacked = ["i = t - lag", *(f"{z[r]} = Z{r}[i]" for r in range(q))]
+    elif attack == "noise_sim" and measured:
+        attacked = ["i = t - onset", *advance(z, g, noise), *moved(z)]
+    elif attack == "noise_sim":
+        attacked = ["i = t - onset", *advance(o, g, noise), *moved(o), *output(o, noise[p])]
+    elif attack == "additive_estimated":
+        # innovation h = x - (A v + B g) on the previous state v and input g
+        attacked = ["i = t - onset"]
+        for r in range(p):
+            sa, ea = _dot_source("acc", A[r], _names("v", p))
+            sb, eb = _dot_source("bcc", B[r], g)
+            attacked += [*sa, *sb, f"h{r} = {x[r]} - ({ea} + {eb})"]
+        for r in range(p):
+            sk, ek = _dot_source("acc", K[r], _names("h", p))
+            attacked += [*sk, f"{z[r]} = {x[r]} + ({noise[r]} - {ek})"]
+    elif attack == "custom":
+        attacked = [_unpack(z, "report(t)") if measured else "z0 = report(t)"]
+    honest = [f"{z[r]} = {x[r]}" for r in range(p)] if measured else []
+    step = [f"X{r}[t] = {x[r]}" for r in range(p)]
+    if not measured:
+        step += [*output(x, "N[t]"), "Y[t] = z0"]
+    if attack is None:
+        step += honest
+    else:
+        step += ["if t >= onset:", *_indent(attacked)]
+        step += ["else:", *_indent(honest)] if honest else []
+    step += [f"Z{r}[t] = {z[r]}" for r in range(q)]
+    for r in range(m):
+        if law:
+            sf, ef = _dot_source(g[r], F[r], z)
+            step += sf or [f"{g[r]} = {ef}"]
+            step += [f"G{r}[t] = {g[r]}", f"{u[r]} = {g[r]} + E{r}[t]"]
+        else:  # u_g stays at its zero fill
+            step.append(f"{u[r]} = 0.0 + E{r}[t]")
+        step.append(f"U{r}[t] = {u[r]}")
+    keep = [f"v{r} = {x[r]}" for r in range(p)] if attack == "additive_estimated" else []
+    step += ["if t < last:", *_indent([*keep, *advance(x, u, [f"W{r}[t]" for r in range(p)]),
+                                       *moved(x)])]
+    columns = {"X": p, "Z": q, "U": m, "E": m, "W": p, "G": m if law else 0,
+               "D": p + (not measured) if attack in ("noise_sim", "additive_estimated") else 0}
+    head = [
+        "def closed_loop(T, onset, A, B, X, Z, U, E, W, C=None, Y=None, N=None, F=None, G=None,"
+        " lag=None, K=None, D=None, report=None):",
+        *_indent([
+            _unpack(chain(*A), "A"), _unpack(chain(*B), "B"),
+            *([_unpack(c, "C")] if not measured else []),
+            *([_unpack(chain(*F), "F")] if law else []),
+            *([_unpack(chain(*K), "K")] if attack == "additive_estimated" else []),
+            *(_unpack(_names(col, k), col) for col, k in columns.items() if k),
+            " = ".join([*x, *g, *o, "0.0"]),
+            "last = T - 1",
+            "for t in range(T):",
+            *_indent(step),
+        ]),
+    ]
+    return "\n".join(head) + "\n"
+
+
+def _iir_source(n: int, two: bool) -> str:
+    """Source of ``iir``: the direct form II transposed recursion of order
+    n - 1 on one input, or on two sharing a denominator (``two``).
+
+    Each delay line s_0..s_{n-2} (r_k for the second input), at rest at
+    +0.0, runs y = s_0 + b_0 x, s_{k-1} = (s_k + b_k x) - a_k y and
+    s_{n-2} = b_{n-1} x - a_{n-1} y; the second line's output is added to
+    y after both lines step.  The taps are unpacked into locals, so the
+    source holds only n and fixed names.
+    """
+    lines = [_unpack(_names("b", n), "b"), _unpack(_names("a", n), "a")]
+    lines.append(" = ".join([*_names("s", n - 1), "0.0"]))
+    chains = [("b", "s", "xt", "yt")]
+    if two:
+        lines += [_unpack(_names("c", n), "c"), " = ".join([*_names("r", n - 1), "0.0"])]
+        chains.append(("c", "r", "vt", "wt"))
+        lines.append("for t, xt, vt in zip(range(len(y)), x, v):")
+    else:
+        lines.append("for t, xt in enumerate(x):")
+    step = []
+    for tap, line, inp, out in chains:
+        step.append(f"{out} = {line}0 + {tap}0 * {inp}")
+        step += [f"{line}{k - 1} = ({line}{k} + {tap}{k} * {inp}) - a{k} * {out}"
+                 for k in range(1, n - 1)]
+        step.append(f"{line}{n - 2} = {tap}{n - 1} * {inp} - a{n - 1} * {out}")
+    if two:
+        step.append("yt += wt")
+    step.append("y[t] = yt")
+    source = ["def iir(b, c, a, x, v, y):", *_indent([*lines, *_indent(step)])]
+    return "\n".join(source) + "\n"
+
+
+# Each kernel's generator, by the name of the function its source defines.
+_SOURCES = {"lag_loop": _lag_source, "closed_loop": _ss_source, "iir": _iir_source}
+
+
+@cache
+def _kernel(name: str, shape: tuple):
+    """The kernel ``name`` that its generator in ``_SOURCES`` writes for
+    ``shape``, compiled once per (name, shape)."""
+    namespace: dict = {}
+    exec(compile(_SOURCES[name](*shape), f"<{name}>", "exec"), namespace)
+    return namespace[name]

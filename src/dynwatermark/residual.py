@@ -17,26 +17,19 @@ The rational filters are ``scipy.signal.lfilter`` and ``ss2tf`` rewritten on
 numpy and Python floats with scipy's own operations in scipy's order, so
 they give its outputs bit for bit (including the sign of zeros) without
 loading ``scipy.signal``.  The recursion is the direct form II transposed
-(Oppenheim & Schafer, Discrete-Time Signal Processing).
+(Oppenheim & Schafer, Discrete-Time Signal Processing), generated per order
+by :mod:`.linsys`, the home of every generated kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import reduce
 from operator import add
 
 import numpy as np
 
-from .linsys import (
-    LagForm,
-    PartialPlant,
-    StateSpaceForm,
-    _compile_kernel,
-    _indent,
-    _names,
-    _unpack,
-)
+from .linsys import LagForm, PartialPlant, StateSpaceForm, _kernel
 
 __all__ = [
     "KalmanDesign",
@@ -80,7 +73,7 @@ def rational_filter(b, a, x: np.ndarray) -> np.ndarray:
 def _iir(a, b, x, c=None, v=None) -> np.ndarray:
     """lfilter(b, a, x), plus lfilter(c, a, v) added at each step if ``c``
     (as long as ``b``) is given: one pass over t, one delay line per input,
-    run by the kernel :func:`_iir_kernel` compiles for (n, inputs).
+    run by the kernel ``iir`` (:func:`.linsys._iir_source`) for (n, inputs).
 
     b, c and a are zero-padded to one length n, then divided by a[0] (so a
     padded tap is -0.0 when a[0] < 0).  The inputs are read, and y written,
@@ -94,46 +87,8 @@ def _iir(a, b, x, c=None, v=None) -> np.ndarray:
     x = memoryview(np.ascontiguousarray(x, dtype=float))
     v = memoryview(np.ascontiguousarray(v, dtype=float)) if two else None
     y = np.zeros(len(x))
-    _iir_kernel(n, two)(b, c, a, x, v, memoryview(y))
+    _kernel("iir", (n, two))(b, c, a, x, v, memoryview(y))
     return y
-
-
-@cache
-def _iir_kernel(n: int, two: bool):
-    """The direct form II transposed recursion of order n - 1 on one input,
-    or on two sharing a denominator, compiled once per (n, two).
-
-    Each delay line s_0..s_{n-2} (r_k for the second input), at rest at
-    +0.0, runs y = s_0 + b_0 x, s_{k-1} = (s_k + b_k x) - a_k y and
-    s_{n-2} = b_{n-1} x - a_{n-1} y; the second line's output is added to
-    y after both lines step.  The taps are unpacked into locals, so the
-    source holds only n and fixed names.
-    """
-    return _compile_kernel(_iir_source(n, two), "iir")
-
-
-def _iir_source(n: int, two: bool) -> str:
-    """Source of :func:`_iir_kernel`."""
-    lines = [_unpack(_names("b", n), "b"), _unpack(_names("a", n), "a")]
-    lines.append(" = ".join([*_names("s", n - 1), "0.0"]))
-    chains = [("b", "s", "xt", "yt")]
-    if two:
-        lines += [_unpack(_names("c", n), "c"), " = ".join([*_names("r", n - 1), "0.0"])]
-        chains.append(("c", "r", "vt", "wt"))
-        lines.append("for t, xt, vt in zip(range(len(y)), x, v):")
-    else:
-        lines.append("for t, xt in enumerate(x):")
-    step = []
-    for tap, line, inp, out in chains:
-        step.append(f"{out} = {line}0 + {tap}0 * {inp}")
-        step += [f"{line}{k - 1} = ({line}{k} + {tap}{k} * {inp}) - a{k} * {out}"
-                 for k in range(1, n - 1)]
-        step.append(f"{line}{n - 2} = {tap}{n - 1} * {inp} - a{n - 1} * {out}")
-    if two:
-        step.append("yt += wt")
-    step.append("y[t] = yt")
-    source = ["def iir(b, c, a, x, v, y):", *_indent([*lines, *_indent(step)])]
-    return "\n".join(source) + "\n"
 
 
 def prediction_errors(form: LagForm, z: np.ndarray, u_g: np.ndarray) -> np.ndarray:

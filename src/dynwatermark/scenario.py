@@ -360,6 +360,8 @@ def _parse_attack(d: dict, plant: PlantConfig, horizon: int) -> AttackConfig:
             )
     elif record_len is not None:
         raise ScenarioError("attack.record_len", f"record_len is replay-only, not {kind}")
+    if params and kind in adversary.BUILTIN_ATTACKS:
+        raise ScenarioError("attack.params", f"params are for custom attacks, not {kind}")
     if kind == "additive_estimated" and plant.kind not in ("scalar", "arx", "mimo"):
         raise ScenarioError(
             "attack.kind",
@@ -450,6 +452,8 @@ def scenario_from_dict(d: dict) -> ScenarioConfig:
     name = _require(d, "name", "scenario")
     if not isinstance(name, str) or not name:
         raise ScenarioError("name", "expected a non-empty string")
+    if "\n" in name or "\r" in name:
+        raise ScenarioError("name", "must not hold a line break")
     horizon = _as_int(_require(d, "horizon", "scenario"), "horizon")
     if horizon < 2:
         raise ScenarioError("horizon", f"must be >= 2, got {horizon}")

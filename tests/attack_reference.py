@@ -8,9 +8,10 @@ floating-point operations.  The closed-loop kernels apply the same strategies
 inline; ``tests/test_adversary.py`` replays every run's public data through
 :func:`reference_reports` and requires the kernel's reports bit for bit.
 
-:func:`reference_closed_loop` is the hand-written state-space loop that the
-generated kernels replace, kept as their specification:
-``tests/test_harness.py`` requires every array they return byte for byte.
+:func:`reference_closed_loop` and :func:`reference_lag_loop` are the
+hand-written state-space and lag-polynomial loops that the generated kernels
+replace, kept as their specification: ``tests/test_harness.py`` requires
+every array the kernels return byte for byte.
 """
 
 from __future__ import annotations
@@ -20,10 +21,20 @@ import math
 import numpy as np
 
 from dynwatermark.adversary import SensorView
-from dynwatermark.harness import _Streams
-from dynwatermark.linsys import LagForm, dot
+from dynwatermark.harness import _custom_report, _Streams
+from dynwatermark.linsys import LagForm
+from dynwatermark.residual import lag_filter
 from dynwatermark.scenario import resolve_watermark
-from dynwatermark.watermark import draw_iid
+from dynwatermark.watermark import draw_iid, shape
+
+
+def dot(row, x) -> float:
+    """sum_j row[j]*x[j] on Python floats, added left to right: the order of
+    every dot product in the generated state-space loop."""
+    acc = row[0] * x[0]
+    for j in range(1, len(row)):
+        acc += row[j] * x[j]
+    return acc
 
 
 def _copy(value):
@@ -239,7 +250,7 @@ def reference_closed_loop(form, plant, law, attack, wm, w_family, streams, T):
 
     Closed loop of a state-space plant: one loop on Python floats, read
     and written through memoryviews of preallocated, zero-filled arrays, each
-    dot product added left to right (:func:`.linsys.dot`), so no bit depends
+    dot product added left to right (:func:`dot`), so no bit depends
     on a BLAS kernel.
 
     A state row advances as x'[r] = dot(A_r, x) + dot(B_r, u) + w'[r].  A
@@ -320,3 +331,84 @@ def reference_closed_loop(form, plant, law, attack, wm, w_family, streams, T):
                 x_v[k] = dot(a_r, x_t) + dot(b_r, u_t) + w_v[k]
                 k += 1
     return dict(x=x, y=y, z=z, u_g=u_g, u=u, e_raw=e, e_shaped=e, w=w, n=n)
+
+
+def reference_lag_loop(form: LagForm, plant, law, attack, wm, w_family, streams, T):
+    """The specification of ``harness._simulate_lag``, whose generated kernels
+    must return these arrays byte for byte.
+
+    Closed loop of a lag-polynomial plant.
+
+    At each t the output sums the AR terms, then the delayed input terms,
+    then C(q^-1) w[t]; the sensor reports it, or from onset on what
+    ``attack`` (see :func:`.adversary._attack_data`) makes of it; the control
+    law ``law`` (see :func:`_policy_data`) sums its z terms, then its u_g
+    terms, then divides by ub[0], and the shaped excitation is added to the
+    nominal input.  Each signal is one zero-padded array, read and written
+    through a memoryview; its unpadded part is both the sensor's history and
+    the trace array.
+    """
+    w = np.asarray(draw_iid(w_family, form.sigma_w2, streams.process, T))
+    w[: form.start] = 0.0
+    e = np.asarray(draw_iid(wm.family, wm.sigma_e2, streams.excitation[0], T))
+    s = e if wm.shaper == "none" else shape(e, form.b, form.c, form.gain)
+    cw, s_v = memoryview(lag_filter(form.c, w)), memoryview(s)
+    ar = [(ak, 1 + k) for k, ak in enumerate(form.a)]
+    br = [(bk, form.delay + k) for k, bk in enumerate(form.b)]
+    za, ub = law if law is not None else ((), ())
+    zr = [(am, m) for m, am in enumerate(za) if m]
+    gr = [(ubr, r) for r, ubr in enumerate(ub) if r]
+    pad = max(lag for _, lag in ar + br + zr + gr)
+    y, u, z, u_g = (np.zeros(pad + T) for _ in range(4))
+    y_v, u_v, z_v, g_v = map(memoryview, (y, u, z, u_g))
+    kind, onset, data = attack or (None, T, None)
+    view = SensorView(0, y_v[pad:], z_v[pad:], g_v[pad:], plant, wm.sigma_e2, wm.family,
+                      w_family)
+    report = _custom_report(data, view, ())
+    for t, (cw_t, s_t) in enumerate(zip(cw, s_v)):
+        i = pad + t
+        acc = 0.0
+        for ak, lag in ar:
+            acc -= ak * y_v[i - lag]
+        for bk, lag in br:
+            acc += bk * u_v[i - lag]
+        y_v[i] = zt = acc + cw_t
+        if t >= onset:
+            if kind == "replay":
+                zt = z_v[i - data]
+            elif kind == "noise_sim":
+                # The plant's recursion on the reports and u_g, and C(q^-1)
+                # over the attacker's own w' since onset (zero before it).
+                zt = 0.0
+                for ak, lag in ar:
+                    zt -= ak * z_v[i - lag]
+                for bk, lag in br:
+                    zt += bk * g_v[i - lag]
+                for ck, wk in zip(form.c, data[t - onset :: -1]):
+                    zt += ck * wk
+            elif kind == "additive_estimated":
+                # innovation s = A(q^-1) y[t] - B(q^-1) u_g[t-1] (delay 1)
+                gain, noise = data
+                innov = zt
+                for ak, lag in ar:
+                    innov += ak * y_v[i - lag]
+                for bk, lag in br:
+                    innov -= bk * g_v[i - lag]
+                zt += noise[t - onset] - gain * innov
+            else:
+                zt = report(t)
+        z_v[i] = zt
+        g = 0.0  # the zero law leaves u_g at its fill
+        if law is not None:
+            # Start from the first product: f*z keeps its sign at zero.
+            g = za[0] * zt
+            for am, m in zr:
+                g += am * z_v[i - m]
+            for ubr, r in gr:
+                g -= ubr * g_v[i - r]
+            g_v[i] = g = g / ub[0]
+        u_v[i] = g + s_t
+    y = y[pad:]
+    return dict(
+        x=y, y=y, z=z[pad:], u_g=u_g[pad:], u=u[pad:], e_raw=e, e_shaped=s, w=w, n=None
+    )

@@ -375,6 +375,31 @@ def test_run_then_report_on_shipped_scenario(name, tmp_path, capsys):
     assert dict(zip(RUN_FILES, digests)) == dict(zip(RUN_FILES, SHIPPED_RUN_SHA256[name]))
 
 
+@pytest.mark.parametrize("name", ["demo schema_version=2", "my scenario"])
+def test_run_then_report_keep_a_name_with_spaces_and_keys(name, tmp_path, capsys):
+    """The name is free text on the trace's metadata line: no word of it is
+    read as a key."""
+    cfg = make_scenario(name=name)
+    path = tmp_path / "scenario.yaml"
+    save_scenario(cfg, path)
+    out_dir = tmp_path / "out"
+    code, _, err = run_cli(
+        capsys, "run", "--scenario", str(path), "--seed", "11", "--out", str(out_dir)
+    )
+    assert code == 0, err
+    code, _, err = run_cli(capsys, "report", "--run", str(out_dir))
+    assert code == 0, err
+    assert import_trace(out_dir / "trace.csv", cfg).seed == 11
+
+
+def test_validate_refuses_a_name_with_a_line_break_in_one_line(tmp_path, capsys):
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump(dict(make_scenario().to_dict(), name="a\nb")))
+    code, out, err = run_cli(capsys, "validate", "--scenario", str(path))
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["error: name: must not hold a line break"]
+
+
 def test_calibrate_alpha_and_ncal_overrides(scenario_file, capsys):
     code, out, _ = run_cli(
         capsys, "calibrate", "--scenario", str(scenario_file),

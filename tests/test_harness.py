@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dynwatermark import harness
+from dynwatermark import harness, linsys
 from dynwatermark.adversary import _attack_data, register_attack
 from dynwatermark.detect import Threshold
 from dynwatermark.harness import (
@@ -20,6 +20,7 @@ from dynwatermark.harness import (
     _oracle_distortion,
     _policy_data,
     _residual_streams,
+    _simulate_lag,
     _simulate_ss,
     _Streams,
     _window_stats,
@@ -32,7 +33,7 @@ from dynwatermark.harness import (
     stat_series,
     trace_equal,
 )
-from dynwatermark.linsys import PARTIAL_BURN_IN
+from dynwatermark.linsys import PARTIAL_BURN_IN, LagForm
 from dynwatermark.scenario import (
     AttackConfig,
     PolicyConfig,
@@ -42,7 +43,7 @@ from dynwatermark.scenario import (
 )
 from dynwatermark.watermark import draw_iid
 
-from attack_reference import reference_closed_loop
+from attack_reference import reference_closed_loop, reference_lag_loop
 from conftest import make_scenario
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
@@ -367,10 +368,13 @@ def _state_space_scenario(sensor, p, m, law, attack, w_family, horizon=300):
 
 
 def _both_loops(cfg):
-    """The arrays of _simulate_ss and of the reference loop, each from fresh
-    streams of the scenario's seed."""
+    """The arrays of the scenario kernel's simulator and of its reference
+    loop, each from fresh streams of the scenario's seed."""
     out = []
-    for simulate in (_simulate_ss, reference_closed_loop):
+    form = cfg.plant.build().kernel
+    lag = isinstance(form, LagForm)
+    for simulate in (_simulate_lag, reference_lag_loop) if lag else (
+            _simulate_ss, reference_closed_loop):
         plant = cfg.plant.build()
         form = plant.kernel
         streams = _Streams(cfg.seed, form.n_inputs)
@@ -420,17 +424,94 @@ def test_forty_state_kernel_is_byte_equal_to_the_reference_loop():
     _assert_byte_equal(*_both_loops(cfg))
 
 
-def test_state_space_kernels_are_cached_by_shape_and_hold_no_scenario_value(monkeypatch):
-    """Two plants that differ only in A, B, C and F share one compiled
-    kernel, whose source is the same text for both: the values arrive as
-    arguments.  A custom attack's name never enters the source either."""
-    source, sources = harness._ss_source, []
+LAG_PLANTS = {
+    "scalar": {"kind": "scalar", "a": 0.5, "b": 1.0},
+    "arx1": {"kind": "arx", "a": [0.4], "b": [1.0]},
+    "arx2": {"kind": "arx", "a": [-0.5, 0.2], "b": [1.0, 0.4]},
+    "arx3": {"kind": "arx", "a": [0.3, -0.2, 0.1], "b": [0.8, -0.3, 0.1]},
+    "armax1": {"kind": "armax", "a": [-0.5], "b": [1.0], "c": [1.0], "delay": 1},
+    "armax2": {"kind": "armax", "a": [-0.6, 0.2], "b": [1.0, 0.5], "c": [1.0, 0.4], "delay": 2},
+    "armax3": {"kind": "armax", "a": [0.3, -0.1, 0.05], "b": [0.9, -0.2],
+               "c": [1.0, -0.3, 0.2], "delay": 3},
+}
+
+
+def _lag_scenario(plant, law, attack, w_family, shaper, horizon=300, f=-0.2):
+    """A stable lag-polynomial plant under the zero, a linear or the
+    arx_deadbeat law."""
+    onset = horizon // 2
+    attacks = {
+        "honest": {"kind": "honest"},
+        "replay": {"kind": "replay", "onset": onset, "record_len": 7},
+        "noise_sim": {"kind": "noise_sim", "onset": onset},
+        "additive_estimated": {"kind": "additive_estimated", "onset": onset},
+        "custom": {"kind": "grid_custom_test", "onset": onset, "params": {"scale": 0.75}},
+    }
+    policy = {"kind": law, "f": f} if law == "linear" else {"kind": law}
+    return make_scenario(
+        seed=3, horizon=horizon,
+        plant=dict(plant, sigma_w2=1.0, w_family=w_family), policy=policy,
+        watermark={"sigma_e2": 0.5, "shaper": shaper}, attack=attacks[attack],
+        detector={"window_len": 100, "alpha": 0.05, "n_cal": 200, "tests": ["cross_corr"]},
+    )
+
+
+LAG_CASES = [
+    (name, law, attack)
+    for name in LAG_PLANTS
+    for law in ("zero", "linear", "arx_deadbeat")
+    for attack in ("honest", "replay", "noise_sim", "additive_estimated", "custom")
+    if (law != "arx_deadbeat" or name.startswith("arx"))
+    and (attack != "additive_estimated" or not name.startswith("armax"))
+]
+
+
+@pytest.mark.parametrize("name,law,attack", LAG_CASES)
+def test_lag_kernel_is_byte_equal_to_the_reference_loop(name, law, attack):
+    """Every array the generated kernel returns is the hand-written loop's,
+    byte for byte, under Gaussian and Laplace process noise, with the
+    excitation shaped or not."""
+    for w_family in ("gaussian", "laplace"):
+        for shaper in ("auto", "none"):
+            cfg = _lag_scenario(LAG_PLANTS[name], law, attack, w_family, shaper)
+            _assert_byte_equal(*_both_loops(cfg))
+
+
+def test_three_hundred_lag_kernel_is_byte_equal_to_the_reference_loop():
+    lags = np.arange(300)
+    plant = {"kind": "arx", "a": (0.3 ** (lags + 1)).tolist(), "b": (0.5**lags).tolist()}
+    cfg = _lag_scenario(plant, "arx_deadbeat", "noise_sim", "gaussian", "auto", horizon=400)
+    _assert_byte_equal(*_both_loops(cfg))
+
+
+def _assert_cached_by_shape(monkeypatch, name, base, other, values):
+    """``base`` and ``other`` share one compiled kernel ``name``, whose source
+    is the same text for both and holds none of ``values`` nor the custom
+    attack's name."""
+    source, sources = linsys._SOURCES[name], []
 
     def record(*key):
         sources.append(source(*key))
         return sources[-1]
 
-    monkeypatch.setattr(harness, "_ss_source", record)
+    monkeypatch.setitem(linsys._SOURCES, name, record)
+    linsys._kernel.cache_clear()
+    for cfg in (base, other):
+        _both_loops(cfg)
+    info = linsys._kernel.cache_info()
+    assert (info.misses, info.hits, len(sources)) == (1, 1, 1)
+    linsys._kernel.cache_clear()
+    _both_loops(other)
+    assert len(sources) == 2 and sources[0] == sources[1]
+    assert "grid_custom_test" not in sources[0]
+    for value in values:
+        assert repr(value) not in sources[0]
+
+
+def test_state_space_kernels_are_cached_by_shape_and_hold_no_scenario_value(monkeypatch):
+    """Two plants that differ only in A, B, C and F share one compiled
+    kernel, whose source is the same text for both: the values arrive as
+    arguments.  A custom attack's name never enters the source either."""
     base = _state_space_scenario("partial", 2, 1, "linear", "custom", "gaussian")
     other = make_scenario(
         seed=base.seed, horizon=base.horizon,
@@ -441,17 +522,17 @@ def test_state_space_kernels_are_cached_by_shape_and_hold_no_scenario_value(monk
         attack={"kind": "grid_custom_test", "onset": base.horizon // 2, "params": {"scale": 0.75}},
         detector={"window_len": 100, "alpha": 0.05, "n_cal": 200, "tests": ["cross_corr"]},
     )
-    harness._ss_kernel.cache_clear()
-    for cfg in (base, other):
-        _both_loops(cfg)
-    info = harness._ss_kernel.cache_info()
-    assert (info.misses, info.hits, len(sources)) == (1, 1, 1)
-    harness._ss_kernel.cache_clear()
-    _both_loops(other)
-    assert len(sources) == 2 and sources[0] == sources[1]
-    assert "grid_custom_test" not in sources[0]
-    for value in (0.3, 0.7, 0.25, 0.15, 1.2):
-        assert repr(value) not in sources[0]
+    _assert_cached_by_shape(monkeypatch, "closed_loop", base, other, (0.3, 0.7, 0.25, 0.15, 1.2))
+
+
+def test_lag_kernels_are_cached_by_shape_and_hold_no_scenario_value(monkeypatch):
+    """The same for two ARMAX plants of one shape that differ in a, b, c and
+    f.  No shaper runs, so the lag loop is the only kernel compiled."""
+    base = _lag_scenario(LAG_PLANTS["armax2"], "linear", "custom", "gaussian", "none")
+    plant = {"kind": "armax", "a": [-0.35, 0.15], "b": [0.7, 0.25], "c": [1.0, 0.45],
+             "delay": 2}
+    other = _lag_scenario(plant, "linear", "custom", "gaussian", "none", f=-0.15)
+    _assert_cached_by_shape(monkeypatch, "lag_loop", base, other, (0.35, 0.15, 0.7, 0.25, 0.45))
 
 
 def test_negative_seed_is_refused_like_the_loader_refuses_it():

@@ -251,6 +251,11 @@ def test_attack_validation():
                  attack={"kind": "replay", "onset": 100, "record_len": 200})
     expect_error("attack.record_len",
                  attack={"kind": "noise_sim", "onset": 100, "record_len": 10})
+    for attack in ({"kind": "honest"}, {"kind": "replay", "onset": 100, "record_len": 10},
+                   {"kind": "noise_sim", "onset": 100},
+                   {"kind": "additive_estimated", "onset": 100}):
+        err = expect_error("attack.params", attack=dict(attack, params={"x": 1}))
+        assert str(err) == f"attack.params: params are for custom attacks, not {attack['kind']}"
     expect_error(
         "attack.kind",
         plant={"kind": "armax", "a": [0.5], "b": [1.0], "c": [1.0],
