@@ -335,7 +335,7 @@ def _parse_attack(d: dict, plant: PlantConfig, horizon: int) -> AttackConfig:
         raise ScenarioError("attack.kind", f"unknown attack {kind!r}; known: {sorted(known)}")
     onset = d.get("onset")
     record_len = d.get("record_len")
-    params = d.get("params") or {}
+    params = {} if d.get("params") is None else d["params"]
     if not isinstance(params, dict):
         raise ScenarioError("attack.params", "expected a mapping")
     if kind == "honest":

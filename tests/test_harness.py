@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dynwatermark import harness, linsys
+from dynwatermark import linsys
 from dynwatermark.adversary import _attack_data, register_attack
 from dynwatermark.detect import Threshold
 from dynwatermark.harness import (
@@ -371,8 +371,7 @@ def _both_loops(cfg):
     """The arrays of the scenario kernel's simulator and of its reference
     loop, each from fresh streams of the scenario's seed."""
     out = []
-    form = cfg.plant.build().kernel
-    lag = isinstance(form, LagForm)
+    lag = isinstance(cfg.plant.build().kernel, LagForm)
     for simulate in (_simulate_lag, reference_lag_loop) if lag else (
             _simulate_ss, reference_closed_loop):
         plant = cfg.plant.build()

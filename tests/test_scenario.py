@@ -256,6 +256,9 @@ def test_attack_validation():
                    {"kind": "additive_estimated", "onset": 100}):
         err = expect_error("attack.params", attack=dict(attack, params={"x": 1}))
         assert str(err) == f"attack.params: params are for custom attacks, not {attack['kind']}"
+    for params in ([], 0, ""):  # no falsy value stands in for an empty mapping
+        err = expect_error("attack.params", attack={"kind": "honest", "params": params})
+        assert str(err) == "attack.params: expected a mapping"
     expect_error(
         "attack.kind",
         plant={"kind": "armax", "a": [0.5], "b": [1.0], "c": [1.0],
